@@ -298,7 +298,9 @@ pub struct Database {
     view_mode: ViewMode,
     match_mode: MatchMode,
     join_order: JoinOrder,
-    staged: std::collections::HashMap<String, u32>,
+    /// Staged tables and their pinned page counts; ordered so GC
+    /// unstages in the same order in every process.
+    staged: std::collections::BTreeMap<String, u32>,
     exec_mode: ExecMode,
     threads: usize,
     /// Plan/estimate memo. A mutex (never contended: each memo access is
@@ -340,7 +342,7 @@ impl Database {
             view_mode: config.view_mode,
             match_mode: config.match_mode,
             join_order: config.join_order,
-            staged: std::collections::HashMap::new(),
+            staged: std::collections::BTreeMap::new(),
             exec_mode: config.exec_mode,
             threads: config.threads.max(1),
             plan_cache: Mutex::new(PlanCache::new(config.plan_cache)),

@@ -19,7 +19,7 @@
 use crate::optimizer::qualify;
 use specdb_query::{canonical_key, Join, Query, QueryGraph, Selection};
 use specdb_storage::Value;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A registered materialized view.
 #[derive(Debug, Clone)]
@@ -38,9 +38,12 @@ impl ViewDef {
 }
 
 /// Registry of materialized views keyed by canonical graph key.
+/// Ordered by key, so every iteration (rewrite candidates, the greedy
+/// rewrite's tie-break among equal-weight views, GC sweeps) is the same
+/// in every process.
 #[derive(Debug, Default, Clone)]
 pub struct ViewRegistry {
-    by_key: HashMap<String, ViewDef>,
+    by_key: BTreeMap<String, ViewDef>,
 }
 
 impl ViewRegistry {
@@ -144,16 +147,13 @@ impl ViewRegistry {
 
     /// Canonical keys of views whose defining graph is still contained
     /// in `graph` under `mode` — the lease set a serving session holds
-    /// on the shared artifact cache. Sorted for deterministic iteration.
+    /// on the shared artifact cache. Sorted, as the registry is.
     pub fn supported_keys(&self, graph: &QueryGraph, mode: MatchMode) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .by_key
+        self.by_key
             .iter()
             .filter(|(_, v)| view_matches(&v.graph, graph, mode))
             .map(|(k, _)| k.clone())
-            .collect();
-        keys.sort();
-        keys
+            .collect()
     }
 }
 

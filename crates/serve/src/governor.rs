@@ -15,10 +15,10 @@
 //!
 //! The governor is a pure policy object: no threads, no clock. The
 //! same instance drives both the wall-clock serving layer
-//! ([`SessionManager`]) and the virtual-clock `multi_session` replay in
-//! `specdb-sim`, which is what lets the determinism suite assert that a
-//! single session under the governor is bit-identical to the
-//! pre-governor replay path.
+//! ([`SessionManager`]) and the virtual-clock replay loop in
+//! `specdb-sim`, whose single-user case runs under a one-slot governor;
+//! the determinism suite asserts that a single session under the
+//! default governor is bit-identical to it.
 //!
 //! [`Decision::benefit_rate`]: specdb_core::Decision::benefit_rate
 //! [`CancelToken`]: specdb_exec::CancelToken

@@ -11,12 +11,13 @@
 //!   1 GB configurations, with the scaled-clock substitution from
 //!   DESIGN.md) and the all-subset-join materialized-view baseline of
 //!   Figure 6,
-//! * [`replay`] — single-user replay: the speculator issues cancellable
-//!   asynchronous manipulations during recorded think time,
-//! * [`multi`] — multi-user replay: several traces share the engine and
-//!   a processor-sharing disk (Figure 7),
-//! * [`multi_session`] — concurrent-session replay under the
-//!   `specdb-serve` fleet governor and shared-artifact accounting,
+//! * [`replay`] — the replay event loop: the speculator issues
+//!   cancellable asynchronous manipulations during recorded think time,
+//!   for one user ([`replay_trace`]) or a fleet of sessions sharing
+//!   artifacts under the `specdb-serve` governor
+//!   ([`replay_multi_session`]); sessions do not contend for resources,
+//! * [`multi`] — multi-user replay on a processor-sharing disk
+//!   (Figure 7): the only loop that models contention between users,
 //! * [`report`] — the improvement metric, bucketing, and table rendering,
 //! * [`dashboard`] — self-contained HTML speculation-timeline rendering
 //!   from a traced replay's events and spans.
@@ -24,7 +25,6 @@
 pub mod dashboard;
 pub mod dataset;
 pub mod multi;
-pub mod multi_session;
 pub mod replay;
 pub mod report;
 
@@ -33,6 +33,8 @@ pub use dataset::{
     materialize_subset_joins_up_to, DatasetSpec,
 };
 pub use multi::{replay_multi, MultiOutcome};
-pub use multi_session::{replay_multi_session, MultiSessionConfig, MultiSessionOutcome};
-pub use replay::{replay_trace, ProfileKind, QueryMeasurement, ReplayConfig, ReplayOutcome};
+pub use replay::{
+    replay_multi_session, replay_trace, MultiSessionConfig, MultiSessionOutcome, ProfileKind,
+    QueryMeasurement, ReplayConfig, ReplayOutcome,
+};
 pub use report::{bucketize, improvement, Bucket, BucketRow, PairedRun};

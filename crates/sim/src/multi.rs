@@ -5,16 +5,22 @@
 //! a processor-sharing server: when `k` jobs are active each proceeds at
 //! rate `1/k`, so concurrent speculation stretches everyone's queries —
 //! the contention effect behind the paper's 1 GB multi-user penalties.
+//! This is the only replay that models contention; each user's
+//! speculation lifecycle (profile, issue, cancel, completion) runs
+//! through the same per-session helpers as [`crate::replay`].
 //!
 //! Approximations (mirroring the paper's own): the cost model does not
 //! account for other users; a job's *service demand* is measured by
 //! executing it atomically against the shared engine at issue time, with
 //! completion (and cancellation rollback) handled on the virtual clock.
 
-use crate::replay::{ProfileKind, QueryMeasurement, ReplayConfig, ReplayOutcome};
-use specdb_core::session::apply_manipulation;
-use specdb_core::{Learner, LearnerConfig, Manipulation, Speculator};
-use specdb_exec::{CancelToken, Database, ExecResult};
+use crate::replay::{
+    cancel_pending, complete, issue_gated, Pending, ProfileState, QueryMeasurement, ReplayConfig,
+    ReplayOutcome,
+};
+use specdb_core::Speculator;
+use specdb_exec::{Database, ExecResult};
+use specdb_obs::CancelReason;
 use specdb_query::{EditOp, PartialQuery};
 use specdb_storage::VirtualTime;
 use specdb_trace::Trace;
@@ -46,18 +52,12 @@ struct UserSim {
     idx: usize,
     offset: VirtualTime,
     pq: PartialQuery,
-    learner: Box<Learner>,
-    pending: Option<PendingManip>,
+    profile: ProfileState,
+    /// The in-flight manipulation and the id of its job.
+    pending: Option<(u64, Pending)>,
     blocked: Option<BlockedOn>,
     out: ReplayOutcome,
     query_index: usize,
-}
-
-struct PendingManip {
-    job_id: u64,
-    manipulation: Manipulation,
-    table: Option<String>,
-    duration: VirtualTime,
 }
 
 struct BlockedOn {
@@ -65,16 +65,6 @@ struct BlockedOn {
     go_trace_at: VirtualTime,
     go_sim_at: f64,
     rows: u64,
-}
-
-fn rollback(db: &mut Database, p: &PendingManip) {
-    match (&p.manipulation, &p.table) {
-        (_, Some(t)) => db.drop_materialized(t),
-        (Manipulation::CreateIndex { table, column }, None) => db.drop_index(table, column),
-        (Manipulation::CreateHistogram { table, column }, None) => db.drop_histogram(table, column),
-        (Manipulation::DataStage { table, .. }, None) => db.unstage(table),
-        _ => {}
-    }
 }
 
 /// Replay several traces simultaneously against one shared database.
@@ -85,10 +75,6 @@ pub fn replay_multi(
 ) -> ExecResult<MultiOutcome> {
     db.clear_buffer();
     let speculator = Speculator::new(config.speculator.clone());
-    let learner_cfg = match &config.profile {
-        ProfileKind::Learner(cfg) => cfg.clone(),
-        _ => LearnerConfig::default(),
-    };
     let mut users: Vec<UserSim> = traces
         .iter()
         .map(|t| UserSim {
@@ -96,7 +82,7 @@ pub fn replay_multi(
             idx: 0,
             offset: VirtualTime::ZERO,
             pq: PartialQuery::new(),
-            learner: Box::new(Learner::new(learner_cfg.clone())),
+            profile: ProfileState::new(&config.profile),
             pending: None,
             blocked: None,
             out: ReplayOutcome::default(),
@@ -186,10 +172,10 @@ pub fn replay_multi(
                         VirtualTime::from_secs_f64(now_secs).saturating_sub(blocked.go_trace_at);
                 }
                 JobKind::Manipulation => {
-                    if let Some(p) = users[job.user].pending.take() {
-                        debug_assert_eq!(p.job_id, job.id);
-                        users[job.user].out.completed += 1;
-                        users[job.user].out.manipulation_times.push(p.duration);
+                    if let Some((id, p)) = users[job.user].pending.take() {
+                        debug_assert_eq!(id, job.id);
+                        let at = VirtualTime::from_secs_f64(now_secs);
+                        complete(db.observer(), &mut users[job.user].out, &p, at);
                     }
                     // With pipelining on, the freed slot is refilled
                     // immediately (unless the user is blocked on their
@@ -228,21 +214,20 @@ fn handle_arrival(
     let te = user.edits[user.idx].clone();
     user.idx += 1;
     let now_vt = VirtualTime::from_secs_f64(now_secs);
+    let observer = db.observer().clone();
     if let EditOp::Go = te.op {
         // Cancel an unfinished in-flight manipulation (paper convention).
-        if let Some(p) = user.pending.take() {
-            if let Some(pos) = jobs.iter().position(|j| j.id == p.job_id) {
+        if let Some((id, p)) = user.pending.take() {
+            if let Some(pos) = jobs.iter().position(|j| j.id == id) {
                 jobs.remove(pos);
-                user.out.cancelled += 1;
-                rollback(db, &p);
+                cancel_pending(db, &mut user.out, &p, CancelReason::Go);
             } else {
                 // Its job already drained: count as completed.
-                user.out.completed += 1;
-                user.out.manipulation_times.push(p.duration);
+                complete(&observer, &mut user.out, &p, now_vt);
             }
         }
         let final_query = user.pq.query().clone();
-        user.learner.observe_go(now_vt, &final_query.graph);
+        user.profile.observe_go(now_vt, &final_query.graph);
         let result = db.execute_discard(&final_query)?;
         for name in speculator.gc_candidates(db, &final_query.graph) {
             db.drop_materialized(&name);
@@ -268,22 +253,17 @@ fn handle_arrival(
         });
         return Ok(());
     }
-    user.learner.observe_edit(now_vt, &te.op);
+    user.profile.observe_edit(now_vt, &te.op);
     user.pq.apply(&te.op);
     // Invalidation check for the in-flight manipulation.
-    if let Some(p) = &user.pending {
-        let still_running = jobs.iter().any(|j| j.id == p.job_id);
-        if !still_running {
-            let p = user.pending.take().unwrap();
-            user.out.completed += 1;
-            user.out.manipulation_times.push(p.duration);
+    if let Some((id, p)) = user.pending.take() {
+        if !jobs.iter().any(|j| j.id == id) {
+            complete(&observer, &mut user.out, &p, now_vt);
         } else if speculator.should_cancel(&p.manipulation, user.pq.graph()) {
-            let p = user.pending.take().unwrap();
-            if let Some(pos) = jobs.iter().position(|j| j.id == p.job_id) {
-                jobs.remove(pos);
-            }
-            user.out.cancelled += 1;
-            rollback(db, &p);
+            jobs.retain(|j| j.id != id);
+            cancel_pending(db, &mut user.out, &p, CancelReason::Edit);
+        } else {
+            user.pending = Some((id, p));
         }
     }
     maybe_issue(db, speculator, config, user, user_idx, jobs, next_job_id, now_secs)?;
@@ -291,7 +271,8 @@ fn handle_arrival(
 }
 
 /// Issue the speculator's best manipulation for `user` at `now`, if
-/// speculation is on and the outstanding slot is free.
+/// speculation is on, the outstanding slot is free, and the server is
+/// not too busy.
 #[allow(clippy::too_many_arguments)]
 fn maybe_issue(
     db: &mut Database,
@@ -307,41 +288,26 @@ fn maybe_issue(
         return Ok(());
     }
     // Load-aware suspension (paper §7): leave the server alone while it
-    // is already busy with enough concurrent work.
+    // is already busy with enough concurrent work. Checked before the
+    // decision, so a suspended user costs no decide.
     if let Some(threshold) = config.suspend_when_busy {
         if jobs.len() >= threshold {
             return Ok(());
         }
     }
     let now_vt = VirtualTime::from_secs_f64(now_secs);
-    let elapsed = user
-        .learner
-        .formulation_start()
-        .map(|s| now_vt.saturating_sub(s))
-        .unwrap_or_default();
-    let decision = speculator.decide(user.pq.graph(), db, user.learner.as_ref(), elapsed);
-    if !decision.is_idle() {
-        match apply_manipulation(db, &decision.manipulation, CancelToken::new()) {
-            Ok(applied) => {
-                user.out.issued += 1;
-                let id = *next_job_id;
-                *next_job_id += 1;
-                jobs.push(Job {
-                    id,
-                    user: user_idx,
-                    kind: JobKind::Manipulation,
-                    remaining_secs: applied.elapsed.as_secs_f64().max(1e-6),
-                });
-                user.pending = Some(PendingManip {
-                    job_id: id,
-                    manipulation: decision.manipulation,
-                    table: applied.table,
-                    duration: applied.elapsed,
-                });
-            }
-            Err(e) if e.is_cancelled() => {}
-            Err(e) => return Err(e),
-        }
+    let issued =
+        issue_gated(db, speculator, &user.profile, &user.pq, &mut user.out, now_vt, &mut |_| true)?;
+    if let Some(p) = issued {
+        let id = *next_job_id;
+        *next_job_id += 1;
+        jobs.push(Job {
+            id,
+            user: user_idx,
+            kind: JobKind::Manipulation,
+            remaining_secs: p.duration.as_secs_f64().max(1e-6),
+        });
+        user.pending = Some((id, p));
     }
     Ok(())
 }

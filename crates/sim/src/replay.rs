@@ -1,31 +1,56 @@
-//! Single-user trace replay on a virtual clock.
+//! Trace replay on a virtual clock: one event loop for one session or a
+//! governed fleet of sessions.
 //!
-//! The replay walks the trace's timed edits. Under speculative
-//! processing, each edit gives the Speculator a decision point; a chosen
-//! manipulation is executed against the engine immediately (to obtain
-//! its true cost and effects) but *commits* only at
-//! `issue_time + duration` on the virtual clock — an edit that
+//! Traces replay against one shared [`Database`] on one virtual clock.
+//! Events from every session are processed in global virtual-time order
+//! (ties fall to the lowest session index), and each session keeps its
+//! own partial query, profile, speculator, and [`ReplayOutcome`]. Under
+//! speculative processing each edit gives the Speculator a decision
+//! point; a chosen manipulation is executed against the engine
+//! immediately (to obtain its true cost and effects) but *commits* only
+//! at `issue_time + duration` on the virtual clock — an edit that
 //! invalidates it, or a GO arriving first, cancels it and rolls its
 //! effects back, exactly the paper's conventions (asynchronous
 //! execution, one outstanding manipulation, cancel-on-GO, and the
 //! garbage-collection heuristic after each final query).
 //!
-//! Query executions shift the remainder of the trace by their measured
-//! duration (the user cannot resume until results return), so normal and
-//! speculative replays of the same trace diverge in absolute time while
-//! preserving the user's recorded think gaps.
+//! Query executions shift the remainder of their session's trace by
+//! their measured duration (the user cannot resume until results
+//! return), so normal and speculative replays of the same trace diverge
+//! in absolute time while preserving the user's recorded think gaps.
+//!
+//! Every candidate build asks the `specdb-serve` fleet [`Governor`] for
+//! a slot. [`replay_trace`] is the one-session case under a fixed
+//! one-slot governor (budget 1, no preemption, no minimum rate): the
+//! paper's one-outstanding-manipulation rule. [`replay_multi_session`]
+//! models the serving layer: the governor's budget and preemption
+//! replace the per-session rule, and speculative artifacts are shared —
+//! a view materialized for one session serves every session's final
+//! queries, with cross-session reuse accounted per use. A lone session
+//! replays identically under any budget ≥ 1: a free slot always exists,
+//! non-idle decisions carry a positive benefit rate, and the
+//! cross-session hooks never fire (`tests/determinism.rs` pins this).
+//!
+//! **Approximations.** Sessions do not contend for virtual disk or CPU —
+//! each query's measured time is what it would cost alone; only
+//! [`crate::multi`] models contention. A build another session
+//! registered but has not yet virtually committed is visible to the
+//! planner; only *committed* foreign builds count toward `shared_hits`.
+//! The `suspend_when_busy` knob is ignored: the governor's budget is the
+//! load-control mechanism.
 
 use specdb_core::session::apply_manipulation;
 use specdb_core::{
-    Learner, LearnerConfig, Manipulation, OracleProfile, Profile, Speculator, SpeculatorConfig,
-    UniformProfile,
+    Decision, Learner, LearnerConfig, Manipulation, OracleProfile, Profile, Speculator,
+    SpeculatorConfig, UniformProfile,
 };
 use specdb_exec::{CancelToken, Database, ExecResult};
 use specdb_obs::{CancelReason, Event, EventKind, Observer};
-use specdb_query::PartialQuery;
+use specdb_query::{EditOp, PartialQuery, QueryGraph};
+use specdb_serve::{Admission, Governor, GovernorConfig};
 use specdb_storage::VirtualTime;
 use specdb_trace::Trace;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Which probability source drives the cost model.
 #[derive(Debug, Clone)]
@@ -259,39 +284,113 @@ impl ReplayOutcome {
     }
 }
 
+/// Multi-session replay configuration: per-session replay behaviour
+/// plus the fleet governor's policy.
+#[derive(Debug, Clone, Default)]
+pub struct MultiSessionConfig {
+    /// Per-session replay knobs (profile, wait-at-GO, pipelining, …).
+    /// `suspend_when_busy` is ignored — the governor budget replaces it.
+    pub replay: ReplayConfig,
+    /// Fleet-wide admission policy.
+    pub governor: GovernorConfig,
+}
+
+impl MultiSessionConfig {
+    /// Speculative sessions under the default governor policy.
+    pub fn speculative() -> Self {
+        MultiSessionConfig {
+            replay: ReplayConfig::speculative(),
+            governor: GovernorConfig::default(),
+        }
+    }
+}
+
+/// The outcome of a multi-session replay: one [`ReplayOutcome`] per
+/// trace plus fleet-level counters. `PartialEq` so the determinism
+/// suite can compare whole runs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MultiSessionOutcome {
+    /// Per-session outcomes, in input-trace order.
+    pub per_session: Vec<ReplayOutcome>,
+    /// Final-query plan reads of a *committed* speculative build made
+    /// by a different session.
+    pub shared_hits: u64,
+    /// Final-query plan reads of any committed speculative build
+    /// (own or foreign); denominator of [`cross_session_reuse`].
+    ///
+    /// [`cross_session_reuse`]: MultiSessionOutcome::cross_session_reuse
+    pub artifact_uses: u64,
+    /// Candidate builds the governor admitted.
+    pub admitted: u64,
+    /// Candidate builds the governor denied (budget full, no victim).
+    pub denied: u64,
+    /// In-flight builds preempted by stronger candidates.
+    pub preempted: u64,
+    /// Candidate builds skipped because another session had already
+    /// built (or was building) the identical artifact.
+    pub deduped: u64,
+}
+
+impl MultiSessionOutcome {
+    /// Fraction of speculative-artifact reads served by another
+    /// session's build.
+    pub fn cross_session_reuse(&self) -> f64 {
+        if self.artifact_uses == 0 {
+            0.0
+        } else {
+            self.shared_hits as f64 / self.artifact_uses as f64
+        }
+    }
+
+    /// Total execution time summed over every session's queries.
+    pub fn total(&self) -> VirtualTime {
+        self.per_session.iter().map(|o| o.total()).sum()
+    }
+
+    /// Every GO latency in the fleet (seconds), in session-major trace
+    /// order — feed to a quantile estimator for p95 reporting.
+    pub fn go_latency_secs(&self) -> Vec<f64> {
+        self.per_session
+            .iter()
+            .flat_map(|o| o.queries.iter().map(|q| q.elapsed.as_secs_f64()))
+            .collect()
+    }
+}
+
 pub(crate) struct Pending {
     pub(crate) manipulation: Manipulation,
-    pub(crate) table: Option<String>,
-    pub(crate) finish_at: VirtualTime,
+    table: Option<String>,
+    finish_at: VirtualTime,
     pub(crate) duration: VirtualTime,
     /// Estimated per-query benefit (positive seconds) at issue time.
-    pub(crate) benefit_secs: f64,
+    benefit_secs: f64,
     /// Raw predicted per-query time change (negative = beneficial),
     /// kept for benefit calibration when the result is used at GO.
-    pub(crate) predicted_delta_secs: f64,
+    predicted_delta_secs: f64,
     /// True for whole-query predictions (`PredictQuery`).
-    pub(crate) predicted: bool,
+    predicted: bool,
     /// Canonical key of the built artifact's graph (materializations
     /// only) — compared against the GO query's key to classify a
     /// prediction as an exact hit or a subsumption salvage.
-    pub(crate) artifact_key: Option<String>,
+    artifact_key: Option<String>,
 }
 
 /// A completed materialization awaiting its verdict: read by a final
 /// query (used) or dropped untouched (wasted).
-pub(crate) struct CompletedView {
-    pub(crate) used: bool,
-    pub(crate) predicted_delta_secs: f64,
-    pub(crate) predicted: bool,
-    pub(crate) artifact_key: Option<String>,
+struct CompletedView {
+    used: bool,
+    build: Pending,
 }
 
+/// Cancel an in-flight build: count and report it, then roll its
+/// effects back.
 pub(crate) fn cancel_pending(
-    observer: &Observer,
+    db: &mut Database,
     out: &mut ReplayOutcome,
     p: &Pending,
     reason: CancelReason,
 ) {
+    let observer = db.observer();
     out.cancelled += 1;
     if p.predicted {
         out.predicted_wasted += 1;
@@ -310,27 +409,7 @@ pub(crate) fn cancel_pending(
             reason,
         });
     }
-}
-
-/// Short label for an edit op (event payloads and trace instants).
-pub(crate) fn edit_label(op: &specdb_query::EditOp) -> &'static str {
-    use specdb_query::EditOp;
-    match op {
-        EditOp::AddRelation(_) => "add_relation",
-        EditOp::RemoveRelation(_) => "remove_relation",
-        EditOp::AddSelection(_) => "add_selection",
-        EditOp::RemoveSelection(_) => "remove_selection",
-        EditOp::UpdateSelection { .. } => "update_selection",
-        EditOp::AddJoin(_) => "add_join",
-        EditOp::RemoveJoin(_) => "remove_join",
-        EditOp::AddProjection(_, _) => "add_projection",
-        EditOp::RemoveProjection(_, _) => "remove_projection",
-        EditOp::Go => "go",
-    }
-}
-
-pub(crate) fn rollback(db: &mut Database, pending: &Pending) {
-    match (&pending.manipulation, &pending.table) {
+    match (&p.manipulation, &p.table) {
         (_, Some(t)) => db.drop_materialized(t),
         (Manipulation::CreateIndex { table, column }, None) => db.drop_index(table, column),
         (Manipulation::CreateHistogram { table, column }, None) => db.drop_histogram(table, column),
@@ -339,14 +418,8 @@ pub(crate) fn rollback(db: &mut Database, pending: &Pending) {
     }
 }
 
-/// Register a finished build for used-vs-wasted accounting.
-pub(crate) fn complete(
-    observer: &Observer,
-    out: &mut ReplayOutcome,
-    completed_views: &mut HashMap<String, CompletedView>,
-    p: &Pending,
-    at: VirtualTime,
-) {
+/// Count a finished build and report its completion at `at`.
+pub(crate) fn complete(observer: &Observer, out: &mut ReplayOutcome, p: &Pending, at: VirtualTime) {
     out.completed += 1;
     out.manipulation_times.push(p.duration);
     observer.metrics().counter("spec.completed").incr();
@@ -364,39 +437,45 @@ pub(crate) fn complete(
             },
         );
     }
-    if let Some(table) = &p.table {
-        completed_views.insert(
-            table.clone(),
-            CompletedView {
-                used: false,
-                predicted_delta_secs: p.predicted_delta_secs,
-                predicted: p.predicted,
-                artifact_key: p.artifact_key.clone(),
-            },
-        );
+}
+
+/// Charge a build dropped without ever being read as sunk cost.
+fn charge_if_unread(observer: &Observer, out: &mut ReplayOutcome, table: &str, cv: &CompletedView) {
+    if cv.used {
+        return;
+    }
+    out.wasted += 1;
+    observer.metrics().counter("spec.wasted").incr();
+    if cv.build.predicted {
+        out.predicted_wasted += 1;
+        observer.metrics().counter("spec.predicted_wasted").incr();
+    }
+    if observer.wants(EventKind::SpecWasted) {
+        observer.emit(Event::SpecWasted { table: table.to_string() });
     }
 }
 
-/// Issue the best manipulation at `at` if the slot is free; returns
-/// the new pending state. Shared verbatim by the single-session replay
-/// and the multi-session governor replay so the two stay bit-identical.
-pub(crate) fn issue(
-    db: &mut Database,
-    speculator: &Speculator,
-    profile: &ProfileState,
-    pq: &PartialQuery,
-    out: &mut ReplayOutcome,
-    at: VirtualTime,
-) -> ExecResult<Option<Pending>> {
-    issue_gated(db, speculator, profile, pq, out, at, &mut |_| true)
+/// Short label for an edit op (event payloads and trace instants).
+fn edit_label(op: &EditOp) -> &'static str {
+    match op {
+        EditOp::AddRelation(_) => "add_relation",
+        EditOp::RemoveRelation(_) => "remove_relation",
+        EditOp::AddSelection(_) => "add_selection",
+        EditOp::RemoveSelection(_) => "remove_selection",
+        EditOp::UpdateSelection { .. } => "update_selection",
+        EditOp::AddJoin(_) => "add_join",
+        EditOp::RemoveJoin(_) => "remove_join",
+        EditOp::AddProjection(_, _) => "add_projection",
+        EditOp::RemoveProjection(_, _) => "remove_projection",
+        EditOp::Go => "go",
+    }
 }
 
-/// [`issue`], with an admission gate consulted between the speculator's
-/// decision and its execution. The multi-session replay hangs the
-/// fleet governor here; a gate that always admits reproduces the
-/// single-session path exactly (same decisions, same effects, same
-/// counters), which is what keeps the governor's single-session replay
-/// bit-identical to the pre-governor one.
+/// Issue the speculator's best manipulation at `at`, if `admit` lets
+/// it through; returns the new pending build. The gate is consulted
+/// between the decision and its execution: the event loop hangs the
+/// fleet governor there, and the processor-sharing replay admits every
+/// candidate.
 pub(crate) fn issue_gated(
     db: &mut Database,
     speculator: &Speculator,
@@ -404,7 +483,7 @@ pub(crate) fn issue_gated(
     pq: &PartialQuery,
     out: &mut ReplayOutcome,
     at: VirtualTime,
-    admit: &mut dyn FnMut(&specdb_core::Decision) -> bool,
+    admit: &mut dyn FnMut(&Decision) -> bool,
 ) -> ExecResult<Option<Pending>> {
     let observer = db.observer().clone();
     observer.set_now_micros(at.as_micros());
@@ -473,12 +552,151 @@ pub(crate) fn issue_gated(
     }
 }
 
-/// Replay one trace against the database (cold buffer at start).
+/// The governor of a lone [`replay_trace`] session: one slot, no
+/// preemption, no minimum rate — the paper's one outstanding
+/// manipulation. Fixed; never read from `SPECDB_GOVERNOR_*`.
+const ONE_SLOT: GovernorConfig =
+    GovernorConfig { max_outstanding: 1, preempt: false, min_benefit_rate: 0.0 };
+
+/// Replay one trace against the database (cold buffer at start, unless
+/// `config.cold_start` is off): the one-session case of
+/// [`replay_multi_session`] under the fixed one-slot governor.
 pub fn replay_trace(
     db: &mut Database,
     trace: &Trace,
     config: &ReplayConfig,
 ) -> ExecResult<ReplayOutcome> {
+    // The lone session's governor reports nothing: its admissions are
+    // the paper's rule, not a fleet policy worth tracing.
+    let governor = Governor::new(ONE_SLOT);
+    let mut out = replay_sessions(db, std::slice::from_ref(trace), config, &governor)?;
+    Ok(out.per_session.remove(0))
+}
+
+/// Replay `traces` concurrently against `db`, one session per trace,
+/// under the fleet governor of `config`.
+pub fn replay_multi_session(
+    db: &mut Database,
+    traces: &[Trace],
+    config: &MultiSessionConfig,
+) -> ExecResult<MultiSessionOutcome> {
+    let governor = Governor::with_observer(config.governor.clone(), db.observer().clone());
+    replay_sessions(db, traces, &config.replay, &governor)
+}
+
+struct SessionState<'t> {
+    trace: &'t Trace,
+    speculator: Speculator,
+    profile: ProfileState,
+    pq: PartialQuery,
+    offset: VirtualTime,
+    pending: Option<Pending>,
+    /// Ordered, so the end-of-run sunk-cost pass reports in a fixed
+    /// order.
+    completed_views: BTreeMap<String, CompletedView>,
+    out: ReplayOutcome,
+    query_index: usize,
+    /// Virtual instant the current question (formulation) started —
+    /// feeds the `lat.time_to_go_secs` histogram.
+    question_start: Option<VirtualTime>,
+    /// Next unprocessed edit in `trace`.
+    idx: usize,
+}
+
+impl SessionState<'_> {
+    fn active(&self) -> bool {
+        self.idx < self.trace.edits.len()
+    }
+
+    fn next_at(&self) -> Option<VirtualTime> {
+        self.trace.edits.get(self.idx).map(|te| te.at + self.offset)
+    }
+
+    /// Commit this session's finished build: count it, free its
+    /// governor slot, and open its used-or-wasted verdict.
+    fn commit(
+        &mut self,
+        si: usize,
+        p: Pending,
+        observer: &Observer,
+        governor: &Governor,
+        fleet: &mut FleetState,
+    ) {
+        complete(observer, &mut self.out, &p, p.finish_at);
+        governor.finish(si as u64);
+        fleet.track_commit(si, &p);
+        if let Some(table) = p.table.clone() {
+            self.completed_views.insert(table, CompletedView { used: false, build: p });
+        }
+    }
+
+    /// Cancel this session's in-flight build and free its governor slot.
+    fn abort(
+        &mut self,
+        db: &mut Database,
+        si: usize,
+        p: &Pending,
+        reason: CancelReason,
+        governor: &Governor,
+        fleet: &mut FleetState,
+    ) {
+        cancel_pending(db, &mut self.out, p, reason);
+        governor.finish(si as u64);
+        fleet.forget_pending(p);
+    }
+}
+
+/// Cross-session bookkeeping: who owns which artifact.
+#[derive(Default)]
+struct FleetState {
+    /// Canonical graph key → builder index for every live speculative
+    /// artifact (pending or committed).
+    owner_by_key: HashMap<String, usize>,
+    /// Backing table → canonical graph key (for removal on drop).
+    key_by_table: HashMap<String, String>,
+    /// Backing table → builder index, for *committed* builds only.
+    builder_of: HashMap<String, usize>,
+    shared_hits: u64,
+    artifact_uses: u64,
+    deduped: u64,
+}
+
+impl FleetState {
+    fn track_issue(&mut self, si: usize, p: &Pending) {
+        if let (Some(g), Some(table)) = (p.manipulation.graph(), &p.table) {
+            let key = Database::graph_key(g);
+            self.owner_by_key.insert(key.clone(), si);
+            self.key_by_table.insert(table.clone(), key);
+        }
+    }
+
+    fn track_commit(&mut self, si: usize, p: &Pending) {
+        if let Some(table) = &p.table {
+            self.builder_of.insert(table.clone(), si);
+        }
+    }
+
+    fn forget_pending(&mut self, p: &Pending) {
+        if let Some(table) = &p.table {
+            self.forget_table(table);
+        }
+    }
+
+    fn forget_table(&mut self, table: &str) {
+        if let Some(key) = self.key_by_table.remove(table) {
+            self.owner_by_key.remove(&key);
+        }
+        self.builder_of.remove(table);
+    }
+}
+
+/// The event loop behind [`replay_trace`] and [`replay_multi_session`].
+fn replay_sessions(
+    db: &mut Database,
+    traces: &[Trace],
+    config: &ReplayConfig,
+    governor: &Governor,
+) -> ExecResult<MultiSessionOutcome> {
     if config.cold_start {
         db.clear_buffer();
     }
@@ -489,218 +707,378 @@ pub fn replay_trace(
         if config.speculative { "replay_speculative" } else { "replay_normal" },
         0,
     );
-    let speculator = Speculator::new(config.speculator.clone());
-    let mut profile = ProfileState::new(&config.profile);
-    let mut pq = PartialQuery::new();
-    let mut offset = VirtualTime::ZERO;
-    let mut pending: Option<Pending> = None;
-    let mut completed_views: HashMap<String, CompletedView> = HashMap::new();
-    let mut out = ReplayOutcome::default();
-    let mut query_index = 0usize;
-    // Virtual instant the current question (formulation) started —
-    // feeds the `lat.time_to_go_secs` histogram.
-    let mut question_start: Option<VirtualTime> = None;
+    let mut fleet = FleetState::default();
+    let mut sessions: Vec<SessionState> = traces
+        .iter()
+        .map(|trace| SessionState {
+            trace,
+            speculator: Speculator::new(config.speculator.clone()),
+            profile: ProfileState::new(&config.profile),
+            pq: PartialQuery::new(),
+            offset: VirtualTime::ZERO,
+            pending: None,
+            completed_views: BTreeMap::new(),
+            out: ReplayOutcome::default(),
+            query_index: 0,
+            question_start: None,
+            idx: 0,
+        })
+        .collect();
 
-    for te in &trace.edits {
-        let now = te.at + offset;
+    loop {
+        // Next event across the fleet: earliest virtual time, ties to
+        // the lowest session index (strict `<` keeps the first seen).
+        let mut next: Option<(VirtualTime, usize)> = None;
+        for (i, s) in sessions.iter().enumerate() {
+            if let Some(at) = s.next_at() {
+                if next.is_none_or(|(best, _)| at < best) {
+                    next = Some((at, i));
+                }
+            }
+        }
+        let Some((now, si)) = next else { break };
         observer.set_now_micros(now.as_micros());
-        // Drain completions due before `now`. With pipelining on, each
-        // completion frees the single outstanding slot and the speculator
-        // immediately issues the next-best manipulation at the completion
-        // instant; the paper-faithful default waits for the next edit.
-        if config.speculative {
-            while let Some(p) = pending.take() {
-                if p.finish_at <= now {
-                    let completed_at = p.finish_at;
-                    complete(&observer, &mut out, &mut completed_views, &p, completed_at);
-                    if config.pipeline {
-                        pending = issue(db, &speculator, &profile, &pq, &mut out, completed_at)?;
-                    }
-                    if pending.is_none() {
-                        break;
-                    }
-                } else {
-                    pending = Some(p);
-                    break;
-                }
-            }
+        drain_completions(db, &mut sessions, si, now, config, governor, &mut fleet)?;
+        let op = sessions[si].trace.edits[sessions[si].idx].op.clone();
+        if op.is_go() {
+            process_go(db, &mut sessions, si, now, config, governor, &mut fleet)?;
+        } else {
+            process_edit(db, &mut sessions, si, now, &op, config, governor, &mut fleet)?;
         }
-        if te.op.is_go() {
-            // Resolve the in-flight manipulation at GO. The paper's
-            // prototype always cancels; with `wait_at_go` (its Section 7
-            // suggestion) we wait out the remainder when it is smaller
-            // than the manipulation's estimated per-query benefit,
-            // charging the wait to the query's measured time.
-            let mut wait = VirtualTime::ZERO;
-            if let Some(p) = pending.take() {
-                let remaining = p.finish_at.saturating_sub(now);
-                if config.wait_at_go && remaining.as_secs_f64() < p.benefit_secs {
-                    wait = remaining;
-                    out.waited += 1;
-                    complete(&observer, &mut out, &mut completed_views, &p, p.finish_at);
-                } else {
-                    cancel_pending(&observer, &mut out, &p, CancelReason::Go);
-                    rollback(db, &p);
-                }
-            }
-            tracer.instant(specdb_obs::SpanKind::Edit, "go", now.as_micros(), |a| {
-                a.push(("query", query_index.into()));
-            });
-            if let Some(qs) = question_start.take() {
-                observer
-                    .metrics()
-                    .histogram("lat.time_to_go_secs")
-                    .record(now.saturating_sub(qs).as_secs_f64());
-            }
-            let final_query = pq.query().clone();
-            profile.observe_go(now, &final_query.graph);
-            let result = db.execute_discard(&final_query)?;
-            observer
-                .metrics()
-                .histogram("lat.query_secs")
-                .record((result.elapsed + wait).as_secs_f64());
-            // Settle bets: a completed materialization read by this plan
-            // counts as used exactly once, and its predicted per-query
-            // benefit is calibrated against the realized saving.
-            let go_key = Database::graph_key(&final_query.graph);
-            for view in &result.used_views {
-                if let Some(cv) = completed_views.get_mut(view) {
-                    if !cv.used {
-                        cv.used = true;
-                        out.used += 1;
-                        observer.metrics().counter("spec.used").incr();
-                        // Classify a used prediction: an artifact whose
-                        // graph key equals the GO query's key served the
-                        // answer outright; anything else got there
-                        // through the subsumption rewrite.
-                        if cv.predicted {
-                            if cv.artifact_key.as_deref() == Some(go_key.as_str()) {
-                                out.predicted_hits += 1;
-                                observer.metrics().counter("spec.predicted_hits").incr();
-                            } else {
-                                out.salvaged_hits += 1;
-                                observer.metrics().counter("spec.salvaged_hits").incr();
-                            }
-                        }
-                        if observer.wants(EventKind::SpecUsed) {
-                            observer.emit(Event::SpecUsed { table: view.clone() });
-                        }
-                        if let Ok(base) = db.estimate_query_time_base(&final_query) {
-                            observer.calibration().record_delta(
-                                cv.predicted_delta_secs,
-                                result.elapsed.as_secs_f64() - base.as_secs_f64(),
-                            );
-                        }
-                    }
-                }
-            }
-            out.queries.push(QueryMeasurement {
-                index: query_index,
-                elapsed: result.elapsed + wait,
-                rows: result.row_count,
-            });
-            query_index += 1;
-            offset += result.elapsed + wait;
-            // Garbage-collect materializations the final query no longer
-            // supports (inter-query locality keeps the supported ones).
-            for name in speculator.gc_candidates(db, &final_query.graph) {
-                db.drop_materialized(&name);
-                out.collected += 1;
-                observer.metrics().counter("spec.collected").incr();
-                if observer.wants(EventKind::SpecCollected) {
-                    observer.emit(Event::SpecCollected { table: name.clone() });
-                }
-                if let Some(cv) = completed_views.remove(&name) {
-                    if !cv.used {
-                        out.wasted += 1;
-                        observer.metrics().counter("spec.wasted").incr();
-                        if cv.predicted {
-                            out.predicted_wasted += 1;
-                            observer.metrics().counter("spec.predicted_wasted").incr();
-                        }
-                        if observer.wants(EventKind::SpecWasted) {
-                            observer.emit(Event::SpecWasted { table: name.clone() });
-                        }
-                    }
-                }
-            }
-            for table in db.unsupported_staged(&final_query.graph) {
-                db.unstage(&table);
-                out.collected += 1;
-                observer.metrics().counter("spec.collected").incr();
-                if observer.wants(EventKind::SpecCollected) {
-                    observer.emit(Event::SpecCollected { table: table.clone() });
-                }
-                if let Some(cv) = completed_views.remove(&table) {
-                    if !cv.used {
-                        out.wasted += 1;
-                        observer.metrics().counter("spec.wasted").incr();
-                        if cv.predicted {
-                            out.predicted_wasted += 1;
-                            observer.metrics().counter("spec.predicted_wasted").incr();
-                        }
-                        if observer.wants(EventKind::SpecWasted) {
-                            observer.emit(Event::SpecWasted { table: table.clone() });
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-        profile.observe_edit(now, &te.op);
-        pq.apply(&te.op);
-        question_start.get_or_insert(now);
-        let label = edit_label(&te.op);
-        tracer.instant(specdb_obs::SpanKind::Edit, label, now.as_micros(), |_| {});
-        if observer.wants(EventKind::Edit) {
-            observer.emit(Event::Edit { op: label.to_string() });
-        }
-        // Cancel the in-flight manipulation if the edit invalidated it.
-        if let Some(p) = pending.take() {
-            if speculator.should_cancel(&p.manipulation, pq.graph()) {
-                cancel_pending(&observer, &mut out, &p, CancelReason::Edit);
-                rollback(db, &p);
-            } else {
-                pending = Some(p);
-            }
-        }
-        if config.speculative && pending.is_none() {
-            pending = issue(db, &speculator, &profile, &pq, &mut out, now)?;
+        sessions[si].idx += 1;
+    }
+
+    // Builds that survived every GC without ever being read are sunk
+    // cost all the same.
+    for s in &mut sessions {
+        for (table, cv) in &s.completed_views {
+            charge_if_unread(&observer, &mut s.out, table, cv);
         }
     }
-    // Builds that survived the final GC without ever being read are
-    // sunk cost all the same.
-    for (table, cv) in &completed_views {
-        if !cv.used {
-            out.wasted += 1;
-            observer.metrics().counter("spec.wasted").incr();
-            if cv.predicted {
-                out.predicted_wasted += 1;
-                observer.metrics().counter("spec.predicted_wasted").incr();
-            }
-            if observer.wants(EventKind::SpecWasted) {
-                observer.emit(Event::SpecWasted { table: table.clone() });
-            }
-        }
-    }
-    if out.predicted_issued > 0 {
+    let predicted_issued: u64 = sessions.iter().map(|s| s.out.predicted_issued).sum();
+    if predicted_issued > 0 {
+        let wasted: u64 = sessions.iter().map(|s| s.out.predicted_wasted).sum();
         observer
             .metrics()
             .gauge("spec.prediction_waste_ratio")
-            .set(out.prediction_waste_ratio());
+            .set(wasted as f64 / predicted_issued as f64);
     }
-    let virt_end = trace.edits.last().map(|te| (te.at + offset).as_micros()).unwrap_or(0);
-    let (queries_n, issued, completed, cancelled, used, wasted) =
-        (out.queries.len(), out.issued, out.completed, out.cancelled, out.used, out.wasted);
-    session_span.finish_with(virt_end, |a| {
-        a.push(("queries", queries_n.into()));
-        a.push(("issued", issued.into()));
-        a.push(("completed", completed.into()));
-        a.push(("cancelled", cancelled.into()));
-        a.push(("used", used.into()));
-        a.push(("wasted", wasted.into()));
+
+    let gov = governor.stats();
+    let out = MultiSessionOutcome {
+        per_session: sessions.into_iter().map(|s| s.out).collect(),
+        shared_hits: fleet.shared_hits,
+        artifact_uses: fleet.artifact_uses,
+        admitted: gov.admitted,
+        denied: gov.denied,
+        preempted: gov.preempted,
+        deduped: fleet.deduped,
+    };
+    observer
+        .metrics()
+        .gauge("spec.cross_session_reuse")
+        .set(out.cross_session_reuse());
+    session_span.finish_with(observer.now_micros(), |a| {
+        let sum = |f: fn(&ReplayOutcome) -> u64| -> u64 { out.per_session.iter().map(f).sum() };
+        a.push(("sessions", out.per_session.len().into()));
+        a.push(("queries", sum(|o| o.queries.len() as u64).into()));
+        a.push(("issued", sum(|o| o.issued).into()));
+        a.push(("completed", sum(|o| o.completed).into()));
+        a.push(("cancelled", sum(|o| o.cancelled).into()));
+        a.push(("used", sum(|o| o.used).into()));
+        a.push(("wasted", sum(|o| o.wasted).into()));
+        a.push(("shared_hits", out.shared_hits.into()));
+        a.push(("admitted", gov.admitted.into()));
+        a.push(("denied", gov.denied.into()));
+        a.push(("preempted", gov.preempted.into()));
     });
     Ok(out)
+}
+
+/// Issue session `si`'s best manipulation through the governor gate.
+fn try_issue(
+    db: &mut Database,
+    sessions: &mut [SessionState],
+    si: usize,
+    at: VirtualTime,
+    governor: &Governor,
+    fleet: &mut FleetState,
+) -> ExecResult<()> {
+    let mut victim: Option<usize> = None;
+    let mut deduped = false;
+    let mut admitted = false;
+    let pending = {
+        let s = &mut sessions[si];
+        let owner_by_key = &fleet.owner_by_key;
+        issue_gated(db, &s.speculator, &s.profile, &s.pq, &mut s.out, at, &mut |d| {
+            // Fleet dedupe: an identical artifact already exists (or is
+            // being built) for another session — reuse, don't rebuild.
+            if let Some(g) = d.manipulation.graph() {
+                if let Some(&owner) = owner_by_key.get(&Database::graph_key(g)) {
+                    if owner != si {
+                        deduped = true;
+                        return false;
+                    }
+                }
+            }
+            match governor.admit(si as u64, d.benefit_rate(), &d.manipulation.to_string()) {
+                Admission::Admit => {
+                    admitted = true;
+                    true
+                }
+                Admission::Preempt(v) => {
+                    admitted = true;
+                    victim = Some(v as usize);
+                    true
+                }
+                Admission::Deny => false,
+            }
+        })?
+    };
+    if deduped {
+        fleet.deduped += 1;
+    }
+    match pending {
+        Some(p) => {
+            fleet.track_issue(si, &p);
+            sessions[si].pending = Some(p);
+        }
+        // Admission without an issue (the engine refused the build):
+        // give the slot back so it is not leaked.
+        None if admitted => {
+            governor.finish(si as u64);
+        }
+        None => {}
+    }
+    // Preemption resolves after the issue returns the database: the
+    // victim's half-built artifact rolls back at the admission instant.
+    // (The governor already moved the victim's slot to `si`, so the
+    // victim's own release is a no-op.)
+    if let Some(vi) = victim {
+        if let Some(p) = sessions[vi].pending.take() {
+            sessions[vi].abort(db, vi, &p, CancelReason::Preempted, governor, fleet);
+        }
+    }
+    Ok(())
+}
+
+/// Drain session `si`'s completions due by `now`. With pipelining on,
+/// each completion frees the session's slot and the speculator
+/// immediately issues the next-best manipulation at the completion
+/// instant; the paper-faithful default waits for the next edit.
+fn drain_completions(
+    db: &mut Database,
+    sessions: &mut [SessionState],
+    si: usize,
+    now: VirtualTime,
+    config: &ReplayConfig,
+    governor: &Governor,
+    fleet: &mut FleetState,
+) -> ExecResult<()> {
+    if !config.speculative {
+        return Ok(());
+    }
+    let observer = db.observer().clone();
+    while let Some(p) = sessions[si].pending.take() {
+        if p.finish_at > now {
+            sessions[si].pending = Some(p);
+            break;
+        }
+        let finished_at = p.finish_at;
+        sessions[si].commit(si, p, &observer, governor, fleet);
+        if config.pipeline {
+            try_issue(db, sessions, si, finished_at, governor, fleet)?;
+        }
+    }
+    Ok(())
+}
+
+#[allow(clippy::too_many_arguments)]
+fn process_edit(
+    db: &mut Database,
+    sessions: &mut [SessionState],
+    si: usize,
+    now: VirtualTime,
+    op: &EditOp,
+    config: &ReplayConfig,
+    governor: &Governor,
+    fleet: &mut FleetState,
+) -> ExecResult<()> {
+    let observer = db.observer().clone();
+    let s = &mut sessions[si];
+    s.profile.observe_edit(now, op);
+    s.pq.apply(op);
+    s.question_start.get_or_insert(now);
+    let label = edit_label(op);
+    observer
+        .tracer()
+        .instant(specdb_obs::SpanKind::Edit, label, now.as_micros(), |a| {
+            a.push(("session", (si as u64).into()));
+        });
+    if observer.wants(EventKind::Edit) {
+        observer.emit(Event::Edit { op: label.to_string() });
+    }
+    // Cancel the in-flight manipulation if the edit invalidated it.
+    if let Some(p) = s.pending.take() {
+        if s.speculator.should_cancel(&p.manipulation, s.pq.graph()) {
+            s.abort(db, si, &p, CancelReason::Edit, governor, fleet);
+        } else {
+            s.pending = Some(p);
+        }
+    }
+    if config.speculative && s.pending.is_none() {
+        try_issue(db, sessions, si, now, governor, fleet)?;
+    }
+    Ok(())
+}
+
+fn process_go(
+    db: &mut Database,
+    sessions: &mut [SessionState],
+    si: usize,
+    now: VirtualTime,
+    config: &ReplayConfig,
+    governor: &Governor,
+    fleet: &mut FleetState,
+) -> ExecResult<()> {
+    let observer = db.observer().clone();
+    let s = &mut sessions[si];
+    // Resolve the in-flight manipulation at GO. The paper's prototype
+    // always cancels; with `wait_at_go` (its Section 7 suggestion) we
+    // wait out the remainder when it is smaller than the manipulation's
+    // estimated per-query benefit, charging the wait to the query's
+    // measured time.
+    let mut wait = VirtualTime::ZERO;
+    if let Some(p) = s.pending.take() {
+        let remaining = p.finish_at.saturating_sub(now);
+        if config.wait_at_go && remaining.as_secs_f64() < p.benefit_secs {
+            wait = remaining;
+            s.out.waited += 1;
+            s.commit(si, p, &observer, governor, fleet);
+        } else {
+            s.abort(db, si, &p, CancelReason::Go, governor, fleet);
+        }
+    }
+    let query_index = s.query_index;
+    observer
+        .tracer()
+        .instant(specdb_obs::SpanKind::Edit, "go", now.as_micros(), |a| {
+            a.push(("query", query_index.into()));
+            a.push(("session", (si as u64).into()));
+        });
+    if let Some(qs) = s.question_start.take() {
+        observer
+            .metrics()
+            .histogram("lat.time_to_go_secs")
+            .record(now.saturating_sub(qs).as_secs_f64());
+    }
+    let final_query = s.pq.query().clone();
+    s.profile.observe_go(now, &final_query.graph);
+    let result = db.execute_discard(&final_query)?;
+    let elapsed = result.elapsed + wait;
+    observer.metrics().histogram("lat.query_secs").record(elapsed.as_secs_f64());
+    s.out
+        .queries
+        .push(QueryMeasurement { index: query_index, elapsed, rows: result.row_count });
+    s.query_index += 1;
+    s.offset += elapsed;
+    // Settle bets: a committed build read by this plan counts as used
+    // exactly once, charged to the session that built it — a read of a
+    // foreign build is also a shared hit. A used prediction whose graph
+    // key equals this GO query's key served the answer outright;
+    // anything else got there through the subsumption rewrite. The
+    // reading session's own bets calibrate their predicted per-query
+    // benefit against the realized saving.
+    let go_key = Database::graph_key(&final_query.graph);
+    for view in &result.used_views {
+        let Some(&owner) = fleet.builder_of.get(view) else { continue };
+        fleet.artifact_uses += 1;
+        if owner != si {
+            fleet.shared_hits += 1;
+            observer.metrics().counter("spec.shared_hits").incr();
+        }
+        let o = &mut sessions[owner];
+        let Some(cv) = o.completed_views.get_mut(view).filter(|cv| !cv.used) else { continue };
+        cv.used = true;
+        o.out.used += 1;
+        observer.metrics().counter("spec.used").incr();
+        if cv.build.predicted {
+            if cv.build.artifact_key.as_deref() == Some(go_key.as_str()) {
+                o.out.predicted_hits += 1;
+                observer.metrics().counter("spec.predicted_hits").incr();
+            } else {
+                o.out.salvaged_hits += 1;
+                observer.metrics().counter("spec.salvaged_hits").incr();
+            }
+        }
+        if observer.wants(EventKind::SpecUsed) {
+            observer.emit(Event::SpecUsed { table: view.clone() });
+        }
+        if owner == si {
+            if let Ok(base) = db.estimate_query_time_base(&final_query) {
+                observer.calibration().record_delta(
+                    cv.build.predicted_delta_secs,
+                    result.elapsed.as_secs_f64() - base.as_secs_f64(),
+                );
+            }
+        }
+    }
+    collect_unsupported(db, sessions, si, &final_query.graph, VIEWS, fleet);
+    collect_unsupported(db, sessions, si, &final_query.graph, STAGED, fleet);
+    Ok(())
+}
+
+/// How the GC lists the artifacts of one kind that a query graph does
+/// not support, and how it drops one.
+type ArtifactKind = (fn(&Database, &QueryGraph) -> Vec<String>, fn(&mut Database, &str));
+/// Materialized views.
+const VIEWS: ArtifactKind = (Database::unsupported_views, Database::drop_materialized);
+/// Tables whose pages are staged in the buffer pool.
+const STAGED: ArtifactKind = (Database::unsupported_staged, Database::unstage);
+
+/// Garbage-collect artifacts of one kind after session `si`'s GO, by
+/// the fleet rule: an artifact drops only when *no* session supports it
+/// — neither this session's final query, nor any other active session's
+/// current partial query, nor another session's in-flight build. With
+/// one session this is exactly the paper's single-user GC. A dropped
+/// build nobody read is charged as waste to the session that built it.
+fn collect_unsupported(
+    db: &mut Database,
+    sessions: &mut [SessionState],
+    si: usize,
+    final_graph: &QueryGraph,
+    (unsupported, drop): ArtifactKind,
+    fleet: &mut FleetState,
+) {
+    let observer = db.observer().clone();
+    let mut doomed = unsupported(db, final_graph);
+    let inflight: HashSet<&str> = sessions
+        .iter()
+        .enumerate()
+        .filter(|(oi, _)| *oi != si)
+        .filter_map(|(_, o)| o.pending.as_ref().and_then(|p| p.table.as_deref()))
+        .collect();
+    doomed.retain(|name| !inflight.contains(name.as_str()));
+    for (oi, other) in sessions.iter().enumerate() {
+        if oi == si || doomed.is_empty() || !other.active() {
+            continue;
+        }
+        let theirs: HashSet<String> = unsupported(db, other.pq.graph()).into_iter().collect();
+        doomed.retain(|name| theirs.contains(name));
+    }
+    for table in doomed {
+        drop(db, &table);
+        sessions[si].out.collected += 1;
+        observer.metrics().counter("spec.collected").incr();
+        if observer.wants(EventKind::SpecCollected) {
+            observer.emit(Event::SpecCollected { table: table.clone() });
+        }
+        let owner = fleet.builder_of.get(&table).copied().unwrap_or(si);
+        fleet.forget_table(&table);
+        if let Some(cv) = sessions[owner].completed_views.remove(&table) {
+            charge_if_unread(&observer, &mut sessions[owner].out, &table, &cv);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -917,6 +1295,174 @@ mod tests {
             let cfg = ReplayConfig { speculative: true, profile, ..Default::default() };
             let out = replay_trace(&mut db, &trace, &cfg).unwrap();
             assert_eq!(out.queries.len(), 6);
+        }
+    }
+
+    #[test]
+    fn single_session_is_bit_identical_to_replay_trace() {
+        use specdb_exec::MatchMode;
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let cfg = UserModelConfig {
+            queries: 8,
+            questions: 2,
+            think_median_secs: 0.3,
+            think_min_secs: 0.05,
+            think_max_secs: 5.0,
+            ..Default::default()
+        };
+        let trace = UserModel::new(cfg, specdb_tpch::ExploreDomain::tpch()).generate("u", 21);
+        let spec = ReplayConfig::speculative();
+        let mut predict = spec.clone();
+        predict.speculator.predict = true;
+        predict.speculator.predict_topk = 3;
+        let oracle = specdb_trace::gen::oracle_profile(&UserModelConfig::default());
+        let configs = [
+            (ReplayConfig::normal(), MatchMode::Exact),
+            (spec.clone(), MatchMode::Exact),
+            (ReplayConfig { pipeline: true, ..spec.clone() }, MatchMode::Exact),
+            (predict.clone(), MatchMode::Exact),
+            (spec.clone(), MatchMode::Subsume),
+            (ReplayConfig { pipeline: true, ..predict }, MatchMode::Subsume),
+            (ReplayConfig { wait_at_go: true, ..spec.clone() }, MatchMode::Exact),
+            (spec.clone().warm(), MatchMode::Exact),
+            (
+                ReplayConfig { profile: ProfileKind::Oracle(oracle), ..spec.clone() },
+                MatchMode::Exact,
+            ),
+            (
+                ReplayConfig { profile: ProfileKind::Uniform(UniformProfile::default()), ..spec },
+                MatchMode::Exact,
+            ),
+        ];
+        for (replay, mode) in configs {
+            for threads in [1usize, 4] {
+                let engine = || {
+                    let mut db = base.clone();
+                    db.set_threads(threads);
+                    db.set_match_mode(mode);
+                    db
+                };
+                let single = replay_trace(&mut engine(), &trace, &replay).unwrap();
+                for budget in [1usize, 2, 8] {
+                    let cfg = MultiSessionConfig {
+                        replay: replay.clone(),
+                        governor: GovernorConfig { max_outstanding: budget, ..Default::default() },
+                    };
+                    let multi =
+                        replay_multi_session(&mut engine(), std::slice::from_ref(&trace), &cfg)
+                            .unwrap();
+                    assert_eq!(multi.per_session.len(), 1);
+                    assert_eq!(
+                        multi.per_session[0], single,
+                        "governor with budget {budget} must not change a lone session \
+                         ({replay:?}, {mode:?}, {threads} threads)"
+                    );
+                    assert_eq!(multi.shared_hits, 0);
+                    assert_eq!(multi.preempted, 0);
+                    assert_eq!(multi.deduped, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn twin_sessions_share_artifacts() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        // Two users exploring the same question stream: the second
+        // session's identical candidate builds dedupe against the
+        // first's, and its final queries read the first's views.
+        let trace = small_trace(10, 42);
+        let traces = vec![trace.clone(), trace];
+        let mut db = base.clone();
+        let out =
+            replay_multi_session(&mut db, &traces, &MultiSessionConfig::speculative()).unwrap();
+        assert_eq!(out.per_session.len(), 2);
+        for (a, b) in out.per_session[0].queries.iter().zip(&out.per_session[1].queries) {
+            assert_eq!(a.rows, b.rows, "identical traces must see identical answers");
+        }
+        // The speculator's candidate space is registry-aware, so the
+        // twin proposes *complementary* builds rather than duplicates
+        // (the dedupe gate is defense-in-depth, not the common path) —
+        // the sharing shows up as cross-session reads at GO.
+        assert!(out.shared_hits > 0, "the twin must read the first session's views: {out:?}");
+        assert!(out.cross_session_reuse() > 0.0);
+        assert!(out.cross_session_reuse() <= 1.0);
+    }
+
+    #[test]
+    fn bookkeeping_stays_consistent_per_session() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let traces: Vec<Trace> = (0..4).map(|s| small_trace(6, 300 + s)).collect();
+        let mut db = base.clone();
+        let cfg = MultiSessionConfig {
+            replay: ReplayConfig::speculative(),
+            governor: GovernorConfig { max_outstanding: 1, ..Default::default() },
+        };
+        let out = replay_multi_session(&mut db, &traces, &cfg).unwrap();
+        let mut issued_total = 0;
+        for s in &out.per_session {
+            assert_eq!(s.issued, s.completed + s.cancelled);
+            assert_eq!(s.manipulation_times.len() as u64, s.completed);
+            assert_eq!(s.queries.len(), 6);
+            issued_total += s.issued;
+        }
+        assert_eq!(issued_total, out.admitted, "every admitted candidate must issue");
+        assert!(out.artifact_uses >= out.shared_hits);
+        assert_eq!(out.go_latency_secs().len(), 24);
+    }
+
+    #[test]
+    fn tight_budget_denies_more_than_loose() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let traces: Vec<Trace> = (0..4).map(|s| small_trace(6, 900 + s)).collect();
+        let run = |budget: usize, preempt: bool| {
+            let mut db = base.clone();
+            let cfg = MultiSessionConfig {
+                replay: ReplayConfig::speculative(),
+                governor: GovernorConfig { max_outstanding: budget, preempt, ..Default::default() },
+            };
+            replay_multi_session(&mut db, &traces, &cfg).unwrap()
+        };
+        let tight = run(1, false);
+        let loose = run(16, false);
+        assert!(
+            tight.denied >= loose.denied,
+            "budget 1 must deny at least as often as budget 16: {} vs {}",
+            tight.denied,
+            loose.denied
+        );
+        assert!(tight.admitted <= loose.admitted);
+        // Same fleet, same answers, regardless of the budget.
+        for (a, b) in tight.per_session.iter().zip(&loose.per_session) {
+            for (qa, qb) in a.queries.iter().zip(&b.queries) {
+                assert_eq!(qa.rows, qb.rows, "admission policy must never change answers");
+            }
+        }
+    }
+
+    #[test]
+    fn preemption_reclaims_slots_for_stronger_candidates() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let traces: Vec<Trace> = (0..6).map(|s| small_trace(6, 40 + s)).collect();
+        let run = |preempt: bool| {
+            let mut db = base.clone();
+            let cfg = MultiSessionConfig {
+                replay: ReplayConfig::speculative(),
+                governor: GovernorConfig { max_outstanding: 1, preempt, ..Default::default() },
+            };
+            replay_multi_session(&mut db, &traces, &cfg).unwrap()
+        };
+        let without = run(false);
+        assert_eq!(without.preempted, 0);
+        let with = run(true);
+        // Preemption count shows up both fleet-wide and in the victims'
+        // cancellation tallies.
+        let cancelled: u64 = with.per_session.iter().map(|s| s.cancelled).sum();
+        assert!(with.preempted <= cancelled);
+        for (a, b) in without.per_session.iter().zip(&with.per_session) {
+            for (qa, qb) in a.queries.iter().zip(&b.queries) {
+                assert_eq!(qa.rows, qb.rows, "preemption must never change answers");
+            }
         }
     }
 }

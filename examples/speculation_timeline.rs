@@ -49,19 +49,27 @@ fn describe(event: &Event) -> Option<String> {
     })
 }
 
+/// Report a bad output path and exit non-zero.
+fn exit_bad_path(path: &str, why: impl std::fmt::Display) -> ! {
+    eprintln!("speculation_timeline: cannot write the event log to {path}: {why}");
+    std::process::exit(2);
+}
+
 fn main() {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "target/speculation_timeline.jsonl".to_string());
     if let Some(dir) = std::path::Path::new(&path).parent() {
-        std::fs::create_dir_all(dir).expect("create log directory");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            exit_bad_path(&path, e);
+        }
     }
+    let sink = Arc::new(JsonlSink::create(&path).unwrap_or_else(|e| exit_bad_path(&path, e)));
 
     let spec = DatasetSpec::tiny();
     println!("building {} base database...", spec.label);
     let base = build_base_db(&spec).expect("base db");
 
-    let sink = Arc::new(JsonlSink::create(&path).expect("create event log"));
     let observer = Observer::enabled().with_sink(sink.clone()).with_tracer(Tracer::enabled());
     let mut db = base.clone();
     db.set_observer(observer.clone());

@@ -2,9 +2,12 @@
 //! identical traces, databases, and experiment outcomes — the property
 //! that makes every figure in EXPERIMENTS.md regenerable bit-for-bit.
 
-use specdb::sim::replay::{replay_trace, ReplayConfig};
+use specdb::core::UniformProfile;
+use specdb::exec::MatchMode;
+use specdb::sim::replay::{replay_trace, ProfileKind, ReplayConfig};
 use specdb::sim::{build_base_db, DatasetSpec};
-use specdb::trace::{TraceStats, UserModel};
+use specdb::trace::gen::oracle_profile;
+use specdb::trace::{TraceStats, UserModel, UserModelConfig};
 
 #[test]
 fn trace_generation_is_deterministic() {
@@ -40,6 +43,41 @@ fn replay_is_deterministic() {
         }
         assert_eq!(a.issued, b.issued);
         assert_eq!(a.completed, b.completed);
+    }
+}
+
+/// Replay outcomes must not depend on per-process hash seeds. Every
+/// `build_base_db` call creates fresh hash maps with fresh random keys
+/// (clones share them, so the clone-based tests above cannot see this).
+/// Two engines built separately must replay a trace identically under
+/// the `solo_think` benchmark's configuration: pipelining, top-3
+/// whole-query prediction and subsumption matching, where several
+/// equal-weight views often apply to one GO query.
+#[test]
+fn replay_identical_across_separately_built_engines() {
+    let mut cfg = ReplayConfig::speculative();
+    cfg.pipeline = true;
+    cfg.speculator.predict = true;
+    cfg.speculator.predict_topk = 3;
+    let model = UserModel::new(
+        UserModelConfig {
+            queries: 12,
+            questions: 1,
+            think_median_secs: 30.0,
+            ..Default::default()
+        },
+        specdb::tpch::ExploreDomain::tpch(),
+    );
+    for seed in 0..4 {
+        let trace = model.generate("u", 700 + seed);
+        let run = || {
+            let mut db = build_base_db(&DatasetSpec::tiny()).unwrap();
+            db.set_match_mode(MatchMode::Subsume);
+            replay_trace(&mut db, &trace, &cfg).unwrap()
+        };
+        let first = run();
+        assert!(first.issued > 0, "trace {seed} must exercise speculation");
+        assert_eq!(first, run(), "trace {seed}: two separately built engines diverged");
     }
 }
 
@@ -191,42 +229,88 @@ fn replay_identical_with_prediction_on_and_off() {
     }
 }
 
-/// The fleet governor is behaviour-neutral for a lone session: the
-/// multi-session replay of a single trace must produce the bit-identical
-/// [`ReplayOutcome`] as the pre-governor single-session path — at one
-/// *and* several worker threads (the acceptance bar for PR 8's serving
-/// layer).
+/// Every replay configuration callers use, with the match mode the
+/// engine runs it under: the paper's two arms, each extension on its
+/// own, the `solo_think` benchmark's combination, and the learner
+/// ablation's two fixed profiles.
+fn caller_configs() -> Vec<(&'static str, ReplayConfig, MatchMode)> {
+    let spec = ReplayConfig::speculative();
+    let mut predict = spec.clone();
+    predict.speculator.predict = true;
+    predict.speculator.predict_topk = 3;
+    let oracle = oracle_profile(&UserModelConfig::default());
+    vec![
+        ("normal", ReplayConfig::normal(), MatchMode::Exact),
+        ("speculative", spec.clone(), MatchMode::Exact),
+        ("pipeline", ReplayConfig { pipeline: true, ..spec.clone() }, MatchMode::Exact),
+        ("predict top-3", predict.clone(), MatchMode::Exact),
+        ("subsume", spec.clone(), MatchMode::Subsume),
+        ("solo_think", ReplayConfig { pipeline: true, ..predict }, MatchMode::Subsume),
+        ("wait_at_go", ReplayConfig { wait_at_go: true, ..spec.clone() }, MatchMode::Exact),
+        ("warm", spec.clone().warm(), MatchMode::Exact),
+        (
+            "oracle",
+            ReplayConfig { profile: ProfileKind::Oracle(oracle), ..spec.clone() },
+            MatchMode::Exact,
+        ),
+        (
+            "uniform",
+            ReplayConfig { profile: ProfileKind::Uniform(UniformProfile::default()), ..spec },
+            MatchMode::Exact,
+        ),
+    ]
+}
+
+/// The fleet governor is behaviour-neutral for a lone session: under
+/// every caller configuration, at one and four worker threads, the
+/// multi-session replay of a single trace under the default governor
+/// must produce the bit-identical [`ReplayOutcome`] as `replay_trace`.
+/// The trace's short think gaps make builds complete, get cancelled by
+/// edits and get cancelled (or waited for) at GO.
 ///
 /// [`ReplayOutcome`]: specdb::sim::replay::ReplayOutcome
 #[test]
 fn single_session_under_governor_identical_to_plain_replay() {
     use specdb::sim::{replay_multi_session, MultiSessionConfig};
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-    let trace = UserModel::default().generate("u", 1234);
-    for threads in [1usize, 4] {
-        let single = {
-            let mut db = base.clone();
-            db.set_threads(threads);
-            replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap()
-        };
-        assert!(single.issued > 0, "trace must exercise speculation");
-        let multi = {
-            let mut db = base.clone();
-            db.set_threads(threads);
-            replay_multi_session(
-                &mut db,
-                std::slice::from_ref(&trace),
-                &MultiSessionConfig::speculative(),
-            )
-            .unwrap()
-        };
-        assert_eq!(
-            multi.per_session[0], single,
-            "the governor changed a lone session's replay at {threads} threads"
-        );
-        assert_eq!(multi.shared_hits, 0);
-        assert_eq!(multi.preempted, 0);
+    let model = UserModel::new(
+        UserModelConfig {
+            queries: 8,
+            questions: 2,
+            think_median_secs: 0.3,
+            think_min_secs: 0.05,
+            think_max_secs: 5.0,
+            ..Default::default()
+        },
+        specdb::tpch::ExploreDomain::tpch(),
+    );
+    let trace = model.generate("u", 1234);
+    let (mut completed, mut cancelled, mut waited) = (0, 0, 0);
+    for (name, cfg, mode) in caller_configs() {
+        for threads in [1usize, 4] {
+            let engine = || {
+                let mut db = base.clone();
+                db.set_threads(threads);
+                db.set_match_mode(mode);
+                db
+            };
+            let single = replay_trace(&mut engine(), &trace, &cfg).unwrap();
+            let multi_cfg = MultiSessionConfig { replay: cfg.clone(), ..Default::default() };
+            let multi =
+                replay_multi_session(&mut engine(), std::slice::from_ref(&trace), &multi_cfg)
+                    .unwrap();
+            assert_eq!(
+                multi.per_session[0], single,
+                "the governor changed a lone {name} session at {threads} threads"
+            );
+            assert_eq!(multi.shared_hits, 0);
+            assert_eq!(multi.preempted, 0);
+            completed += single.completed;
+            cancelled += single.cancelled;
+            waited += single.waited;
+        }
     }
+    assert!(completed > 0 && cancelled > 0 && waited > 0, "fixture must exercise every rule");
 }
 
 /// The concurrent multi-session replay itself is deterministic and
@@ -238,7 +322,7 @@ fn multi_session_replay_is_deterministic() {
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
     let traces: Vec<_> = (0..3)
         .map(|i| {
-            let cfg = specdb::trace::UserModelConfig { queries: 6, ..Default::default() };
+            let cfg = UserModelConfig { queries: 6, ..Default::default() };
             UserModel::new(cfg, specdb::tpch::ExploreDomain::tpch())
                 .generate(&format!("u{i}"), 800 + i)
         })
@@ -259,29 +343,20 @@ fn multi_session_replay_is_deterministic() {
 fn multi_user_replay_is_deterministic() {
     use specdb::sim::replay_multi;
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-    let model = UserModel::default();
     let traces: Vec<_> = (0..3)
         .map(|i| {
-            let cfg = specdb::trace::UserModelConfig { queries: 6, ..Default::default() };
+            let cfg = UserModelConfig { queries: 6, ..Default::default() };
             UserModel::new(cfg, specdb::tpch::ExploreDomain::tpch())
                 .generate(&format!("u{i}"), 500 + i)
         })
         .collect();
-    let _ = model;
     let run = || {
         let mut db = base.clone();
         replay_multi(&mut db, &traces, &ReplayConfig::speculative()).unwrap()
     };
     let a = run();
-    let b = run();
-    for (ua, ub) in a.per_user.iter().zip(&b.per_user) {
-        assert_eq!(ua.queries.len(), ub.queries.len());
-        for (x, y) in ua.queries.iter().zip(&ub.queries) {
-            assert_eq!(x.elapsed, y.elapsed);
-            assert_eq!(x.rows, y.rows);
-        }
-        assert_eq!(ua.issued, ub.issued);
-    }
+    assert!(a.per_user.iter().any(|u| u.issued > 0), "fleet must exercise speculation");
+    assert_eq!(a.per_user, run().per_user, "multi-user replay must be reproducible");
 }
 
 #[test]
