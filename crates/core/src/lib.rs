@@ -19,11 +19,11 @@
 //!   trait (with uniform and oracle baselines),
 //! * [`speculator`] — decision making, cancellation tests, and the
 //!   garbage-collection heuristic,
-//! * [`session`] — a live, threaded runtime (`SpeculativeSession`) that
-//!   runs manipulations on a background thread while the caller edits —
-//!   the embeddable form of the system for real applications. The
-//!   experiment harness in `specdb-sim` instead drives the speculator on
-//!   a virtual clock.
+//! * [`session`] — [`session::apply_manipulation`], the routine every
+//!   runtime uses to carry out a chosen manipulation. The live runtime
+//!   that runs it on a background thread while the caller edits is
+//!   `specdb_serve::ServeSession`; the experiment harness in `specdb-sim`
+//!   drives the speculator on a virtual clock instead.
 
 pub mod cost_model;
 pub mod learner;
@@ -36,7 +36,6 @@ pub use cost_model::{CostModel, CostModelConfig};
 pub use learner::predict::EditPredictor;
 pub use learner::{Learner, LearnerConfig, OracleProfile, Profile, UniformProfile};
 pub use manipulation::Manipulation;
-pub use session::SpeculativeSession;
 pub use space::{IncrementalSpace, ManipulationSpace, SpaceConfig};
 pub use speculator::{Decision, Speculator, SpeculatorConfig};
 

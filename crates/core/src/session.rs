@@ -1,29 +1,15 @@
-//! Live speculative session: the embeddable runtime.
+//! Applying a chosen manipulation to a database.
 //!
-//! [`SpeculativeSession`] is what an application (e.g. a visual query
-//! builder) embeds: feed it [`EditOp`]s as the user works, call
-//! [`SpeculativeSession::go`] when they hit the button. Between edits a
-//! background thread executes the speculator's chosen manipulation
-//! against the shared database; edits that invalidate it cancel it at
-//! the next page boundary, and GO cancels whatever is still running —
-//! the paper's asynchronous-execution conventions, on real threads and
-//! wall-clock time. (The experiment harness in `specdb-sim` implements
-//! the same conventions on a virtual clock instead.)
+//! The one routine every runtime shares: the live sessions of
+//! `specdb-serve` run it on a background build thread, and the replay
+//! harness in `specdb-sim` runs it on a virtual clock.
 
-use crate::learner::{Learner, Profile};
 use crate::manipulation::Manipulation;
-use crate::speculator::{Speculator, SpeculatorConfig};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use specdb_exec::{CancelToken, Database, ExecResult, QueryOutput};
-use specdb_query::{EditOp, PartialQuery, Query};
+use specdb_exec::{CancelToken, Database, ExecResult};
 use specdb_storage::VirtualTime;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Application of a manipulation to a database (shared by the live
-/// session and the simulation harness).
+/// sessions and the simulation harness).
 #[derive(Debug, Clone)]
 pub struct Applied {
     /// Virtual elapsed time of the work.
@@ -93,369 +79,5 @@ fn apply_manipulation_inner(
             let out = db.materialize(graph, cancel)?;
             Ok(Applied { elapsed: out.elapsed, table: Some(out.table) })
         }
-    }
-}
-
-/// Counters describing a session's speculative activity.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Manipulations issued to the background worker.
-    pub issued: u64,
-    /// Manipulations that completed.
-    pub completed: u64,
-    /// Manipulations cancelled (by edits or GO).
-    pub cancelled: u64,
-    /// Final queries executed.
-    pub queries: u64,
-    /// Materialized relations garbage-collected.
-    pub collected: u64,
-}
-
-enum WorkerEvent {
-    Done,
-    Cancelled,
-}
-
-struct Outstanding {
-    manipulation: Manipulation,
-    cancel: CancelToken,
-    handle: JoinHandle<()>,
-}
-
-/// A live speculative query-processing session over a database.
-pub struct SpeculativeSession {
-    db: Arc<Mutex<Database>>,
-    speculator: Arc<Speculator>,
-    learner: Learner,
-    partial: PartialQuery,
-    outstanding: Option<Outstanding>,
-    events: (Sender<WorkerEvent>, Receiver<WorkerEvent>),
-    epoch: Instant,
-    stats: SessionStats,
-}
-
-impl SpeculativeSession {
-    /// Wrap a database in a speculative session.
-    pub fn new(db: Database, config: SpeculatorConfig) -> Self {
-        Self::with_learner(db, config, Learner::default())
-    }
-
-    /// Wrap a database in a session that resumes a previously trained
-    /// user profile (see [`Learner::to_json`] / [`Learner::from_json`]):
-    /// the paper's Learner accumulates knowledge of a user *across*
-    /// sessions.
-    pub fn with_learner(db: Database, config: SpeculatorConfig, learner: Learner) -> Self {
-        SpeculativeSession {
-            db: Arc::new(Mutex::new(db)),
-            speculator: Arc::new(Speculator::new(config)),
-            learner,
-            partial: PartialQuery::new(),
-            outstanding: None,
-            events: unbounded(),
-            epoch: Instant::now(),
-            stats: SessionStats::default(),
-        }
-    }
-
-    /// Export the trained user profile for persistence.
-    pub fn export_profile(&self) -> String {
-        self.learner.to_json()
-    }
-
-    fn now(&self) -> VirtualTime {
-        VirtualTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn drain_events(&mut self) {
-        while let Ok(ev) = self.events.1.try_recv() {
-            match ev {
-                WorkerEvent::Done => self.stats.completed += 1,
-                WorkerEvent::Cancelled => self.stats.cancelled += 1,
-            }
-        }
-    }
-
-    /// Apply one user edit; may cancel the in-flight manipulation and/or
-    /// issue a new one.
-    pub fn edit(&mut self, op: EditOp) {
-        let now = self.now();
-        self.learner.observe_edit(now, &op);
-        self.partial.apply(&op);
-        self.drain_events();
-        // Cancel an outstanding manipulation the edit invalidated.
-        if let Some(out) = &self.outstanding {
-            let finished = out.handle.is_finished();
-            if !finished && self.speculator.should_cancel(&out.manipulation, self.partial.graph()) {
-                out.cancel.cancel();
-                let out = self.outstanding.take().unwrap();
-                let _ = out.handle.join();
-            } else if finished {
-                let out = self.outstanding.take().unwrap();
-                let _ = out.handle.join();
-            }
-        }
-        // One-outstanding convention: only issue when idle.
-        if self.outstanding.is_none() {
-            let elapsed = self
-                .learner
-                .formulation_start()
-                .map(|s| now.saturating_sub(s))
-                .unwrap_or(VirtualTime::ZERO);
-            let decision = {
-                let db = self.db.lock();
-                self.speculator.decide(self.partial.graph(), &db, &self.learner, elapsed)
-            };
-            if !decision.is_idle() {
-                let cancel = CancelToken::new();
-                let db = Arc::clone(&self.db);
-                let m = decision.manipulation.clone();
-                let tx = self.events.0.clone();
-                let token = cancel.clone();
-                let handle = std::thread::spawn(move || {
-                    let mut db = db.lock();
-                    match apply_manipulation(&mut db, &m, token) {
-                        Ok(_) => {
-                            let _ = tx.send(WorkerEvent::Done);
-                        }
-                        Err(e) if e.is_cancelled() => {
-                            let _ = tx.send(WorkerEvent::Cancelled);
-                        }
-                        Err(_) => {
-                            let _ = tx.send(WorkerEvent::Cancelled);
-                        }
-                    }
-                });
-                self.stats.issued += 1;
-                self.outstanding =
-                    Some(Outstanding { manipulation: decision.manipulation, cancel, handle });
-            }
-        }
-    }
-
-    /// The user pressed GO: cancel any in-flight manipulation, execute
-    /// the final query, train the learner, and garbage-collect
-    /// materializations the (now final) query no longer supports.
-    pub fn go(&mut self) -> ExecResult<QueryOutput> {
-        let final_query: Query = self.partial.query().clone();
-        self.go_with(&final_query)
-    }
-
-    /// GO with an explicit final query whose *core* is the current
-    /// canvas. Lets a front end attach layers the canvas cannot express
-    /// (projection lists built elsewhere, aggregates — see the
-    /// `sql_shell` example); speculation and learning still key off the
-    /// canvas graph.
-    pub fn go_with(&mut self, final_query: &Query) -> ExecResult<QueryOutput> {
-        if let Some(out) = self.outstanding.take() {
-            out.cancel.cancel();
-            let _ = out.handle.join();
-        }
-        self.drain_events();
-        let now = self.now();
-        let final_query: Query = final_query.clone();
-        self.learner.observe_go(now, &final_query.graph);
-        let result = {
-            let mut db = self.db.lock();
-            let r = db.execute(&final_query);
-            // GC sweep against the final query.
-            let doomed = self.speculator.gc_candidates(&db, &final_query.graph);
-            for name in doomed {
-                db.drop_materialized(&name);
-                self.stats.collected += 1;
-            }
-            for table in db.unsupported_staged(&final_query.graph) {
-                db.unstage(&table);
-                self.stats.collected += 1;
-            }
-            r
-        };
-        self.stats.queries += 1;
-        result
-    }
-
-    /// The current partial query graph.
-    pub fn partial(&self) -> &specdb_query::QueryGraph {
-        self.partial.graph()
-    }
-
-    /// Session statistics so far.
-    pub fn stats(&self) -> SessionStats {
-        let mut s = self.stats;
-        // Include drained-but-uncounted events without mutating self.
-        while let Ok(ev) = self.events.1.try_recv() {
-            match ev {
-                WorkerEvent::Done => s.completed += 1,
-                WorkerEvent::Cancelled => s.cancelled += 1,
-            }
-        }
-        s
-    }
-
-    /// The learner (e.g. to inspect the trained profile).
-    pub fn learner(&self) -> &Learner {
-        &self.learner
-    }
-
-    /// Run a closure against the underlying database.
-    pub fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.db.lock())
-    }
-
-    /// Tear down, returning the database (joins any in-flight work).
-    pub fn finish(mut self) -> Database {
-        if let Some(out) = self.outstanding.take() {
-            out.cancel.cancel();
-            let _ = out.handle.join();
-        }
-        match Arc::try_unwrap(self.db) {
-            Ok(m) => m.into_inner(),
-            Err(_) => panic!("worker threads must have exited"),
-        }
-    }
-}
-
-impl Profile for SpeculativeSession {
-    fn p_selection_survives(&self, s: &specdb_query::Selection) -> f64 {
-        self.learner.p_selection_survives(s)
-    }
-    fn p_join_survives(&self, j: &specdb_query::Join) -> f64 {
-        self.learner.p_join_survives(j)
-    }
-    fn p_selection_persists(&self) -> f64 {
-        self.learner.p_selection_persists()
-    }
-    fn p_join_persists(&self) -> f64 {
-        self.learner.p_join_persists()
-    }
-    fn p_think_exceeds(&self, elapsed: VirtualTime, additional: VirtualTime) -> f64 {
-        self.learner.p_think_exceeds(elapsed, additional)
-    }
-    fn predict_completions(
-        &self,
-        partial: &specdb_query::QueryGraph,
-        k: usize,
-    ) -> Vec<(specdb_query::QueryGraph, f64)> {
-        self.learner.predict_completions(partial, k)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use specdb_exec::DatabaseConfig;
-    use specdb_query::{CompareOp, Predicate, Selection};
-    use specdb_tpch::{generate_into, TpchConfig};
-
-    fn db() -> Database {
-        let mut db = Database::new(DatabaseConfig::with_buffer_pages(2048));
-        generate_into(&mut db, &TpchConfig::new(1).build_aux(false)).unwrap();
-        db
-    }
-
-    fn nation(v: &str) -> EditOp {
-        EditOp::AddSelection(Selection::new(
-            "customer",
-            Predicate::new("c_nation", CompareOp::Eq, v),
-        ))
-    }
-
-    #[test]
-    fn session_speculates_and_answers() {
-        let mut s = SpeculativeSession::new(db(), SpeculatorConfig::default());
-        s.edit(EditOp::AddRelation("customer".into()));
-        s.edit(nation("FRANCE"));
-        // Give the background worker a moment to complete.
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        let out = s.go().unwrap();
-        assert!(out.row_count > 0);
-        let st = s.stats();
-        assert!(st.issued >= 1, "a manipulation should have been issued");
-        assert_eq!(st.queries, 1);
-        let db = s.finish();
-        drop(db);
-    }
-
-    #[test]
-    fn speculative_session_speeds_up_query() {
-        // Run the same final query twice: once plain, once after the
-        // session has had think time to materialize.
-        let q_sql = |db: &Database| {
-            specdb_query::parse_sql(db, "SELECT * FROM customer WHERE c_nation = 'PERU'").unwrap()
-        };
-        // Plain run (cold).
-        let mut plain = db();
-        plain.clear_buffer();
-        let q = q_sql(&plain);
-        let normal = plain.execute(&q).unwrap();
-        // Speculative run.
-        let mut s = SpeculativeSession::new(db(), SpeculatorConfig::default());
-        s.with_db(|db| db.clear_buffer());
-        s.edit(EditOp::AddRelation("customer".into()));
-        s.edit(nation("PERU"));
-        std::thread::sleep(std::time::Duration::from_millis(500));
-        s.with_db(|db| db.clear_buffer());
-        let spec = s.go().unwrap();
-        assert_eq!(spec.row_count, normal.row_count);
-        if s.stats().completed >= 1 {
-            assert!(
-                spec.elapsed <= normal.elapsed,
-                "speculation should not be slower: {} vs {}",
-                spec.elapsed,
-                normal.elapsed
-            );
-        }
-        s.finish();
-    }
-
-    #[test]
-    fn edits_cancel_invalidated_manipulations() {
-        let mut s = SpeculativeSession::new(db(), SpeculatorConfig::default());
-        s.edit(EditOp::AddRelation("customer".into()));
-        s.edit(nation("FRANCE"));
-        // Immediately recant the predicate: the in-flight materialization
-        // loses support and must be cancelled (or already completed).
-        s.edit(EditOp::RemoveSelection(Selection::new(
-            "customer",
-            Predicate::new("c_nation", CompareOp::Eq, "FRANCE"),
-        )));
-        let _ = s.go().unwrap();
-        let st = s.stats();
-        assert!(st.issued >= 1);
-        s.finish();
-    }
-
-    #[test]
-    fn profile_round_trips_through_sessions() {
-        let mut s1 = SpeculativeSession::new(db(), SpeculatorConfig::default());
-        s1.edit(EditOp::AddRelation("customer".into()));
-        s1.edit(nation("FRANCE"));
-        let _ = s1.go().unwrap();
-        let profile = s1.export_profile();
-        let db2 = s1.finish();
-        let restored = Learner::from_json(&profile).expect("profile parses");
-        let s2 = SpeculativeSession::with_learner(db2, SpeculatorConfig::default(), restored);
-        assert_eq!(s2.learner().observed_gos(), 1, "knowledge carries over");
-        s2.finish();
-    }
-
-    #[test]
-    fn gc_drops_views_after_pivot() {
-        let mut s = SpeculativeSession::new(db(), SpeculatorConfig::default());
-        s.edit(EditOp::AddRelation("customer".into()));
-        s.edit(nation("FRANCE"));
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        let _ = s.go().unwrap();
-        let views_after_first = s.with_db(|db| db.views().len());
-        // Pivot to a completely different exploration: supplier only.
-        s.edit(EditOp::RemoveRelation("customer".into()));
-        s.edit(EditOp::AddRelation("supplier".into()));
-        let _ = s.go().unwrap();
-        let views_after_pivot = s.with_db(|db| db.views().len());
-        assert!(
-            views_after_pivot <= views_after_first,
-            "pivot must not grow the view set ({views_after_first} -> {views_after_pivot})"
-        );
-        assert_eq!(views_after_pivot, 0, "nothing supports the old views");
-        s.finish();
     }
 }

@@ -83,12 +83,10 @@ pub struct ExecCtx<'a> {
     pub pool: &'a mut BufferPool,
     /// Cancellation flag.
     pub cancel: CancelToken,
-    /// Maximum logical rows per batch on the batch paths (columnar
-    /// [`crate::batch::ColumnBatch`]es and legacy row-major
-    /// [`crate::batch_row::Batch`]es).
+    /// Maximum logical rows per [`crate::batch::ColumnBatch`] on the
+    /// columnar path.
     pub batch_size: usize,
-    /// Batch-pipeline counters (written by [`crate::batch::run_batched`]
-    /// and [`crate::batch_row::run_batched`]).
+    /// Batch-pipeline counters (written by [`crate::batch::run_batched`]).
     pub batch_stats: BatchStats,
     /// Worker threads for morsel-driven scans on the columnar path
     /// (see [`crate::parallel`]). `1` (the default) runs every operator

@@ -8,7 +8,6 @@
 //! the paper's timing experiments.
 
 use crate::batch;
-use crate::batch_row;
 use crate::context::{BatchStats, CancelToken, ExecCtx};
 use crate::error::{ExecError, ExecResult};
 use crate::estimate::Estimator;
@@ -81,17 +80,14 @@ pub struct DatabaseConfig {
 
 /// Which executor pipeline the engine runs plans on.
 ///
-/// All three modes are bit-identical in results, order, and
-/// virtual-time resource accounting (enforced by `tests/batch_exec.rs`
-/// and the in-crate differential tests); they differ only in wall-clock
-/// speed. The `executor` bench reports the progression.
+/// Both modes are bit-identical in results, order, and virtual-time
+/// resource accounting (enforced by `tests/batch_exec.rs` and the
+/// in-crate differential tests); they differ only in wall-clock speed.
+/// The `executor` bench reports the gap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Row-at-a-time oracle ([`crate::run`]).
     Row,
-    /// Legacy row-major batch pipeline ([`crate::batch_row`]):
-    /// `Vec<Tuple>` chunks with fused scan loops.
-    BatchRow,
     /// Columnar batch pipeline ([`crate::batch`]): `Arc`-shared column
     /// vectors with selection vectors (the default).
     #[default]
@@ -103,7 +99,6 @@ impl ExecMode {
     pub fn as_str(self) -> &'static str {
         match self {
             ExecMode::Row => "row",
-            ExecMode::BatchRow => "batch-row",
             ExecMode::Columnar => "batch-columnar",
         }
     }
@@ -164,13 +159,6 @@ impl DatabaseConfig {
     /// Toggle plan/estimate memoization (see [`crate::plan_cache`]).
     pub fn plan_cache(mut self, on: bool) -> Self {
         self.plan_cache = on;
-        self
-    }
-
-    /// Toggle batch execution: `true` is the columnar pipeline, `false`
-    /// the row oracle. Shorthand for [`DatabaseConfig::exec_mode`].
-    pub fn batch_exec(mut self, on: bool) -> Self {
-        self.exec_mode = if on { ExecMode::Columnar } else { ExecMode::Row };
         self
     }
 
@@ -435,19 +423,9 @@ impl Database {
         enqueued
     }
 
-    /// Toggle batch execution at runtime: `true` is the columnar
-    /// pipeline, `false` the row oracle. Safe at any point: all
-    /// pipelines produce bit-identical results and accounting.
-    pub fn set_batch_exec(&mut self, on: bool) {
-        self.exec_mode = if on { ExecMode::Columnar } else { ExecMode::Row };
-    }
-
-    /// True when plans execute on a batch pipeline (row-major or columnar).
-    pub fn batch_exec_enabled(&self) -> bool {
-        self.exec_mode != ExecMode::Row
-    }
-
-    /// Select the executor pipeline at runtime (see [`ExecMode`]).
+    /// Select the executor pipeline at runtime (see [`ExecMode`]). Safe
+    /// at any point: both pipelines produce bit-identical results and
+    /// accounting.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
@@ -805,15 +783,6 @@ impl Database {
                         Ok(())
                     })?;
                 }
-                ExecMode::BatchRow => {
-                    batch_row::run_batched(&plan, &self.catalog, &mut ctx, &mut |b| {
-                        row_count += b.len() as u64;
-                        if collect {
-                            rows.extend(b);
-                        }
-                        Ok(())
-                    })?;
-                }
                 ExecMode::Row => {
                     run::run(&plan, &self.catalog, &mut ctx, &mut |t| {
                         row_count += 1;
@@ -1019,14 +988,6 @@ impl Database {
                 ExecMode::Columnar => {
                     batch::run_batched(&plan, &self.catalog, &mut ctx, &mut |b| {
                         b.project(&keep).to_tuples(&mut staged);
-                        Ok(())
-                    })?;
-                }
-                ExecMode::BatchRow => {
-                    batch_row::run_batched(&plan, &self.catalog, &mut ctx, &mut |b| {
-                        for t in b {
-                            staged.push(t.project(&keep));
-                        }
                         Ok(())
                     })?;
                 }
@@ -1586,9 +1547,8 @@ mod tests {
     fn batch_and_row_paths_agree_end_to_end() {
         let mut batch_db = emp_db();
         let mut row_db = emp_db();
-        row_db.set_batch_exec(false);
-        assert!(batch_db.batch_exec_enabled());
-        assert!(!row_db.batch_exec_enabled());
+        row_db.set_exec_mode(ExecMode::Row);
+        assert_eq!(batch_db.exec_mode(), ExecMode::Columnar);
         let mut sub = QueryGraph::new();
         sub.add_selection(Selection::new("employee", Predicate::new("age", CompareOp::Lt, 30)));
         let mat_b = batch_db.materialize(&sub, CancelToken::new()).unwrap();

@@ -1,11 +1,13 @@
-//! # specdb-serve — concurrent multi-session serving
+//! # specdb-serve — the live session runtime
 //!
 //! The paper's runtime serves *one* interactive user; this crate is the
-//! production story on top of the `Send + Sync` engine core (PR 5): a
+//! production story on top of the `Send + Sync` engine core: a
 //! [`SessionManager`] runs N simultaneous interactive sessions against
 //! one shared [`Database`], each session with its own partial-query
 //! state and Learner profile, fronted by a small line/JSON wire
-//! protocol over TCP ([`serve`]).
+//! protocol over TCP ([`serve`]). It is also the single-user runtime: an
+//! embedding application opens one [`ServeSession`] under the default
+//! governor, which a lone session never meets.
 //!
 //! Two fleet-level mechanisms replace the paper's single-user
 //! conventions:

@@ -447,17 +447,16 @@ impl ColumnSegment {
     pub fn tuple(&self, row: usize) -> Tuple {
         Tuple::new((0..self.cols.len()).map(|c| self.col(c)[row].clone()).collect())
     }
-
-    /// Gather every row back into row-major tuples — the compatibility
-    /// adapter the legacy row-major batch path scans through.
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        (0..self.rows).map(|r| self.tuple(r)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Gather every row of `seg` back into row-major tuples.
+    fn rows_of(seg: &ColumnSegment) -> Vec<Tuple> {
+        (0..seg.rows()).map(|r| seg.tuple(r)).collect()
+    }
 
     fn page_of(tuples: &[Tuple]) -> Page {
         let mut p = Page::new();
@@ -483,14 +482,14 @@ mod tests {
         assert_eq!(seg.col(0).as_slice(), &(0..5).map(Value::Int).collect::<Vec<_>>()[..]);
         assert_eq!(seg.value(2, 1), &Value::Null);
         assert_eq!(seg.tuple(3), tuples[3]);
-        assert_eq!(seg.to_tuples(), tuples);
+        assert_eq!(rows_of(&seg), tuples);
     }
 
     #[test]
     fn empty_page_decodes_empty() {
         let seg = ColumnSegment::decode_page(&Page::new()).unwrap();
         assert_eq!((seg.rows(), seg.width()), (0, 0));
-        assert!(seg.to_tuples().is_empty());
+        assert!(rows_of(&seg).is_empty());
     }
 
     #[test]
@@ -515,7 +514,7 @@ mod tests {
         // The id column is unique: must stay plain.
         assert_eq!(seg.encoded(1).kind(), EncodingKind::Plain);
         assert!(seg.encoded_bytes() < seg.plain_bytes(), "dictionary must compress");
-        assert_eq!(seg.to_tuples(), tuples, "bit-exact round trip");
+        assert_eq!(rows_of(&seg), tuples, "bit-exact round trip");
         assert_eq!(seg.dominant_encoding(), EncodingKind::Dict);
     }
 
@@ -533,7 +532,7 @@ mod tests {
             assert_eq!(rle_run_of(starts, 255), 3);
         }
         assert!(seg.encoded_bytes() < seg.plain_bytes());
-        assert_eq!(seg.to_tuples(), tuples);
+        assert_eq!(rows_of(&seg), tuples);
     }
 
     #[test]
@@ -547,7 +546,7 @@ mod tests {
         }
         let tuples: Vec<Tuple> = vals.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
         let seg = ColumnSegment::decode_page(&page_of(&tuples)).unwrap();
-        assert_eq!(seg.to_tuples(), tuples, "variants must survive encoding");
+        assert_eq!(rows_of(&seg), tuples, "variants must survive encoding");
     }
 
     #[test]
@@ -578,7 +577,7 @@ mod tests {
         assert_ne!(enc.encoded(0).kind(), EncodingKind::Plain);
         assert_eq!(plain.encoded(0).kind(), EncodingKind::Plain);
         assert_eq!(plain.encoded_bytes(), plain.plain_bytes());
-        assert_eq!(enc.to_tuples(), plain.to_tuples());
+        assert_eq!(rows_of(&enc), rows_of(&plain));
         assert_eq!(plain.dominant_encoding(), EncodingKind::Plain);
         // Zone maps exist either way: page skipping works unencoded.
         assert_eq!(enc.zones(), plain.zones());

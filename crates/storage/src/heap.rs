@@ -58,16 +58,6 @@ impl HeapFile {
         pool.read_page_columnar(PageId::new(self.file, page_no), AccessKind::Sequential)
     }
 
-    /// Row-major wrapper over [`HeapFile::read_page_columnar`], kept for
-    /// the legacy row-major batch arm of the `executor` bench.
-    pub fn read_page_decoded(
-        &self,
-        pool: &mut BufferPool,
-        page_no: u32,
-    ) -> StorageResult<std::sync::Arc<Vec<Tuple>>> {
-        pool.read_page_decoded(PageId::new(self.file, page_no), AccessKind::Sequential)
-    }
-
     /// Read all live tuples of one page together with their ids.
     pub fn read_page_with_ids(
         &self,

@@ -1,6 +1,7 @@
 //! A live speculative session over the TPC-H subset.
 //!
-//! Drives the embeddable runtime ([`specdb::core::SpeculativeSession`])
+//! Drives the embeddable runtime — one [`specdb::serve::ServeSession`]
+//! on a [`specdb::serve::SessionManager`] with the default governor —
 //! the way a visual query builder would: edits arrive one at a time with
 //! real think-time pauses between them, a background thread runs the
 //! speculator's chosen manipulations, and GO executes the final query —
@@ -8,9 +9,10 @@
 //!
 //! Run with: `cargo run --release --example exploratory_session`
 
-use specdb::core::{SpeculativeSession, SpeculatorConfig};
+use specdb::core::SpeculatorConfig;
 use specdb::exec::{Database, DatabaseConfig};
 use specdb::prelude::*;
+use specdb::serve::{GovernorConfig, SessionManager};
 use specdb::tpch::{generate_into, TpchConfig};
 use std::thread::sleep;
 use std::time::Duration;
@@ -21,19 +23,23 @@ fn main() {
     generate_into(&mut db, &TpchConfig::new(8)).expect("generate");
     db.clear_buffer();
 
-    let mut session = SpeculativeSession::new(db, SpeculatorConfig::default());
+    // A single user is a fleet of one: a lone session never meets the
+    // governor's budget, so the default governor changes nothing.
+    let manager = SessionManager::new(db, SpeculatorConfig::default(), GovernorConfig::default());
+    let (id, session) = manager.connect("analyst");
+    let mut session = session.lock();
 
     // The user explores: which French customers place urgent orders?
     println!("user: placing `customer` on the canvas");
     session.edit(EditOp::AddRelation("customer".into()));
-    think(&mut session, 300);
+    think(300);
 
     println!("user: filtering c_nation = 'FRANCE'");
     session.edit(EditOp::AddSelection(Selection::new(
         "customer",
         Predicate::new("c_nation", CompareOp::Eq, "FRANCE"),
     )));
-    think(&mut session, 700); // speculation materializes σ(nation)(customer)
+    think(700); // speculation materializes σ(nation)(customer)
 
     println!("user: joining in `orders`");
     session.edit(EditOp::AddJoin(specdb::query::Join::new(
@@ -42,17 +48,17 @@ fn main() {
         "customer",
         "c_custkey",
     )));
-    think(&mut session, 700);
+    think(700);
 
     println!("user: filtering o_orderpriority <= 2");
     session.edit(EditOp::AddSelection(Selection::new(
         "orders",
         Predicate::new("o_orderpriority", CompareOp::Le, 2i64),
     )));
-    think(&mut session, 800);
+    think(800);
 
     println!("user: GO");
-    let out = session.go().expect("final query");
+    let out = session.go().expect("final query").output;
     println!(
         "  -> {} rows in {} (virtual), plan used views: [{}]",
         out.row_count,
@@ -66,8 +72,8 @@ fn main() {
         old: Selection::new("orders", Predicate::new("o_orderpriority", CompareOp::Le, 2i64)),
         new: Selection::new("orders", Predicate::new("o_orderpriority", CompareOp::Eq, 1i64)),
     });
-    think(&mut session, 600);
-    let out2 = session.go().expect("second query");
+    think(600);
+    let out2 = session.go().expect("second query").output;
     println!(
         "  -> {} rows in {} (virtual), plan used views: [{}]",
         out2.row_count,
@@ -80,12 +86,12 @@ fn main() {
         "\nsession stats: issued={} completed={} cancelled={} queries={} gc'd={}",
         stats.issued, stats.completed, stats.cancelled, stats.queries, stats.collected
     );
-    session.finish();
+    drop(session);
+    manager.disconnect(id);
 }
 
 /// Let the background speculation worker make progress, like a user
-/// pausing to think.
-fn think(session: &mut SpeculativeSession, ms: u64) {
+/// pausing to think (the worker runs on its own thread; nothing to poll).
+fn think(ms: u64) {
     sleep(Duration::from_millis(ms));
-    let _ = session; // the worker runs on its own thread; nothing to poll
 }

@@ -1,10 +1,10 @@
-//! Differential suite: the batch-vectorized executor must be
+//! Differential suite: the columnar batch executor must be
 //! bit-identical to the row-at-a-time executor — same tuples, same
 //! order, same virtual-time I/O accounting — on every workload, from
 //! single scans to full speculative TPC-H replays. The batch path is a
 //! wall-clock optimization only; any observable divergence is a bug.
 
-use specdb::exec::{Database, DatabaseConfig};
+use specdb::exec::{Database, DatabaseConfig, ExecMode};
 use specdb::prelude::*;
 use specdb::query::Join;
 use specdb::sim::replay::{replay_trace, ReplayConfig};
@@ -12,12 +12,12 @@ use specdb::sim::{build_base_db, DatasetSpec};
 use specdb::tpch::{generate_into, TpchConfig};
 use specdb::trace::UserModel;
 
-/// Execute `sql` against clones of `base` with batch execution on and
-/// off (cold buffers) and assert identical results and accounting.
+/// Execute `sql` against clones of `base` on the columnar and row
+/// executors (cold buffers) and assert identical results and accounting.
 fn assert_query_agrees(base: &Database, sql: &str) {
     let mut bdb = base.clone();
     let mut rdb = base.clone();
-    rdb.set_batch_exec(false);
+    rdb.set_exec_mode(ExecMode::Row);
     bdb.clear_buffer();
     rdb.clear_buffer();
     let q = parse_sql(&bdb, sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
@@ -31,23 +31,23 @@ fn assert_query_agrees(base: &Database, sql: &str) {
 
 /// The headline contract: a recorded TPC-H exploration session replays
 /// to the *same* `ReplayOutcome` — per-query rows and virtual times,
-/// speculation lifecycle counts, wait times — with `batch_exec` on or
-/// off, under both normal and speculative replay.
+/// speculation lifecycle counts, wait times — on the columnar and row
+/// executors, under both normal and speculative replay.
 #[test]
 fn replay_identical_with_batch_on_and_off() {
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
     let trace = UserModel::default().generate("u", 1234);
-    let run = |batch: bool, cfg: &ReplayConfig| {
+    let run = |mode: ExecMode, cfg: &ReplayConfig| {
         let mut db = base.clone();
-        db.set_batch_exec(batch);
+        db.set_exec_mode(mode);
         replay_trace(&mut db, &trace, cfg).unwrap()
     };
     for cfg in [ReplayConfig::normal(), ReplayConfig::speculative()] {
-        let b = run(true, &cfg);
-        let r = run(false, &cfg);
-        assert_eq!(b, r, "batch_exec changed observable replay behaviour");
+        let b = run(ExecMode::Columnar, &cfg);
+        let r = run(ExecMode::Row, &cfg);
+        assert_eq!(b, r, "the executor changed observable replay behaviour");
     }
-    let spec = run(true, &ReplayConfig::speculative());
+    let spec = run(ExecMode::Columnar, &ReplayConfig::speculative());
     assert!(spec.issued > 0, "trace must exercise speculation");
 }
 
@@ -149,7 +149,7 @@ fn materialized_view_queries_agree_across_paths() {
     ));
     let mut bdb = base.clone();
     let mut rdb = base;
-    rdb.set_batch_exec(false);
+    rdb.set_exec_mode(ExecMode::Row);
     let mb = bdb.materialize(&sub, specdb::exec::CancelToken::new()).unwrap();
     let mr = rdb.materialize(&sub, specdb::exec::CancelToken::new()).unwrap();
     assert_eq!(mb.rows, mr.rows);
