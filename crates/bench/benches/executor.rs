@@ -30,10 +30,10 @@ use specdb_sim::{build_base_db, DatasetSpec};
 use specdb_storage::ResourceDemand;
 use std::time::Instant;
 
-/// The measured workload: decode-heavy scans, a hash join, and grouped
-/// aggregates over the TPC-H subset. The first and third queries are
-/// projection-narrow (the columnar layout's best case: two of eight and
-/// one of nine columns survive the scan).
+/// The measured workload: decode-heavy scans, two hash joins (the last
+/// one fan-out), and grouped aggregates over the TPC-H subset. The
+/// first and third queries are projection-narrow (the columnar layout's
+/// best case: two of eight and one of nine columns survive the scan).
 const WORKLOAD: &[&str] = &[
     "SELECT c_name, c_acctbal FROM customer WHERE c_nation = 'FRANCE'",
     "SELECT * FROM customer WHERE c_acctbal >= 9500",
@@ -47,6 +47,11 @@ const WORKLOAD: &[&str] = &[
     // zone maps of every page past the first prove `< 100` matches
     // nothing — the page-skip fast path (PR 7) in its best case.
     "SELECT c_name FROM customer WHERE c_custkey < 100",
+    // Fan-out hash join: a weak customer filter builds most customers
+    // and every order probes, returning several times the build side's
+    // rows — the late-materialized probe's best case.
+    "SELECT customer.c_name, orders.o_totalprice FROM customer, orders \
+     WHERE orders.o_custkey = customer.c_custkey AND c_acctbal > 0",
 ];
 
 fn workload(db: &Database) -> Vec<Query> {
@@ -164,6 +169,12 @@ fn main() {
     let identical = warm.iter().all(|w| *w == warm[0]);
     assert!(identical, "executor modes diverged: {warm:?}");
     let seg_pages = arms[1].pool().seg_resident();
+    let fan_out = arms[1].execute_discard(qs.last().expect("fan-out query")).expect("execute");
+    assert!(
+        fan_out.plan.contains("HashJoin"),
+        "fan-out query lost its hash join:\n{}",
+        fan_out.plan
+    );
 
     // Storage-format stats, on a dedicated clone of the encoded columnar
     // arm so the metrics observer never perturbs the timed arms: resident

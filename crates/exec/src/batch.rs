@@ -1,16 +1,21 @@
 //! Columnar batch execution: column vectors plus selection vectors.
 //!
 //! The default executor path. Operators exchange [`ColumnBatch`]es —
-//! per-column `Vec<Value>` vectors shared by `Arc`, plus an optional
-//! selection vector listing the live row indexes — instead of row-major
-//! `Vec<Tuple>` chunks:
+//! per-column `Vec<Value>` vectors shared by `Arc`, each optionally read
+//! through a gather index, plus an optional selection vector listing the
+//! live row indexes — instead of row-major `Vec<Tuple>` chunks:
 //!
 //! * **scans** forward a heap page's cached [`ColumnSegment`] columns
 //!   zero-copy ([`specdb_storage::BufferPool::read_page_columnar`]),
 //! * **filters** evaluate one predicate column at a time into a
 //!   selection vector — survivors are never copied,
 //! * **projection** is `Arc` pointer selection of the kept columns,
-//! * **hash joins** gather build/probe keys from the key column only,
+//! * **hash joins** store the build side column-major and emit matches
+//!   late-materialized: output columns share the build and probe column
+//!   vectors through gather indexes, so the probe clones no value. Rows
+//!   materialize only where a consumer needs owned values: result
+//!   collection ([`ColumnBatch::to_tuples`]), a downstream join's build
+//!   side, aggregate keys, and `materialize`,
 //! * **index-nested-loop joins** probe each outer batch through a
 //!   [`specdb_catalog::BatchProber`], decoding every touched index leaf
 //!   at most once per batch instead of once per outer tuple.
@@ -67,14 +72,43 @@ use std::sync::Arc;
 /// Default maximum number of logical rows per [`ColumnBatch`].
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
+/// One column of a [`ColumnBatch`]: `Arc`-shared values plus an optional
+/// gather index. Physical row `p` reads `data[idx[p]]`, or `data[p]`
+/// when there is no index (scan columns).
+#[derive(Debug, Clone)]
+struct Col {
+    data: ColumnVec,
+    idx: Option<GatherIdx>,
+}
+
+/// A gather index: physical row → position in a column's values.
+type GatherIdx = Arc<Vec<u32>>;
+
+impl Col {
+    fn plain(data: ColumnVec) -> Self {
+        Col { data, idx: None }
+    }
+
+    /// Value at physical row `p`.
+    #[inline]
+    fn at(&self, p: usize) -> &Value {
+        match &self.idx {
+            Some(idx) => &self.data[idx[p] as usize],
+            None => &self.data[p],
+        }
+    }
+}
+
 /// A columnar chunk of rows exchanged between batch operators: `Arc`ed
-/// column vectors plus an optional selection vector of live row indexes
-/// (in output order). `sel == None` means every underlying row is live.
+/// column vectors, each optionally read through a gather index, plus an
+/// optional selection vector of live row indexes (in output order).
+/// `sel == None` means every underlying row is live.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
-    cols: Vec<ColumnVec>,
+    cols: Vec<Col>,
     sel: Option<Arc<Vec<u32>>>,
-    /// Underlying (pre-selection) row count of the column vectors.
+    /// Underlying (pre-selection) row count: the length of the gather
+    /// indexes, or of the column vectors where there are none.
     rows: usize,
 }
 
@@ -84,7 +118,7 @@ impl ColumnBatch {
     pub fn new(cols: Vec<ColumnVec>) -> Self {
         let rows = cols.first().map_or(0, |c| c.len());
         debug_assert!(cols.iter().all(|c| c.len() == rows), "ragged column batch");
-        ColumnBatch { cols, sel: None, rows }
+        ColumnBatch { cols: cols.into_iter().map(Col::plain).collect(), sel: None, rows }
     }
 
     /// Batch over a decoded page segment's columns (all of them
@@ -101,8 +135,8 @@ impl ColumnBatch {
     /// page.
     fn from_segment_keep(seg: &ColumnSegment, keep: Option<&[usize]>) -> Self {
         let cols = match keep {
-            Some(keep) => keep.iter().map(|&c| Arc::clone(seg.col(c))).collect(),
-            None => seg.cols(),
+            Some(keep) => keep.iter().map(|&c| Col::plain(Arc::clone(seg.col(c)))).collect(),
+            None => seg.cols().into_iter().map(Col::plain).collect(),
         };
         // Explicit row count: a zero-column projection still carries the
         // segment's row extent for selection vectors.
@@ -142,14 +176,14 @@ impl ColumnBatch {
 
     /// Value at logical `(row, col)`.
     pub fn value(&self, row: usize, col: usize) -> &Value {
-        &self.cols[col][self.phys(row)]
+        self.cols[col].at(self.phys(row))
     }
 
     /// Project to the given columns: pure `Arc` pointer selection, the
-    /// selection vector is shared untouched.
+    /// selection vector and gather indexes are shared untouched.
     pub fn project(&self, keep: &[usize]) -> ColumnBatch {
         ColumnBatch {
-            cols: keep.iter().map(|&c| Arc::clone(&self.cols[c])).collect(),
+            cols: keep.iter().map(|&c| self.cols[c].clone()).collect(),
             sel: self.sel.clone(),
             rows: self.rows,
         }
@@ -160,13 +194,13 @@ impl ColumnBatch {
     /// for hash-join build/probe byte charges).
     fn row_encoded_len(&self, row: usize) -> usize {
         let p = self.phys(row);
-        2 + self.cols.iter().map(|c| c[p].encoded_len()).sum::<usize>()
+        2 + self.cols.iter().map(|c| c.at(p).encoded_len()).sum::<usize>()
     }
 
     /// Clone one logical row's values in column order.
     fn gather_row(&self, row: usize) -> Vec<Value> {
         let p = self.phys(row);
-        self.cols.iter().map(|c| c[p].clone()).collect()
+        self.cols.iter().map(|c| c.at(p).clone()).collect()
     }
 
     /// Materialize every logical row as a [`Tuple`], appended to `out` —
@@ -217,7 +251,8 @@ impl ColumnBatch {
 /// Accumulates row-built operator output column-wise and flushes a
 /// [`ColumnBatch`] to `out` whenever `cap` rows are buffered (and once
 /// more at the end for the tail). Scans bypass this and forward their
-/// zero-copy batches via [`ColumnBatch::emit_chunked`].
+/// zero-copy batches via [`ColumnBatch::emit_chunked`]; hash joins emit
+/// gather-indexed batches per probe batch (`probe_columnar`).
 struct Emitter<'o> {
     cols: Vec<Vec<Value>>,
     len: usize,
@@ -934,44 +969,62 @@ fn index_scan_batched(
     Ok(())
 }
 
-/// Hash-join build storage: gathered build rows plus key→row-index
-/// buckets, split into one or more partitions by key hash. A serial
-/// build uses a single partition (and never hashes); a parallel build
-/// uses one partition per worker. A key lives in exactly one partition
-/// and partition inserts walk the build input in arrival order, so
-/// bucket order — and therefore probe output order — is identical at
-/// any partition count.
+/// Hash-join build storage: the build rows column-major in arrival
+/// order (row id = arrival position) plus key → row-id buckets, split
+/// into one or more partitions by key hash. A serial build uses a single
+/// partition (and never hashes); a parallel build uses one partition per
+/// worker. A key lives in exactly one partition and every bucket lists
+/// its row ids in arrival order, so probe output order is identical at
+/// any partition count. Probe output references the columns by gather
+/// index instead of copying them.
 struct JoinTable {
-    parts: Vec<JoinPart>,
+    cols: Vec<ColumnVec>,
+    parts: Vec<Buckets>,
 }
 
-#[derive(Default)]
-struct JoinPart {
-    buckets: HashMap<Value, Vec<u32>>,
-    rows: Vec<Vec<Value>>,
-}
+type Buckets = HashMap<Value, Vec<u32>>;
 
 impl JoinTable {
-    fn single() -> Self {
-        JoinTable { parts: vec![JoinPart::default()] }
-    }
-
-    fn part_of(&self, key: &Value) -> &JoinPart {
+    fn part_of(&self, key: &Value) -> &Buckets {
         match self.parts.len() {
             1 => &self.parts[0],
             n => &self.parts[(key_hash(key) % n as u64) as usize],
         }
     }
 
-    fn insert_serial(&mut self, key: Value, row: Vec<Value>) {
-        debug_assert_eq!(self.parts.len(), 1);
-        let part = &mut self.parts[0];
-        part.buckets.entry(key).or_default().push(part.rows.len() as u32);
-        part.rows.push(row);
+    fn row_count(&self) -> u64 {
+        self.cols.first().map_or(0, |c| c.len() as u64)
     }
 
-    fn row_count(&self) -> u64 {
-        self.parts.iter().map(|p| p.rows.len() as u64).sum()
+    /// One output batch of the join: build row `ids[i]` beside probe
+    /// physical row `prows[i]`. Build columns gather by `ids`; probe
+    /// columns gather by `prows` composed with their own gather index,
+    /// once per distinct index (every column of a scan batch shares the
+    /// absent one). No value is cloned.
+    fn gather(&self, probe: &ColumnBatch, ids: &[u32], prows: &[u32]) -> ColumnBatch {
+        let ids = Arc::new(ids.to_vec());
+        let mut cols: Vec<Col> = self
+            .cols
+            .iter()
+            .map(|c| Col { data: Arc::clone(c), idx: Some(Arc::clone(&ids)) })
+            .collect();
+        let mut composed: Vec<(Option<*const Vec<u32>>, GatherIdx)> = Vec::new();
+        for col in &probe.cols {
+            let key = col.idx.as_ref().map(Arc::as_ptr);
+            let idx = match composed.iter().find(|(k, _)| *k == key) {
+                Some((_, idx)) => Arc::clone(idx),
+                None => {
+                    let idx = Arc::new(match &col.idx {
+                        Some(inner) => prows.iter().map(|&p| inner[p as usize]).collect(),
+                        None => prows.to_vec(),
+                    });
+                    composed.push((key, Arc::clone(&idx)));
+                    idx
+                }
+            };
+            cols.push(Col { data: Arc::clone(&col.data), idx: Some(idx) });
+        }
+        ColumnBatch { cols, sel: None, rows: ids.len() }
     }
 }
 
@@ -985,9 +1038,14 @@ fn key_hash(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Build-side pre-digest of one row: key hash, key, gathered row,
-/// encoded length (for the build-bytes memory charge).
-type BuildDigest = Vec<(u64, Value, Vec<Value>, u32)>;
+/// Build-side pre-digest of one chunk's non-NULL-key rows: key hashes
+/// and keys, the rows' values column-major, and their total encoded
+/// length (for the build-bytes memory charge).
+struct BuildDigest {
+    keys: Vec<(u64, Value)>,
+    cols: Vec<Vec<Value>>,
+    bytes: u64,
+}
 
 /// Consume the join's left input into a [`JoinTable`], returning it with
 /// the total encoded bytes of the stored rows.
@@ -1007,27 +1065,33 @@ fn build_join_table(
             }
         }
     }
-    let mut table = JoinTable::single();
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); left.cols.len()];
+    let mut buckets = Buckets::new();
     let mut bytes = 0u64;
     run_batched(left, catalog, ctx, &mut |b: ColumnBatch| {
         for row in 0..b.len() {
             let key = b.value(row, lkey);
             if !key.is_null() {
                 bytes += b.row_encoded_len(row) as u64;
-                table.insert_serial(key.clone(), b.gather_row(row));
+                buckets.entry(key.clone()).or_default().push(cols[0].len() as u32);
+                for (c, col) in cols.iter_mut().enumerate() {
+                    col.push(b.value(row, c).clone());
+                }
             }
         }
         Ok(())
     })?;
-    Ok((table, bytes))
+    let cols = cols.into_iter().map(Arc::new).collect();
+    Ok((JoinTable { cols, parts: vec![buckets] }, bytes))
 }
 
 /// The partitioned parallel build. Phase 1: a morsel scan pre-digests
-/// each chunk (hash, key, gathered row, encoded length) on the workers;
-/// the ordered merge keeps digests in the serial build's arrival order.
-/// Phase 2: one insert task per partition walks every digest in order,
-/// keeping only its hash class, so each bucket's row order equals the
-/// serial single-table insertion order.
+/// each chunk (key hashes, keys, column-major values, encoded length) on
+/// the workers; the ordered merge keeps digests in the serial build's
+/// arrival order, and the coordinator moves their values into the build
+/// columns. Phase 2: one task per partition walks every key in order,
+/// keeping only its hash class, so each bucket lists global row ids in
+/// the serial insertion order.
 fn build_join_table_parallel(
     heap: HeapFile,
     schema: Schema,
@@ -1036,22 +1100,22 @@ fn build_join_table_parallel(
     ctx: &mut ExecCtx<'_>,
 ) -> ExecResult<(JoinTable, u64)> {
     let cap = ctx.batch_size;
+    let width = schema.arity();
     let map: ScanMap<BuildDigest> = Arc::new(move |batch, stats| {
         // Chunk exactly as the serial build's fused scan feeding the
         // insert loop would, so `batches`/`cols_scanned` stay identical.
         stats.cols_scanned += batch.width() as u64;
         let mut chunks = Vec::new();
         stats.batches += batch.emit_chunked(cap, &mut |b| {
-            let mut d = BuildDigest::new();
+            let mut d = BuildDigest { keys: Vec::new(), cols: vec![Vec::new(); width], bytes: 0 };
             for row in 0..b.len() {
                 let key = b.value(row, lkey);
                 if !key.is_null() {
-                    d.push((
-                        key_hash(key),
-                        key.clone(),
-                        b.gather_row(row),
-                        b.row_encoded_len(row) as u32,
-                    ));
+                    d.keys.push((key_hash(key), key.clone()));
+                    for (c, col) in d.cols.iter_mut().enumerate() {
+                        col.push(b.value(row, c).clone());
+                    }
+                    d.bytes += b.row_encoded_len(row) as u64;
                 }
             }
             chunks.push(d);
@@ -1059,56 +1123,54 @@ fn build_join_table_parallel(
         })?;
         Ok(chunks)
     });
-    let mut digests: Vec<BuildDigest> = Vec::new();
-    parallel_fused_scan(heap, schema, filters, None, ctx, map, &mut |d| {
-        digests.push(d);
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
+    let mut keys: Vec<(u64, Value)> = Vec::new();
+    let mut bytes = 0u64;
+    parallel_fused_scan(heap, schema, filters, None, ctx, map, &mut |mut d| {
+        for (col, vals) in cols.iter_mut().zip(&mut d.cols) {
+            col.append(vals);
+        }
+        keys.append(&mut d.keys);
+        bytes += d.bytes;
         Ok(())
     })?;
     ctx.batch_stats.fused_scans += 1;
-    let bytes: u64 = digests.iter().flatten().map(|(_, _, _, len)| *len as u64).sum();
+    let cols: Vec<ColumnVec> = cols.into_iter().map(Arc::new).collect();
     let parts_n = effective_workers(ctx.threads);
     let tracer = ctx.pool.observer().tracer().clone();
     let span_parent = tracer.current();
     let virt_now = ctx.pool.observer().now_micros();
     if parts_n == 1 {
-        // One partition owns every hash class, so the digests can be
-        // consumed in place — the shared-`Arc` clone per row below exists
-        // only because concurrent partition tasks read the same digests.
+        // One partition owns every hash class, so the keys can be
+        // consumed in place — the per-key clone below exists only
+        // because concurrent partition tasks read the same keys.
         let span = tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
-        let mut part = JoinPart::default();
-        for d in digests {
-            for (_, key, row, _) in d {
-                part.buckets.entry(key).or_default().push(part.rows.len() as u32);
-                part.rows.push(row);
-            }
+        let rows = keys.len();
+        let mut buckets = Buckets::new();
+        for (id, (_, key)) in keys.into_iter().enumerate() {
+            buckets.entry(key).or_default().push(id as u32);
         }
-        let rows = part.rows.len();
         span.finish_with(virt_now, |a| a.push(("rows", rows.into())));
-        return Ok((JoinTable { parts: vec![part] }, bytes));
+        return Ok((JoinTable { cols, parts: vec![buckets] }, bytes));
     }
-    let digests = Arc::new(digests);
-    let tasks: Vec<MorselTask<JoinPart>> = (0..parts_n)
+    let keys = Arc::new(keys);
+    let tasks: Vec<MorselTask<Buckets>> = (0..parts_n)
         .map(|p| {
-            let digests = Arc::clone(&digests);
+            let keys = Arc::clone(&keys);
             let tracer = tracer.clone();
-            let task: MorselTask<JoinPart> = Box::new(move |_abort| {
+            let task: MorselTask<Buckets> = Box::new(move |_abort| {
                 let span =
                     tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
-                let mut part = JoinPart::default();
-                for d in digests.iter() {
-                    for (h, key, row, _) in d {
-                        if (*h % parts_n as u64) as usize == p {
-                            part.buckets
-                                .entry(key.clone())
-                                .or_default()
-                                .push(part.rows.len() as u32);
-                            part.rows.push(row.clone());
-                        }
+                let mut buckets = Buckets::new();
+                let mut rows = 0usize;
+                for (id, (h, key)) in keys.iter().enumerate() {
+                    if (*h % parts_n as u64) as usize == p {
+                        buckets.entry(key.clone()).or_default().push(id as u32);
+                        rows += 1;
                     }
                 }
-                let rows = part.rows.len();
                 span.finish_with(virt_now, |a| a.push(("rows", rows.into())));
-                Ok(part)
+                Ok(buckets)
             });
             task
         })
@@ -1118,7 +1180,7 @@ fn build_join_table_parallel(
         parts.push(p);
         Ok(())
     })?;
-    Ok((JoinTable { parts }, bytes))
+    Ok((JoinTable { cols, parts }, bytes))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1132,9 +1194,8 @@ fn hash_join_batched(
     ctx: &mut ExecCtx<'_>,
     out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    // Build phase: consume the left input batch-wise. Keys are gathered
-    // from the key column only; stored rows are gathered once into a
-    // row store indexed by the hash table's buckets.
+    // Build phase: consume the left input batch-wise into column-major
+    // build storage indexed by the hash table's buckets.
     let (table, build_bytes) = build_join_table(left, lkey, catalog, ctx)?;
     ctx.pool.charge_cpu(table.row_count());
     ctx.pool.charge_mem(build_bytes);
@@ -1145,60 +1206,50 @@ fn hash_join_batched(
     } else {
         0.0
     };
+    // Probe bytes only price the spill, so they are summed only then.
+    let count_bytes = spill_fraction > 0.0;
     let mut probe_bytes: u64 = 0;
-    let width = left.cols.len() + right.cols.len();
-    let mut em = Emitter::new(width, ctx.batch_size, out);
+    let mut batches = 0u64;
+    let cap = ctx.batch_size;
     // Probe phase: probe rows arrive in scan order, so match output
-    // order is identical to the row path (bucket insertion order). A
-    // sequential-scan probe side fuses into the probe loop: keys and
-    // residual columns are read straight from the segment's columns and
-    // only join *matches* are gathered.
+    // order is identical to the row path (bucket insertion order), and
+    // every probe batch's matches are emitted as its own run of batches.
+    // A sequential-scan probe side fuses into the probe loop: keys and
+    // residual columns are read straight from the segment's columns.
     if let PlanNode::SeqScan { table: rtable, filters: rfilters } = &right.node {
         let rt = catalog.table(rtable).ok_or_else(|| ExecError::UnknownTable(rtable.into()))?;
         let heap = rt.heap;
         let rschema = rt.schema.clone();
         if use_parallel(ctx, heap.pages(ctx.pool)) {
-            // Workers probe the shared build table against their pages;
-            // the coordinator re-feeds the matched rows through the one
-            // emitter in page order, so output batch boundaries equal
-            // the serial probe's. (Workers skip all-filtered pages; the
-            // serial loop probes them as empty batches — a no-op either
-            // way.)
-            let shared_table = Arc::new(table);
-            let probe_table = Arc::clone(&shared_table);
-            let residual_owned = residual.to_vec();
-            let map: ScanMap<(Vec<Vec<Value>>, u64)> = Arc::new(move |batch, _stats| {
-                let mut rows: Vec<Vec<Value>> = Vec::new();
+            // Workers probe the shared build table against their pages
+            // and emit the output batches; the coordinator forwards them
+            // in page order, so the batch stream equals the serial
+            // probe's. (Workers skip all-filtered pages; the serial loop
+            // probes them as empty batches — a no-op either way.)
+            let table = Arc::new(table);
+            let residual = residual.to_vec();
+            let map: ScanMap<(Vec<ColumnBatch>, u64)> = Arc::new(move |batch, stats| {
                 let mut bytes = 0u64;
-                for row in 0..batch.len() {
-                    bytes += batch.row_encoded_len(row) as u64;
-                    let key = batch.value(row, rkey);
-                    if key.is_null() {
-                        continue;
-                    }
-                    let part = probe_table.part_of(key);
-                    if let Some(matches) = part.buckets.get(key) {
-                        for &li in matches {
-                            let l = &part.rows[li as usize];
-                            let pass = residual_owned.iter().all(|&(lc, rc)| {
-                                l[lc] == *batch.value(row, rc) && !l[lc].is_null()
-                            });
-                            if pass {
-                                rows.push(l.iter().cloned().chain(batch.gather_row(row)).collect());
-                            }
-                        }
-                    }
-                }
-                Ok(vec![(rows, bytes)])
+                let mut joined = Vec::new();
+                stats.batches += probe_columnar(
+                    &batch,
+                    rkey,
+                    &residual,
+                    &table,
+                    count_bytes.then_some(&mut bytes),
+                    cap,
+                    &mut |b| {
+                        joined.push(b);
+                        Ok(())
+                    },
+                )?;
+                Ok(vec![(joined, bytes)])
             });
-            parallel_fused_scan(heap, rschema, rfilters, None, ctx, map, &mut |(rows, bytes)| {
+            let mut forward = |(joined, bytes): (Vec<ColumnBatch>, u64)| {
                 probe_bytes += bytes;
-                for r in rows {
-                    em.push_row(r)?;
-                }
-                Ok(())
-            })?;
-            ctx.batch_stats.fused_scans += 1;
+                joined.into_iter().try_for_each(&mut *out)
+            };
+            parallel_fused_scan(heap, rschema, rfilters, None, ctx, map, &mut forward)?;
         } else {
             for page_no in 0..heap.pages(ctx.pool) {
                 ctx.cancel.check()?;
@@ -1210,16 +1261,18 @@ fn hash_join_batched(
                     Some(sel) => ColumnBatch::from_segment(&seg).with_sel(sel),
                     None => ColumnBatch::from_segment(&seg),
                 };
-                probe_columnar(&batch, rkey, residual, &table, &mut probe_bytes, &mut em)?;
+                let bytes = count_bytes.then_some(&mut probe_bytes);
+                batches += probe_columnar(&batch, rkey, residual, &table, bytes, cap, out)?;
             }
-            ctx.batch_stats.fused_scans += 1;
         }
+        ctx.batch_stats.fused_scans += 1;
     } else {
         run_batched(right, catalog, ctx, &mut |b: ColumnBatch| {
-            probe_columnar(&b, rkey, residual, &table, &mut probe_bytes, &mut em)
+            let bytes = count_bytes.then_some(&mut probe_bytes);
+            batches += probe_columnar(&b, rkey, residual, &table, bytes, cap, out)?;
+            Ok(())
         })?;
     }
-    let batches = em.finish()?;
     ctx.batch_stats.batches += batches;
     if spill_fraction > 0.0 {
         let page = specdb_storage::PAGE_SIZE as f64;
@@ -1229,36 +1282,50 @@ fn hash_join_batched(
     Ok(())
 }
 
-/// Probe one batch against the build side, emitting matches.
+/// Probe one batch against the build side and emit its matches, in
+/// probe-row then bucket order, as gather-indexed batches of at most
+/// `cap` rows; returns how many batches were emitted. Adds the probe
+/// rows' encoded bytes to `probe_bytes` when given.
+#[allow(clippy::too_many_arguments)]
 fn probe_columnar(
     b: &ColumnBatch,
     rkey: usize,
     residual: &[(usize, usize)],
     table: &JoinTable,
-    probe_bytes: &mut u64,
-    em: &mut Emitter<'_>,
-) -> ExecResult<()> {
+    probe_bytes: Option<&mut u64>,
+    cap: usize,
+    out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
+) -> ExecResult<u64> {
+    if let Some(bytes) = probe_bytes {
+        *bytes += (0..b.len()).map(|row| b.row_encoded_len(row) as u64).sum::<u64>();
+    }
+    let mut ids: Vec<u32> = Vec::new();
+    let mut prows: Vec<u32> = Vec::new();
     for row in 0..b.len() {
-        *probe_bytes += b.row_encoded_len(row) as u64;
         let key = b.value(row, rkey);
         if key.is_null() {
             continue;
         }
-        let part = table.part_of(key);
-        if let Some(matches) = part.buckets.get(key) {
-            for &li in matches {
-                let l = &part.rows[li as usize];
-                let pass = residual.iter().all(|&(lc, rc)| {
-                    debug_assert!(lc < l.len());
-                    l[lc] == *b.value(row, rc) && !l[lc].is_null()
-                });
-                if pass {
-                    em.push_row(l.iter().cloned().chain(b.gather_row(row)))?;
-                }
+        let Some(matches) = table.part_of(key).get(key) else { continue };
+        let p = b.phys(row) as u32;
+        for &id in matches {
+            let pass = residual.iter().all(|&(lc, rc)| {
+                let l = &table.cols[lc][id as usize];
+                l == b.value(row, rc) && !l.is_null()
+            });
+            if pass {
+                ids.push(id);
+                prows.push(p);
             }
         }
     }
-    Ok(())
+    let cap = cap.max(1);
+    let mut emitted = 0u64;
+    for (ids, prows) in ids.chunks(cap).zip(prows.chunks(cap)) {
+        out(table.gather(b, ids, prows))?;
+        emitted += 1;
+    }
+    Ok(emitted)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1504,6 +1571,29 @@ mod tests {
             dept_stats,
             false,
         );
+        // proj.lead (an emp id) is NULL on every fourth row and proj.dept
+        // on every fifth: NULL join keys and NULL residual columns.
+        let proj_heap = HeapFile::create(&mut pool);
+        let mut loader = BulkLoader::new(proj_heap, &pool);
+        let or_null = |null: bool, v: i64| if null { Value::Null } else { Value::Int(v) };
+        for i in 0..3000i64 {
+            let row =
+                vec![Value::Int(i), or_null(i % 4 == 0, i * 7 % 3000), or_null(i % 5 == 0, i % 10)];
+            loader.push(&mut pool, &Tuple::new(row)).unwrap();
+        }
+        loader.finish(&mut pool).unwrap();
+        let proj_stats = TableStats::analyze(&mut pool, proj_heap, 3).unwrap();
+        cat.register(
+            "proj",
+            Schema::new(vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("lead", DataType::Int),
+                ColumnDef::new("dept", DataType::Int),
+            ]),
+            proj_heap,
+            proj_stats,
+            false,
+        );
         (pool, cat)
     }
 
@@ -1620,6 +1710,93 @@ mod tests {
             },
         };
         assert_parallel_agrees(&join);
+    }
+
+    fn hash_join(
+        left: Plan,
+        right: Plan,
+        lkey: usize,
+        rkey: usize,
+        residual: Vec<(usize, usize)>,
+    ) -> Plan {
+        Plan {
+            cols: left.cols.iter().chain(&right.cols).cloned().collect(),
+            node: PlanNode::HashJoin {
+                left: Box::new(left),
+                right: Box::new(right),
+                lkey,
+                rkey,
+                residual,
+            },
+        }
+    }
+
+    /// `dept ⋈ emp` on `dept.id = emp.dept`: 3000 rows whose columns all
+    /// carry gather indexes (`dept.id, dept.name, emp.id, emp.dept, emp.age`).
+    fn dept_emp() -> Plan {
+        let dept = scan("dept", &["dept.id", "dept.name"], vec![]);
+        hash_join(dept, scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]), 0, 1, vec![])
+    }
+
+    #[test]
+    fn join_probing_a_join_output_composes_gather_indexes() {
+        let d2 = || scan("dept", &["d2.id", "d2.name"], vec![]);
+        // Probe on emp.dept; then a residual `d2.id = emp.id` that keeps
+        // only emp ids 0..10; then a probe input whose projection keeps
+        // a subset of the inner join's indexed columns, reordered.
+        let projected = Plan {
+            cols: vec!["emp.age".into(), "dept.name".into(), "emp.dept".into()],
+            node: PlanNode::Project { input: Box::new(dept_emp()), keep: vec![4, 1, 3] },
+        };
+        for plan in [
+            hash_join(d2(), dept_emp(), 0, 3, vec![]),
+            hash_join(d2(), dept_emp(), 0, 3, vec![(0, 2)]),
+            hash_join(d2(), projected, 0, 2, vec![]),
+        ] {
+            assert_paths_agree(&plan);
+            assert_parallel_agrees(&plan);
+        }
+    }
+
+    #[test]
+    fn join_building_on_a_join_output_splits_wide_fan_out() {
+        // Build on the 3000-row join output; the probe side is dept's
+        // single 10-row batch, whose 3000 matches must split into
+        // batches of at most `batch_size` rows.
+        let plan = hash_join(dept_emp(), scan("dept", &["d2.id", "d2.name"], vec![]), 3, 0, vec![]);
+        assert_paths_agree(&plan);
+        assert_parallel_agrees(&plan);
+        let (mut pool, cat) = fixture();
+        let mut ctx = ExecCtx::new(&mut pool);
+        let mut sizes = Vec::new();
+        run_batched(&plan, &cat, &mut ctx, &mut |b: ColumnBatch| {
+            sizes.push(b.len());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(sizes, vec![1024, 1024, 952]);
+    }
+
+    #[test]
+    fn hash_join_skips_null_keys_and_null_residuals() {
+        let proj = || scan("proj", &["proj.id", "proj.lead", "proj.dept"], vec![]);
+        let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
+        let (pool, cat) = fixture();
+        let pages = cat.table("proj").unwrap().heap.pages(&pool) as usize;
+        assert!(pages >= MIN_MORSEL_PAGES, "proj must take the parallel build and probe");
+        let p2 = || scan("proj", &["p2.id", "p2.lead", "p2.dept"], vec![]);
+        // NULL keys on the build side, then on the probe side; a residual
+        // never passes on a NULL, not even NULL = NULL in the self-join.
+        for plan in [
+            hash_join(proj(), emp(), 1, 0, vec![]),
+            hash_join(emp(), proj(), 0, 1, vec![]),
+            hash_join(proj(), emp(), 1, 0, vec![(2, 1)]),
+            hash_join(emp(), proj(), 0, 1, vec![(1, 2)]),
+            hash_join(proj(), p2(), 0, 0, vec![(2, 2)]),
+        ] {
+            assert_paths_agree(&plan);
+            assert_parallel_agrees(&plan);
+        }
     }
 
     #[test]
