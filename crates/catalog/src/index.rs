@@ -43,9 +43,8 @@ impl OrderedIndex {
             pool.charge_cpu(n * (64 - n.leading_zeros() as u64).max(1));
         }
         let leaves = HeapFile::create(pool);
-        let mut loader = specdb_storage::heap::BulkLoader::new(leaves, pool);
+        let mut loader = specdb_storage::heap::BulkLoader::new();
         let mut fences: Vec<Value> = Vec::new();
-        let mut last_page = u32::MAX;
         for (key, tid) in &pairs {
             let entry = Tuple::new(vec![
                 key.clone(),
@@ -53,13 +52,11 @@ impl OrderedIndex {
                 Value::Int(tid.page.page_no as i64),
                 Value::Int(tid.slot as i64),
             ]);
-            let placed = loader.push(pool, &entry)?;
-            if placed.page.page_no != last_page {
-                last_page = placed.page.page_no;
+            if loader.push(&entry)? as usize == fences.len() {
                 fences.push(key.clone());
             }
         }
-        loader.finish(pool)?;
+        loader.finish(pool, leaves)?;
         Ok(OrderedIndex { leaves, fences, entries: n })
     }
 
@@ -293,19 +290,34 @@ mod tests {
     use super::*;
     use specdb_storage::heap::BulkLoader;
 
+    /// Load `rows` into a fresh heap; return it with each row's first
+    /// value and tuple id, in load order.
+    fn load_keyed(pool: &mut BufferPool, rows: Vec<Tuple>) -> (HeapFile, Vec<(Value, TupleId)>) {
+        let heap = HeapFile::create(pool);
+        let mut loader = BulkLoader::new();
+        for t in &rows {
+            loader.push(t).unwrap();
+        }
+        loader.finish(pool, heap).unwrap();
+        let mut pairs = Vec::new();
+        heap.for_each(pool, |tid, t| {
+            pairs.push((t.get(0).clone(), tid));
+            true
+        })
+        .unwrap();
+        (heap, pairs)
+    }
+
     fn setup(n: i64) -> (BufferPool, HeapFile, OrderedIndex) {
         let mut pool = BufferPool::new(256);
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        let mut pairs = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..n {
             // Insert keys in scrambled order to exercise the sort.
             let key = (i * 37) % n;
             let t = Tuple::new(vec![Value::Int(key), Value::Str(format!("r{key}"))]);
-            let tid = loader.push(&mut pool, &t).unwrap();
-            pairs.push((Value::Int(key), tid));
+            rows.push(t);
         }
-        loader.finish(&mut pool).unwrap();
+        let (heap, pairs) = load_keyed(&mut pool, rows);
         let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
         (pool, heap, idx)
     }
@@ -338,15 +350,12 @@ mod tests {
     #[test]
     fn duplicate_keys_all_found() {
         let mut pool = BufferPool::new(256);
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        let mut pairs = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..300i64 {
             let key = i % 3;
-            let tid = loader.push(&mut pool, &Tuple::new(vec![Value::Int(key)])).unwrap();
-            pairs.push((Value::Int(key), tid));
+            rows.push(Tuple::new(vec![Value::Int(key)]));
         }
-        loader.finish(&mut pool).unwrap();
+        let (_, pairs) = load_keyed(&mut pool, rows);
         let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
         assert_eq!(idx.lookup_eq(&mut pool, &Value::Int(0)).unwrap().len(), 100);
         assert_eq!(idx.lookup_eq(&mut pool, &Value::Int(2)).unwrap().len(), 100);
@@ -356,15 +365,12 @@ mod tests {
     fn duplicates_straddling_leaf_pages_all_found() {
         // Enough duplicate keys to guarantee a key spans multiple leaves.
         let mut pool = BufferPool::new(1024);
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        let mut pairs = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..2000i64 {
             let key = if i < 1000 { 5 } else { i };
-            let tid = loader.push(&mut pool, &Tuple::new(vec![Value::Int(key)])).unwrap();
-            pairs.push((Value::Int(key), tid));
+            rows.push(Tuple::new(vec![Value::Int(key)]));
         }
-        loader.finish(&mut pool).unwrap();
+        let (_, pairs) = load_keyed(&mut pool, rows);
         let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
         assert!(idx.leaf_pages(&pool) > 2);
         assert_eq!(idx.lookup_eq(&mut pool, &Value::Int(5)).unwrap().len(), 1000);
@@ -377,9 +383,7 @@ mod tests {
         // leaf 0, then 20 fives straddling the leaf boundary. A point
         // lookup for 5 must find all 20, including those in leaf 0.
         let mut pool = BufferPool::new(1024);
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        let mut pairs = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..400i64 {
             let key = if i < 185 {
                 1
@@ -388,10 +392,9 @@ mod tests {
             } else {
                 9 + i
             };
-            let tid = loader.push(&mut pool, &Tuple::new(vec![Value::Int(key)])).unwrap();
-            pairs.push((Value::Int(key), tid));
+            rows.push(Tuple::new(vec![Value::Int(key)]));
         }
-        loader.finish(&mut pool).unwrap();
+        let (_, pairs) = load_keyed(&mut pool, rows);
         let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
         assert!(idx.leaf_pages(&pool) >= 2, "fixture must span leaves");
         assert_eq!(idx.lookup_eq(&mut pool, &Value::Int(5)).unwrap().len(), 20);
@@ -411,15 +414,12 @@ mod tests {
     #[test]
     fn null_keys_are_skipped() {
         let mut pool = BufferPool::new(64);
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        let mut pairs = Vec::new();
+        let mut rows = Vec::new();
         for i in 0..10i64 {
             let key = if i % 2 == 0 { Value::Null } else { Value::Int(i) };
-            let tid = loader.push(&mut pool, &Tuple::new(vec![key.clone()])).unwrap();
-            pairs.push((key, tid));
+            rows.push(Tuple::new(vec![key.clone()]));
         }
-        loader.finish(&mut pool).unwrap();
+        let (_, pairs) = load_keyed(&mut pool, rows);
         let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
         assert_eq!(idx.entries(), 5);
         assert_eq!(idx.lookup(&mut pool, Bound::Unbounded, Bound::Unbounded).unwrap().len(), 5);
@@ -501,9 +501,7 @@ mod tests {
         // keys equal to a fence also sit at the previous leaf's tail.
         let make = || {
             let mut pool = BufferPool::new(1024);
-            let heap = HeapFile::create(&mut pool);
-            let mut loader = BulkLoader::new(heap, &pool);
-            let mut pairs = Vec::new();
+            let mut rows = Vec::new();
             for i in 0..400i64 {
                 let key = if i < 185 {
                     1
@@ -512,10 +510,9 @@ mod tests {
                 } else {
                     9 + i
                 };
-                let tid = loader.push(&mut pool, &Tuple::new(vec![Value::Int(key)])).unwrap();
-                pairs.push((Value::Int(key), tid));
+                rows.push(Tuple::new(vec![Value::Int(key)]));
             }
-            loader.finish(&mut pool).unwrap();
+            let (_, pairs) = load_keyed(&mut pool, rows);
             let idx = OrderedIndex::build(&mut pool, pairs).unwrap();
             (pool, idx)
         };
@@ -539,13 +536,13 @@ mod tests {
     fn column_pairs_extracts_keys() {
         let mut pool = BufferPool::new(64);
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..5i64 {
             loader
-                .push(&mut pool, &Tuple::new(vec![Value::Str(format!("n{i}")), Value::Int(i)]))
+                .push(&Tuple::new(vec![Value::Str(format!("n{i}")), Value::Int(i)]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let schema = Schema::new(vec![
             crate::schema::ColumnDef::new("name", crate::schema::DataType::Str),
             crate::schema::ColumnDef::new("v", crate::schema::DataType::Int),

@@ -182,13 +182,11 @@ mod tests {
         let mut pool = BufferPool::new(256);
         let mut cat = Catalog::new();
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..200i64 {
-            loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Int(i % 10)]))
-                .unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
         let schema = Schema::new(vec![
             ColumnDef::new("id", DataType::Int),

@@ -112,12 +112,12 @@ mod tests {
     fn analyze_computes_basic_stats() {
         let mut pool = BufferPool::new(64);
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..100i64 {
             let v = if i % 10 == 0 { Value::Null } else { Value::Int(i % 7) };
-            loader.push(&mut pool, &Tuple::new(vec![Value::Int(i), v])).unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), v])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
         assert_eq!(stats.rows, 100);
         assert!(stats.pages >= 1);

@@ -15,7 +15,8 @@
 //!   vectors through gather indexes, so the probe clones no value. Rows
 //!   materialize only where a consumer needs owned values: result
 //!   collection ([`ColumnBatch::to_tuples`]), a downstream join's build
-//!   side, aggregate keys, and `materialize`,
+//!   side, and aggregate keys; `materialize` encodes rows straight into
+//!   heap pages ([`ColumnBatch::load_into`]),
 //! * **index-nested-loop joins** probe each outer batch through a
 //!   [`specdb_catalog::BatchProber`], decoding every touched index leaf
 //!   at most once per batch instead of once per outer tuple.
@@ -59,9 +60,10 @@ use specdb_catalog::{Catalog, DataType, Schema};
 use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
 use specdb_storage::column::rle_run_of;
+use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    AccessKind, ColumnSegment, ColumnVec, EncodedCol, HeapFile, Page, PageId, SegCache, Tuple,
-    Value, ZoneMap,
+    AccessKind, ColumnSegment, ColumnVec, EncodedCol, HeapFile, Page, PageId, SegCache,
+    StorageResult, Tuple, Value, ZoneMap,
 };
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -201,6 +203,17 @@ impl ColumnBatch {
     fn gather_row(&self, row: usize) -> Vec<Value> {
         let p = self.phys(row);
         self.cols.iter().map(|c| c.at(p).clone()).collect()
+    }
+
+    /// Encode every logical row straight into `loader`'s pages — the
+    /// materialization sink. Each row's bytes equal [`Tuple::encode`] of
+    /// the gathered row, but no value is cloned and no [`Tuple`] built.
+    pub fn load_into(&self, loader: &mut BulkLoader) -> StorageResult<()> {
+        for row in 0..self.len() {
+            let p = self.phys(row);
+            loader.push_values(self.cols.iter().map(|c| c.at(p)))?;
+        }
+        Ok(())
     }
 
     /// Materialize every logical row as a [`Tuple`], appended to `out` —
@@ -1523,23 +1536,19 @@ mod tests {
     use crate::context::CancelToken;
     use crate::run;
     use specdb_catalog::{ColumnDef, Schema, TableStats};
-    use specdb_storage::heap::BulkLoader;
-    use specdb_storage::{BufferPool, HeapFile};
+    use specdb_storage::BufferPool;
 
     fn fixture() -> (BufferPool, Catalog) {
         let mut pool = BufferPool::new(512);
         let mut cat = Catalog::new();
         let emp_heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(emp_heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..3000i64 {
             loader
-                .push(
-                    &mut pool,
-                    &Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(20 + i % 50)]),
-                )
+                .push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(20 + i % 50)]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, emp_heap).unwrap();
         let emp_stats = TableStats::analyze(&mut pool, emp_heap, 3).unwrap();
         cat.register(
             "emp",
@@ -1553,13 +1562,13 @@ mod tests {
             false,
         );
         let dept_heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(dept_heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..10i64 {
             loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Str(format!("d{i}"))]))
+                .push(&Tuple::new(vec![Value::Int(i), Value::Str(format!("d{i}"))]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, dept_heap).unwrap();
         let dept_stats = TableStats::analyze(&mut pool, dept_heap, 2).unwrap();
         cat.register(
             "dept",
@@ -1574,14 +1583,14 @@ mod tests {
         // proj.lead (an emp id) is NULL on every fourth row and proj.dept
         // on every fifth: NULL join keys and NULL residual columns.
         let proj_heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(proj_heap, &pool);
+        let mut loader = BulkLoader::new();
         let or_null = |null: bool, v: i64| if null { Value::Null } else { Value::Int(v) };
         for i in 0..3000i64 {
             let row =
                 vec![Value::Int(i), or_null(i % 4 == 0, i * 7 % 3000), or_null(i % 5 == 0, i % 10)];
-            loader.push(&mut pool, &Tuple::new(row)).unwrap();
+            loader.push(&Tuple::new(row)).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, proj_heap).unwrap();
         let proj_stats = TableStats::analyze(&mut pool, proj_heap, 3).unwrap();
         cat.register(
             "proj",
@@ -2073,5 +2082,40 @@ mod tests {
         let mut ctx = ExecCtx::with_cancel(&mut pool, token);
         let err = run_collect_batched(&plan, &cat, &mut ctx).unwrap_err();
         assert!(err.is_cancelled());
+    }
+
+    /// The materialization sink writes each row exactly as
+    /// [`Tuple::encode`] would, for every value kind, through selection
+    /// vectors and gather indexes alike.
+    #[test]
+    fn load_into_writes_tuple_encode_bytes() {
+        let plain = ColumnBatch::new(vec![
+            Arc::new(vec![Value::Int(-3), Value::Null, Value::Int(i64::MAX), Value::Int(0)]),
+            Arc::new(vec![Value::Float(1.5), Value::Float(-0.0), Value::Null, Value::Float(1e300)]),
+            Arc::new(vec![
+                Value::Str(String::new()),
+                Value::Str("ü-ß".into()),
+                Value::Str("x".repeat(300)),
+                Value::Null,
+            ]),
+        ]);
+        let selected = plain.clone().with_sel(vec![3, 1, 2]);
+        let mut gathered = plain.clone();
+        for col in &mut gathered.cols {
+            col.idx = Some(Arc::new(vec![2, 0, 0, 3, 1]));
+        }
+        gathered.rows = 5;
+        for batch in [plain, selected, gathered.with_sel(vec![4, 0, 3])] {
+            let mut loader = BulkLoader::new();
+            batch.load_into(&mut loader).unwrap();
+            let mut pool = BufferPool::new(4);
+            let heap = HeapFile::create(&mut pool);
+            loader.finish(&mut pool, heap).unwrap();
+            let page = pool.read_page(PageId::new(heap.file, 0), AccessKind::Sequential).unwrap();
+            let got: Vec<&[u8]> = page.iter().map(|(_, bytes)| bytes).collect();
+            let want: Vec<Vec<u8>> =
+                (0..batch.len()).map(|r| Tuple::new(batch.gather_row(r)).encode()).collect();
+            assert_eq!(got, want);
+        }
     }
 }

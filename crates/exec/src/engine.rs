@@ -22,8 +22,9 @@ use parking_lot::Mutex;
 use specdb_catalog::{Catalog, ColumnDef, Schema, TableStats};
 use specdb_obs::Observer;
 use specdb_query::{canonical_key, ColumnResolver, Query, QueryGraph};
+use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    BufferPool, DiskModel, HeapFile, ResourceDemand, Tuple, VirtualTime, PAGE_SIZE,
+    BufferPool, DiskModel, HeapFile, ResourceDemand, StorageResult, Tuple, VirtualTime, PAGE_SIZE,
 };
 
 /// How materialized views participate in final-query planning.
@@ -573,7 +574,7 @@ impl Database {
             let t = self.catalog.table(name).ok_or_else(|| ExecError::UnknownTable(name.into()))?;
             (t.heap, t.schema.clone())
         };
-        let mut loader = specdb_storage::heap::BulkLoader::new(heap, &self.pool);
+        let mut loader = BulkLoader::new();
         for row in rows {
             for (i, v) in row.values().iter().enumerate() {
                 let col = schema.columns().get(i).ok_or_else(|| ExecError::TypeMismatch {
@@ -587,14 +588,12 @@ impl Database {
                     });
                 }
             }
-            loader.push(&mut self.pool, &row)?;
+            loader.push(&row)?;
         }
-        loader.finish(&mut self.pool)?;
+        loader.finish(&mut self.pool, heap)?;
         let stats = TableStats::analyze(&mut self.pool, heap, schema.arity())?;
-        let arity = schema.arity();
         // Re-register with fresh stats (same heap, same schema).
         let is_mat = self.catalog.table(name).map(|t| t.is_materialized).unwrap_or(false);
-        let _ = arity;
         self.catalog.register(name, schema, heap, stats, is_mat);
         self.bump_ddl_epoch();
         Ok(self.outcome_since(snap))
@@ -708,15 +707,6 @@ impl Database {
     /// experiment harness where only timing matters.
     pub fn execute_discard(&mut self, query: &Query) -> ExecResult<QueryOutput> {
         self.execute_inner(query, CancelToken::new(), false)
-    }
-
-    /// Execute with a cancellation token (live speculative runtime).
-    pub fn execute_cancellable(
-        &mut self,
-        query: &Query,
-        cancel: CancelToken,
-    ) -> ExecResult<QueryOutput> {
-        self.execute_inner(query, cancel, true)
     }
 
     fn execute_inner(
@@ -926,6 +916,18 @@ impl Database {
         graph: &QueryGraph,
         cancel: CancelToken,
     ) -> ExecResult<MaterializeOutcome> {
+        let token = cancel.clone();
+        self.materialize_checked(graph, cancel, move || token.check())
+    }
+
+    /// [`Database::materialize`], running `install_check` before each
+    /// result page is written; its error discards the build.
+    fn materialize_checked(
+        &mut self,
+        graph: &QueryGraph,
+        cancel: CancelToken,
+        install_check: impl FnMut() -> StorageResult<()>,
+    ) -> ExecResult<MaterializeOutcome> {
         let graph_key = canonical_key(graph);
         if let Some(existing) = self.views.get_by_key(&graph_key) {
             let t = self
@@ -977,40 +979,30 @@ impl Database {
             })
             .collect::<ExecResult<Vec<_>>>()?;
         let snap = self.pool.snapshot();
-        // The executor exclusively borrows the pool, so the result is
-        // staged in memory and written afterwards. Result sizes are
-        // bounded by the (scaled) dataset sizes the experiments use.
-        let mut staged: Vec<Tuple> = Vec::new();
+        // The executor exclusively borrows the pool, so result rows are
+        // encoded into pages in memory and installed afterwards.
+        let mut loader = BulkLoader::new();
         {
-            let mut ctx = ExecCtx::with_cancel(&mut self.pool, cancel.clone());
+            let mut ctx = ExecCtx::with_cancel(&mut self.pool, cancel);
             ctx.threads = self.threads;
             match self.exec_mode {
                 ExecMode::Columnar => {
                     batch::run_batched(&plan, &self.catalog, &mut ctx, &mut |b| {
-                        b.project(&keep).to_tuples(&mut staged);
-                        Ok(())
+                        Ok(b.project(&keep).load_into(&mut loader)?)
                     })?;
                 }
                 ExecMode::Row => {
                     run::run(&plan, &self.catalog, &mut ctx, &mut |t| {
-                        staged.push(t.project(&keep));
+                        loader.push_values(keep.iter().map(|&c| t.get(c)))?;
                         Ok(())
                     })?;
                 }
             }
         }
         let heap = HeapFile::create(&mut self.pool);
-        let mut loader = specdb_storage::heap::BulkLoader::new(heap, &self.pool);
-        for (i, t) in staged.iter().enumerate() {
-            if i % 1024 == 0 {
-                if let Err(e) = cancel.check() {
-                    heap.destroy(&mut self.pool);
-                    return Err(e.into());
-                }
-            }
-            loader.push(&mut self.pool, t)?;
-        }
-        let rows = loader.finish(&mut self.pool)?;
+        let rows = loader
+            .install(&mut self.pool, heap, install_check)
+            .inspect_err(|_| heap.destroy(&mut self.pool))?;
         let pages = heap.pages(&self.pool) as u64;
         let name = format!("mv_{}", specdb_query::short_digest_of_key(&graph_key));
         let stats = TableStats::analyze(&mut self.pool, heap, schema.arity())?;
@@ -1218,6 +1210,58 @@ mod tests {
         });
         db.load("employee", rows).unwrap();
         db
+    }
+
+    /// Three joinable tables whose rows carry Int, Float, Str and NULL
+    /// values: `emp.e_dept` references `dept`, `proj.p_emp` references
+    /// `emp`.
+    fn company_db(threads: usize) -> Database {
+        let mut db = Database::new(DatabaseConfig::with_buffer_pages(256).threads(threads));
+        let col = ColumnDef::new;
+        db.create_table(
+            "dept",
+            Schema::new(vec![col("d_id", DataType::Int), col("d_name", DataType::Str)]),
+        )
+        .unwrap();
+        db.create_table(
+            "emp",
+            Schema::new(vec![
+                col("e_id", DataType::Int),
+                col("e_dept", DataType::Int),
+                col("e_pay", DataType::Float),
+                col("e_note", DataType::Str),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "proj",
+            Schema::new(vec![col("p_emp", DataType::Int), col("p_cost", DataType::Float)]),
+        )
+        .unwrap();
+        let dept =
+            (0..20i64).map(|d| Tuple::new(vec![Value::Int(d), Value::Str(format!("dept-{d}"))]));
+        db.load("dept", dept).unwrap();
+        let emp = (0..3000i64).map(|i| {
+            let note = if i % 7 == 0 { Value::Null } else { Value::Str(format!("note-{i}")) };
+            Tuple::new(vec![Value::Int(i), Value::Int(i % 20), Value::Float(i as f64 * 1.5), note])
+        });
+        db.load("emp", emp).unwrap();
+        let proj = (0..1500i64)
+            .map(|p| Tuple::new(vec![Value::Int(p * 7 % 3000), Value::Float(p as f64 / 4.0)]));
+        db.load("proj", proj).unwrap();
+        db
+    }
+
+    /// A selection, a two-way join and a three-way join over `company_db`.
+    fn company_graphs() -> Vec<QueryGraph> {
+        let mut sel = QueryGraph::new();
+        sel.add_selection(Selection::new("emp", Predicate::new("e_dept", CompareOp::Lt, 10)));
+        let mut two = QueryGraph::new();
+        two.add_join(Join::new("emp", "e_dept", "dept", "d_id"));
+        let mut three = two.clone();
+        three.add_join(Join::new("proj", "p_emp", "emp", "e_id"));
+        three.add_selection(Selection::new("dept", Predicate::new("d_id", CompareOp::Lt, 15)));
+        vec![sel, two, three]
     }
 
     fn age_query(limit: i64) -> Query {
@@ -1622,5 +1666,93 @@ mod tests {
         let out = db.execute(&Query::star(g)).unwrap();
         assert_eq!(out.used_views, vec![mat.table]);
         assert_eq!(out.row_count, 2000 / 40);
+    }
+
+    /// A build holds exactly the query's result: a scan of the view
+    /// returns the executed rows in the executed order, on the same
+    /// pages (byte for byte) and with the same statistics as a plain
+    /// load of those rows — on both executors.
+    #[test]
+    fn materialized_view_equals_a_load_of_the_query_result() {
+        for mode in [ExecMode::Columnar, ExecMode::Row] {
+            for g in company_graphs() {
+                let mut db = company_db(1);
+                db.set_exec_mode(mode);
+                let out = db.execute(&Query::star(g.clone())).unwrap();
+                let mat = db.materialize(&g, CancelToken::new()).unwrap();
+                let view = db.catalog().table(&mat.table).unwrap().clone();
+                // The view stores the graph's columns in canonical order.
+                let order: Vec<usize> = view
+                    .schema
+                    .columns()
+                    .iter()
+                    .map(|c| out.cols.iter().position(|n| *n == c.name).unwrap())
+                    .collect();
+                let rows: Vec<Tuple> = out.rows.iter().map(|t| t.project(&order)).collect();
+                assert!(rows.len() > 1000, "{g:?} must span several pages");
+                assert_eq!(view.heap.collect_all(&mut db.pool).unwrap(), rows, "{mode:?} {g:?}");
+                let mut pool = BufferPool::new(256);
+                let heap = HeapFile::create(&mut pool);
+                let mut loader = BulkLoader::new();
+                for t in &rows {
+                    loader.push(t).unwrap();
+                }
+                loader.finish(&mut pool, heap).unwrap();
+                assert_eq!(mat.pages, heap.pages(&pool) as u64);
+                let stats = TableStats::analyze(&mut pool, heap, view.schema.arity()).unwrap();
+                assert_eq!(view.stats, stats);
+                for page_no in 0..heap.pages(&pool) {
+                    let page = |pool: &mut BufferPool, file| {
+                        let pid = specdb_storage::PageId::new(file, page_no);
+                        pool.read_page(pid, specdb_storage::AccessKind::Sequential).unwrap()
+                    };
+                    let built = page(&mut db.pool, view.heap.file);
+                    assert_eq!(built.as_bytes(), page(&mut pool, heap.file).as_bytes());
+                }
+            }
+        }
+    }
+
+    /// Everything a build could leave behind.
+    fn build_traces(db: &Database) -> (Vec<String>, Vec<String>, usize, u64, usize) {
+        let mut tables: Vec<String> = db.catalog().table_names().map(String::from).collect();
+        tables.sort();
+        let views = db.views().iter().map(|v| v.name.clone()).collect();
+        let pool = db.pool();
+        (tables, views, pool.file_count(), db.ddl_epoch(), pool.seg_resident_bytes())
+    }
+
+    /// A cancel that fires after execution, before page `k` of the result
+    /// is installed, leaves no trace — for every `k`, at 1 and 4 threads.
+    #[test]
+    fn cancel_during_install_leaves_no_trace() {
+        let g = company_graphs().pop().unwrap();
+        let pages = company_db(1).materialize(&g, CancelToken::new()).unwrap().pages as usize;
+        assert!(pages >= 3, "the result must span several pages");
+        for threads in [1, 4] {
+            let mut db = company_db(threads);
+            // Warm the segment cache with the build's own reads, so only
+            // the build's writes could move it.
+            db.execute_discard(&Query::star(g.clone())).unwrap();
+            let before = build_traces(&db);
+            for k in 0..pages {
+                let token = CancelToken::new();
+                let mut installed = 0;
+                let err = db
+                    .materialize_checked(&g, token.clone(), || {
+                        if installed == k {
+                            token.cancel();
+                        }
+                        installed += 1;
+                        token.check()
+                    })
+                    .unwrap_err();
+                assert!(err.is_cancelled());
+                assert_eq!(installed, k + 1, "every page before the cancel was installed");
+                assert_eq!(build_traces(&db), before, "cancel before page {k}, {threads} threads");
+            }
+            let mat = db.materialize(&g, CancelToken::new()).unwrap();
+            assert_eq!(mat.pages as usize, pages, "the database still builds the view");
+        }
     }
 }

@@ -413,13 +413,11 @@ mod tests {
         let mut pool = BufferPool::new(256);
         let mut cat = Catalog::new();
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..2000i64 {
-            loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Int(i % 20)]))
-                .unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 20)])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
         cat.register(
             "t",
@@ -476,13 +474,11 @@ mod tests {
         let mut pool = BufferPool::new(2048);
         let mut cat = Catalog::new();
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..50_000i64 {
-            loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Int(i % 20)]))
-                .unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 20)])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
         cat.register(
             "t",

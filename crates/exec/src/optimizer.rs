@@ -534,16 +534,13 @@ mod tests {
         let mut cat = Catalog::new();
         // orders(id, cust, total), customer(id, region)
         let orders = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(orders, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..3000i64 {
             loader
-                .push(
-                    &mut pool,
-                    &Tuple::new(vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 500)]),
-                )
+                .push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 100), Value::Int(i % 500)]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, orders).unwrap();
         let stats = TableStats::analyze(&mut pool, orders, 3).unwrap();
         cat.register(
             "orders",
@@ -557,13 +554,11 @@ mod tests {
             false,
         );
         let cust = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(cust, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..100i64 {
-            loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Int(i % 5)]))
-                .unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 5)])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, cust).unwrap();
         let stats = TableStats::analyze(&mut pool, cust, 2).unwrap();
         cat.register(
             "customer",

@@ -411,16 +411,13 @@ mod tests {
         let mut pool = BufferPool::new(512);
         let mut cat = Catalog::new();
         let emp_heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(emp_heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..1000i64 {
             loader
-                .push(
-                    &mut pool,
-                    &Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(20 + i % 50)]),
-                )
+                .push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 10), Value::Int(20 + i % 50)]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, emp_heap).unwrap();
         let emp_stats = TableStats::analyze(&mut pool, emp_heap, 3).unwrap();
         cat.register(
             "emp",
@@ -434,13 +431,13 @@ mod tests {
             false,
         );
         let dept_heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(dept_heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..10i64 {
             loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Str(format!("d{i}"))]))
+                .push(&Tuple::new(vec![Value::Int(i), Value::Str(format!("d{i}"))]))
                 .unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, dept_heap).unwrap();
         let dept_stats = TableStats::analyze(&mut pool, dept_heap, 2).unwrap();
         cat.register(
             "dept",
@@ -676,13 +673,11 @@ mod tests {
         // Rebuild data in the tiny pool via a fresh fixture-like load.
         let mut cat2 = Catalog::new();
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
+        let mut loader = BulkLoader::new();
         for i in 0..5000i64 {
-            loader
-                .push(&mut pool, &Tuple::new(vec![Value::Int(i), Value::Int(i % 10)]))
-                .unwrap();
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 10)])).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
         cat2.register(
             "big",
@@ -725,10 +720,10 @@ mod tests {
         let mut pool = BufferPool::new(64);
         let mut cat = Catalog::new();
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        loader.push(&mut pool, &Tuple::new(vec![Value::Null])).unwrap();
-        loader.push(&mut pool, &Tuple::new(vec![Value::Int(1)])).unwrap();
-        loader.finish(&mut pool).unwrap();
+        let mut loader = BulkLoader::new();
+        loader.push(&Tuple::new(vec![Value::Null])).unwrap();
+        loader.push(&Tuple::new(vec![Value::Int(1)])).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 1).unwrap();
         cat.register(
             "n",

@@ -97,6 +97,9 @@ pub fn serve(db: Database, config: ServeConfig) -> std::io::Result<ServerHandle>
 }
 
 fn handle_connection(stream: TcpStream, manager: &SessionManager) {
+    // Each reply is one small line the client waits on: with Nagle's
+    // algorithm on, it would sit out the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -108,12 +111,12 @@ fn handle_connection(stream: TcpStream, manager: &SessionManager) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = dispatch(&line, manager, &mut session_id);
+        let mut reply = dispatch(&line, manager, &mut session_id);
+        reply.push('\n');
         let quit = matches!(parse_request(&line), Ok(Request::Quit));
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if writer.write_all(reply.as_bytes()).is_err() {
             break;
         }
-        let _ = writer.flush();
         if quit {
             break;
         }
@@ -159,7 +162,7 @@ fn dispatch(line: &str, manager: &SessionManager, session_id: &mut Option<Sessio
                         outstanding: manager.governor().outstanding() > 0,
                     })
                 }
-                Request::Go => match session.go() {
+                Request::Go => match session.go_counted() {
                     Ok(out) => render(&GoResponse {
                         ok: true,
                         rows: out.output.row_count,

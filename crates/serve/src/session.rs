@@ -284,12 +284,28 @@ impl ServeSession {
     /// `sql_shell` example); speculation and learning still key off the
     /// canvas graph.
     pub fn go_with(&mut self, final_query: &Query) -> ExecResult<GoOutcome> {
+        self.go_inner(final_query, true)
+    }
+
+    /// GO for the wire protocol, whose reply carries only the row count:
+    /// the canvas query runs count-only, so no result row is ever
+    /// materialized. Everything else is [`ServeSession::go`].
+    pub(crate) fn go_counted(&mut self) -> ExecResult<GoOutcome> {
+        let final_query: Query = self.partial.query().clone();
+        self.go_inner(&final_query, false)
+    }
+
+    fn go_inner(&mut self, final_query: &Query, collect_rows: bool) -> ExecResult<GoOutcome> {
         self.resolve_outstanding(true);
         let now = self.now();
         self.learner.observe_go(now, &final_query.graph);
         let (result, collected) = {
             let mut db = self.db.lock();
-            let r = db.execute(final_query)?;
+            let r = if collect_rows {
+                db.execute(final_query)?
+            } else {
+                db.execute_discard(final_query)?
+            };
             // Lease against the final query, then sweep artifacts no
             // session supports any more.
             let keys = db.supported_view_keys(&final_query.graph);

@@ -217,6 +217,11 @@ impl BufferPool {
         self.file_pages.get(&file).copied().unwrap_or(0)
     }
 
+    /// Number of live files.
+    pub fn file_count(&self) -> usize {
+        self.file_pages.len()
+    }
+
     /// Drop a file: remove its pages from the disk and the pool.
     /// Used when materialized relations are garbage-collected.
     pub fn free_file(&mut self, file: FileId) {

@@ -1,15 +1,14 @@
 //! Heap files: unordered tuple storage over slotted pages.
 //!
 //! A [`HeapFile`] is a sequence of pages in a [`BufferPool`] file. Tuples
-//! are appended through a [`BulkLoader`] (which buffers the tail page to
-//! avoid read-modify-write traffic during loads and materializations) and
-//! read back either page-at-a-time for scans or by [`TupleId`] for index
-//! lookups.
+//! are appended through a [`BulkLoader`] (which fills whole pages in
+//! memory, so each page is written once) and read back either
+//! page-at-a-time for scans or by [`TupleId`] for index lookups.
 
 use crate::buffer::{AccessKind, BufferPool};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{FileId, Page, PageId};
-use crate::tuple::Tuple;
+use crate::tuple::{encode_values, Tuple, Value};
 use serde::{Deserialize, Serialize};
 
 /// Physical address of a tuple: page plus slot.
@@ -115,73 +114,78 @@ impl HeapFile {
     }
 }
 
-/// Buffered appender for a heap file.
+/// The one appender of heap files (loads, index leaves, materializations).
 ///
-/// Keeps the tail page in memory and flushes it when full or on
-/// [`BulkLoader::finish`]; each flush is a single page write.
+/// Filling is pool-free, so a build can fill pages while its executor
+/// holds the pool exclusively. [`BulkLoader::install`] then appends the
+/// pages to a heap file, one [`BufferPool::put_page`] per page in order
+/// — the same pool operations as writing each page the moment it fills.
+#[derive(Default)]
 pub struct BulkLoader {
-    heap: HeapFile,
-    next_page_no: u32,
+    full: Vec<Page>,
     current: Page,
-    current_dirty: bool,
     loaded: u64,
 }
 
 impl BulkLoader {
-    /// Start loading at the end of `heap`.
-    pub fn new(heap: HeapFile, pool: &BufferPool) -> Self {
-        BulkLoader {
-            heap,
-            next_page_no: heap.pages(pool),
-            current: Page::new(),
-            current_dirty: false,
-            loaded: 0,
-        }
+    /// An empty loader.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Append one tuple, returning its id.
-    pub fn push(&mut self, pool: &mut BufferPool, tuple: &Tuple) -> StorageResult<TupleId> {
-        let encoded = tuple.encode();
-        let slot = match self.current.insert(&encoded)? {
-            Some(slot) => slot,
-            None => {
-                self.flush(pool)?;
-                self.current
-                    .insert(&encoded)?
-                    .expect("fresh page must accept a tuple that fits a page")
-            }
-        };
-        self.current_dirty = true;
+    /// Append one tuple, returning the index (among the pages this
+    /// loader builds) of the page it landed on.
+    pub fn push(&mut self, tuple: &Tuple) -> StorageResult<u32> {
+        self.push_values(tuple.values().iter())
+    }
+
+    /// Append one row given as its values in column order, encoded in
+    /// place into the page exactly as [`Tuple::encode`] would encode
+    /// them: no [`Tuple`] is built and no value is cloned.
+    pub fn push_values<'a>(
+        &mut self,
+        values: impl Iterator<Item = &'a Value> + Clone,
+    ) -> StorageResult<u32> {
+        let (arity, len) =
+            values.clone().fold((0, 2), |(n, len), v| (n + 1, len + v.encoded_len()));
+        if len > self.current.free_space() && len <= Page::max_tuple_size() {
+            self.full.push(std::mem::take(&mut self.current));
+        }
+        self.current
+            .insert_with(len, |buf| encode_values(arity, values, buf))?
+            .expect("an empty page holds any tuple that fits a page");
         self.loaded += 1;
-        Ok(TupleId { page: PageId::new(self.heap.file, self.next_page_no), slot: slot as u16 })
+        Ok(self.full.len() as u32)
     }
 
-    /// Number of tuples pushed so far.
-    pub fn loaded(&self) -> u64 {
-        self.loaded
-    }
-
-    fn flush(&mut self, pool: &mut BufferPool) -> StorageResult<()> {
-        if self.current_dirty {
-            let page = std::mem::take(&mut self.current);
-            pool.put_page(PageId::new(self.heap.file, self.next_page_no), page)?;
-            self.next_page_no += 1;
-            self.current_dirty = false;
+    /// Append the built pages to the end of `heap`, in order, and return
+    /// the tuple count. `check` runs before each page write; its error
+    /// stops the install and is returned, leaving the pages already
+    /// written to the caller to discard.
+    pub fn install(
+        self,
+        pool: &mut BufferPool,
+        heap: HeapFile,
+        mut check: impl FnMut() -> StorageResult<()>,
+    ) -> StorageResult<u64> {
+        let first = heap.pages(pool);
+        let tail = (self.current.slot_count() > 0).then_some(self.current);
+        for (i, page) in self.full.into_iter().chain(tail).enumerate() {
+            check()?;
+            pool.put_page(PageId::new(heap.file, first + i as u32), page)?;
         }
-        Ok(())
+        Ok(self.loaded)
     }
 
-    /// Flush the tail page and return the tuple count loaded.
-    pub fn finish(mut self, pool: &mut BufferPool) -> StorageResult<u64> {
-        self.flush(pool)?;
-        Ok(self.loaded)
+    /// [`BulkLoader::install`] with no cancellation point.
+    pub fn finish(self, pool: &mut BufferPool, heap: HeapFile) -> StorageResult<u64> {
+        self.install(pool, heap, || Ok(()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Value;
 
     fn tuple(i: i64) -> Tuple {
         Tuple::new(vec![Value::Int(i), Value::Str(format!("row-{i}"))])
@@ -189,9 +193,17 @@ mod tests {
 
     fn load(pool: &mut BufferPool, n: i64) -> (HeapFile, Vec<TupleId>) {
         let heap = HeapFile::create(pool);
-        let mut loader = BulkLoader::new(heap, pool);
-        let tids: Vec<_> = (0..n).map(|i| loader.push(pool, &tuple(i)).unwrap()).collect();
-        loader.finish(pool).unwrap();
+        let mut loader = BulkLoader::new();
+        for i in 0..n {
+            loader.push(&tuple(i)).unwrap();
+        }
+        loader.finish(pool, heap).unwrap();
+        let mut tids = Vec::new();
+        heap.for_each(pool, |tid, _| {
+            tids.push(tid);
+            true
+        })
+        .unwrap();
         (heap, tids)
     }
 
@@ -239,10 +251,9 @@ mod tests {
     fn loader_counts_and_flushes_partial_page() {
         let mut pool = BufferPool::new(64);
         let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new(heap, &pool);
-        loader.push(&mut pool, &tuple(1)).unwrap();
-        assert_eq!(loader.loaded(), 1);
-        assert_eq!(loader.finish(&mut pool).unwrap(), 1);
+        let mut loader = BulkLoader::new();
+        assert_eq!(loader.push(&tuple(1)).unwrap(), 0);
+        assert_eq!(loader.finish(&mut pool, heap).unwrap(), 1);
         assert_eq!(heap.pages(&pool), 1);
         assert_eq!(heap.collect_all(&mut pool).unwrap().len(), 1);
     }
@@ -251,10 +262,44 @@ mod tests {
     fn appending_after_finish_continues_file() {
         let mut pool = BufferPool::new(64);
         let (heap, _) = load(&mut pool, 10);
-        let mut loader = BulkLoader::new(heap, &pool);
-        loader.push(&mut pool, &tuple(100)).unwrap();
-        loader.finish(&mut pool).unwrap();
+        let mut loader = BulkLoader::new();
+        loader.push(&tuple(100)).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
         assert_eq!(heap.collect_all(&mut pool).unwrap().len(), 11);
+        assert_eq!(heap.pages(&pool), 2, "an append starts a fresh page");
+    }
+
+    #[test]
+    fn install_writes_each_page_once_and_stops_at_a_failed_check() {
+        let build = || {
+            let mut loader = BulkLoader::new();
+            let last = (0..1000).map(|i| loader.push(&tuple(i)).unwrap()).last().unwrap();
+            (loader, last + 1)
+        };
+        let mut pool = BufferPool::new(64);
+        let (loader, pages) = build();
+        assert!(pages > 2, "fixture must span pages");
+        let heap = HeapFile::create(&mut pool);
+        let before = pool.snapshot();
+        assert_eq!(loader.finish(&mut pool, heap).unwrap(), 1000);
+        assert_eq!(pool.demand_since(before).writes, pages as u64);
+        assert_eq!(heap.pages(&pool), pages);
+        // A check failing before page 2 leaves exactly pages 0 and 1.
+        let (loader, _) = build();
+        let heap = HeapFile::create(&mut pool);
+        let mut checks = 0;
+        let err = loader
+            .install(&mut pool, heap, || {
+                checks += 1;
+                if checks > 2 {
+                    Err(StorageError::Cancelled)
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, StorageError::Cancelled);
+        assert_eq!(heap.pages(&pool), 2);
     }
 
     #[test]

@@ -118,21 +118,28 @@ impl Page {
     /// Insert a tuple payload, returning its slot index, or `None` if the
     /// page is full. Errors if the tuple cannot fit in any page.
     pub fn insert(&mut self, payload: &[u8]) -> StorageResult<Option<usize>> {
-        if payload.len() > Self::max_tuple_size() {
-            return Err(StorageError::TupleTooLarge {
-                size: payload.len(),
-                max: Self::max_tuple_size(),
-            });
+        self.insert_with(payload.len(), |buf| buf.copy_from_slice(payload))
+    }
+
+    /// [`Page::insert`] for a payload of `len` bytes that `write` fills in
+    /// place (it is handed exactly `len` bytes, and only if they fit).
+    pub(crate) fn insert_with(
+        &mut self,
+        len: usize,
+        write: impl FnOnce(&mut [u8]),
+    ) -> StorageResult<Option<usize>> {
+        if len > Self::max_tuple_size() {
+            return Err(StorageError::TupleTooLarge { size: len, max: Self::max_tuple_size() });
         }
-        if payload.len() > self.free_space() {
+        if len > self.free_space() {
             return Ok(None);
         }
         let count = self.slot_count();
-        let new_off = self.free_offset() - payload.len();
-        self.data[new_off..new_off + payload.len()].copy_from_slice(payload);
+        let new_off = self.free_offset() - len;
+        write(&mut self.data[new_off..new_off + len]);
         let base = HEADER_SIZE + count * SLOT_SIZE;
         write_u16(&mut self.data[..], base, new_off as u16);
-        write_u16(&mut self.data[..], base + 2, payload.len() as u16);
+        write_u16(&mut self.data[..], base + 2, len as u16);
         write_u16(&mut self.data[..], 0, (count + 1) as u16);
         write_u16(&mut self.data[..], 2, new_off as u16);
         Ok(Some(count))

@@ -207,26 +207,8 @@ impl Tuple {
 
     /// Encode into a byte buffer suitable for a page slot.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        buf.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
-        for v in &self.values {
-            match v {
-                Value::Null => buf.push(0),
-                Value::Int(i) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&i.to_le_bytes());
-                }
-                Value::Float(f) => {
-                    buf.push(2);
-                    buf.extend_from_slice(&f.to_le_bytes());
-                }
-                Value::Str(s) => {
-                    buf.push(3);
-                    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(s.as_bytes());
-                }
-            }
-        }
+        let mut buf = vec![0; self.encoded_len()];
+        encode_values(self.values.len(), self.values.iter(), &mut buf);
         buf
     }
 
@@ -294,6 +276,43 @@ impl Tuple {
         }
         Ok(arity)
     }
+}
+
+/// Encode `arity` values as one tuple into `buf`, which must be exactly
+/// their encoded length (2 bytes of arity plus each
+/// [`Value::encoded_len`]) — the page format [`Tuple::decode`] reads.
+/// Writing in place lets a loader fill a page slot straight from column
+/// storage, without building a [`Tuple`] or cloning a value.
+pub(crate) fn encode_values<'a>(
+    arity: usize,
+    values: impl Iterator<Item = &'a Value>,
+    buf: &mut [u8],
+) {
+    let mut pos = 0;
+    let mut put = |bytes: &[u8]| {
+        buf[pos..pos + bytes.len()].copy_from_slice(bytes);
+        pos += bytes.len();
+    };
+    put(&(arity as u16).to_le_bytes());
+    for v in values {
+        match v {
+            Value::Null => put(&[0]),
+            Value::Int(i) => {
+                put(&[1]);
+                put(&i.to_le_bytes());
+            }
+            Value::Float(f) => {
+                put(&[2]);
+                put(&f.to_le_bytes());
+            }
+            Value::Str(s) => {
+                put(&[3]);
+                put(&(s.len() as u32).to_le_bytes());
+                put(s.as_bytes());
+            }
+        }
+    }
+    debug_assert_eq!(pos, buf.len(), "buffer length must equal the encoded length");
 }
 
 impl From<Vec<Value>> for Tuple {

@@ -77,12 +77,17 @@ proptest! {
     fn heap_file_preserves_tuples(rows in prop::collection::vec(arb_tuple(), 1..200)) {
         let mut pool = BufferPool::new(64);
         let heap = HeapFile::create(&mut pool);
-        let mut loader = specdb::storage::heap::BulkLoader::new(heap, &pool);
-        let mut tids = Vec::new();
+        let mut loader = specdb::storage::heap::BulkLoader::new();
         for r in &rows {
-            tids.push(loader.push(&mut pool, r).unwrap());
+            loader.push(r).unwrap();
         }
-        loader.finish(&mut pool).unwrap();
+        loader.finish(&mut pool, heap).unwrap();
+        let mut tids = Vec::new();
+        heap.for_each(&mut pool, |tid, _| {
+            tids.push(tid);
+            true
+        })
+        .unwrap();
         // Scan order equals insertion order.
         let all = heap.collect_all(&mut pool).unwrap();
         prop_assert_eq!(&all, &rows);
