@@ -2,7 +2,7 @@
 //!
 //! Three traces replay concurrently against one shared engine with a
 //! 96 MB buffer pool (the paper's scale-up for three users) and a
-//! processor-sharing disk. The speculator runs the paper's multi-user
+//! processor-sharing server (`replay_multi`). The speculator runs the paper's multi-user
 //! enumeration strategy — materializations of selection predicates only
 //! — to keep the extra load low. Improvement is measured against the
 //! same three traces replayed concurrently *without* speculation.
@@ -37,6 +37,7 @@ fn main() {
         eprintln!("[{}] generating base database...", spec.label);
         let base = build_base_db(&spec).expect("base db");
         let mut pairs = Vec::new();
+        let (mut issued, mut used, mut wasted, mut shared_hits) = (0, 0, 0, 0);
         for trio in 0..trios {
             let start = (trio * 3) % traces.len().max(1);
             let group: Vec<_> =
@@ -49,9 +50,13 @@ fn main() {
             let mut db_s = base.clone();
             let specr = replay_multi(&mut db_s, &group, &spec_cfg).expect("spec multi");
             drop(db_s);
-            for (n, s) in normal.per_user.iter().zip(&specr.per_user) {
+            for (n, s) in normal.per_session.iter().zip(&specr.per_session) {
                 pairs.extend(pair_runs(&n.queries, &s.queries).expect("aligned replays"));
+                issued += s.issued;
+                used += s.used;
+                wasted += s.wasted;
             }
+            shared_hits += specr.shared_hits;
         }
         // The paper re-ranges Figure 7's x-axes for the contended runs:
         // 1-10 s (100 MB), 0-100 s (500 MB), 10-160 s (1 GB).
@@ -72,5 +77,9 @@ fn main() {
             )
         );
         println!("   overall: {:+.1}% over {} queries", improvement(&pairs) * 100.0, pairs.len());
+        println!(
+            "   speculation: {issued} issued, {used} used, {wasted} wasted, \
+             {shared_hits} shared hits"
+        );
     }
 }

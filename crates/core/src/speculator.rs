@@ -276,12 +276,6 @@ impl Speculator {
         !outstanding.supported_by(partial)
     }
 
-    /// Materialized relations no longer supported by the partial query —
-    /// the garbage-collection sweep (paper Section 3.1 convention 2).
-    pub fn gc_candidates(&self, db: &Database, partial: &QueryGraph) -> Vec<String> {
-        db.unsupported_views(partial)
-    }
-
     /// Access to the cost model (for reporting).
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -297,7 +291,7 @@ impl Speculator {
 mod tests {
     use super::*;
     use crate::learner::UniformProfile;
-    use specdb_exec::{CancelToken, DatabaseConfig};
+    use specdb_exec::DatabaseConfig;
     use specdb_query::{CompareOp, Join, Predicate, Selection};
     use specdb_tpch::{generate_into, TpchConfig};
 
@@ -365,18 +359,6 @@ mod tests {
         let s = p.selections().next().unwrap().clone();
         p2.remove_selection(&s);
         assert!(spec.should_cancel(&m, &p2));
-    }
-
-    #[test]
-    fn gc_candidates_surface_unsupported_views() {
-        let mut db = db();
-        let p = partial();
-        let sub = p.selection_subgraph(p.selections().next().unwrap());
-        db.materialize(&sub, CancelToken::new()).unwrap();
-        let spec = Speculator::default();
-        assert!(spec.gc_candidates(&db, &p).is_empty());
-        let empty = QueryGraph::new();
-        assert_eq!(spec.gc_candidates(&db, &empty).len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::batch;
 use crate::context::{BatchStats, CancelToken, ExecCtx};
 use crate::error::{ExecError, ExecResult};
 use crate::estimate::Estimator;
-use crate::optimizer::{self, qualify, JoinOrder};
+use crate::optimizer::{self, qualify};
 use crate::plan::Plan;
 use crate::plan_cache::{query_key, PlanCache, PlanCacheStats};
 use crate::rewrite::{
@@ -51,8 +51,6 @@ pub struct DatabaseConfig {
     /// View matching mode (exact, per the paper, or predicate
     /// subsumption — see [`MatchMode`]).
     pub match_mode: MatchMode,
-    /// Join-order search strategy.
-    pub join_order: JoinOrder,
     /// Model hybrid hash-join spills when builds exceed the buffer pool.
     pub spill_model: bool,
     /// Memoize plans and estimates per canonical graph key, invalidated
@@ -113,7 +111,6 @@ impl DatabaseConfig {
             disk: DiskModel::default(),
             view_mode: ViewMode::Forced,
             match_mode: MatchMode::Exact,
-            join_order: JoinOrder::Greedy,
             spill_model: true,
             plan_cache: true,
             exec_mode: ExecMode::Columnar,
@@ -142,12 +139,6 @@ impl DatabaseConfig {
     /// Replace the view matching mode.
     pub fn match_mode(mut self, mode: MatchMode) -> Self {
         self.match_mode = mode;
-        self
-    }
-
-    /// Replace the join-order strategy.
-    pub fn join_order(mut self, jo: JoinOrder) -> Self {
-        self.join_order = jo;
         self
     }
 
@@ -286,7 +277,6 @@ pub struct Database {
     disk: DiskModel,
     view_mode: ViewMode,
     match_mode: MatchMode,
-    join_order: JoinOrder,
     /// Staged tables and their pinned page counts; ordered so GC
     /// unstages in the same order in every process.
     staged: std::collections::BTreeMap<String, u32>,
@@ -308,7 +298,6 @@ impl Clone for Database {
             disk: self.disk.clone(),
             view_mode: self.view_mode,
             match_mode: self.match_mode,
-            join_order: self.join_order,
             staged: self.staged.clone(),
             exec_mode: self.exec_mode,
             threads: self.threads,
@@ -330,7 +319,6 @@ impl Database {
             disk: config.disk,
             view_mode: config.view_mode,
             match_mode: config.match_mode,
-            join_order: config.join_order,
             staged: std::collections::BTreeMap::new(),
             exec_mode: config.exec_mode,
             threads: config.threads.max(1),
@@ -745,13 +733,7 @@ impl Database {
                             .record(t_rewrite.elapsed().as_micros() as f64);
                     }
                 }
-                let plan = optimizer::plan_query_with(
-                    &self.catalog,
-                    &self.pool,
-                    &self.disk,
-                    &chosen,
-                    self.join_order,
-                )?;
+                let plan = optimizer::plan_query(&self.catalog, &self.pool, &self.disk, &chosen)?;
                 self.plan_cache.get_mut().put_plan(key, &plan, &used_views);
                 (plan, used_views)
             }
@@ -960,13 +942,7 @@ impl Database {
             ViewMode::Forced => rewrite_greedy_with(&query, &self.views, self.match_mode),
             ViewMode::CostBased => self.choose_rewrite(&query)?,
         };
-        let plan = optimizer::plan_query_with(
-            &self.catalog,
-            &self.pool,
-            &self.disk,
-            &chosen,
-            self.join_order,
-        )?;
+        let plan = optimizer::plan_query(&self.catalog, &self.pool, &self.disk, &chosen)?;
         // Reorder plan output into the canonical schema order.
         let keep: Vec<usize> = schema
             .columns()
@@ -1111,13 +1087,7 @@ impl Database {
         let span = tracer.begin(specdb_obs::SpanKind::Estimate, "estimate_mat", virt_now);
         let query = Query::star(graph.clone());
         let (chosen, _) = self.choose_rewrite(&query)?;
-        let plan = optimizer::plan_query_with(
-            &self.catalog,
-            &self.pool,
-            &self.disk,
-            &chosen,
-            self.join_order,
-        )?;
+        let plan = optimizer::plan_query(&self.catalog, &self.pool, &self.disk, &chosen)?;
         let est = Estimator::new(&self.catalog, &self.pool).estimate(&plan);
         let width: usize = graph
             .relations()

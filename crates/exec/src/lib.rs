@@ -42,7 +42,6 @@ pub use engine::{
 };
 pub use error::{ExecError, ExecResult};
 pub use estimate::{CostEstimate, Estimator};
-pub use optimizer::JoinOrder;
 pub use parallel::effective_workers;
 pub use plan::{BoundPred, Plan, PlanNode};
 pub use plan_cache::{PlanCache, PlanCacheStats};

@@ -6,10 +6,8 @@
 //! * **access paths** — for every relation, a sequential scan with
 //!   pushed-down filters competes against one index scan per indexed,
 //!   range-usable predicate; the estimated-cheapest wins,
-//! * **join order** — greedy by default (start from the smallest
-//!   estimated input, repeatedly attach the join edge that minimizes the
-//!   estimated result), or exhaustive left-deep dynamic programming
-//!   (System R style) via [`JoinOrder::Dp`],
+//! * **join order** — greedy: start from the smallest estimated input,
+//!   repeatedly attach the join edge that minimizes the estimated result,
 //! * **join method** — hash join (smaller side builds) competes against
 //!   an index nested-loop join when the inner is a stored table with an
 //!   index on the join column,
@@ -35,24 +33,6 @@ pub fn qualify(rel: &str, col: &str) -> String {
     }
 }
 
-/// Join-order search strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinOrder {
-    /// Greedy smallest-result-first (linear in the number of edges; the
-    /// default, adequate for the paper's ≤ 6-way joins).
-    #[default]
-    Greedy,
-    /// Left-deep dynamic programming over relation subsets (System R):
-    /// optimal within the left-deep space, exponential table size —
-    /// capped at [`DP_MAX_RELATIONS`] relations, beyond which planning
-    /// falls back to greedy.
-    Dp,
-}
-
-/// DP join ordering is attempted up to this many relations per connected
-/// component (2^16 subsets is the table-size ceiling).
-pub const DP_MAX_RELATIONS: usize = 12;
-
 /// Build the cheapest estimated plan for a query under the current
 /// catalog (tables, indexes, histograms — materialized views are handled
 /// a level up, in [`crate::rewrite`]).
@@ -62,17 +42,6 @@ pub fn plan_query(
     disk: &DiskModel,
     query: &Query,
 ) -> ExecResult<Plan> {
-    plan_query_with(catalog, pool, disk, query, JoinOrder::Greedy)
-}
-
-/// [`plan_query`] with an explicit join-order strategy.
-pub fn plan_query_with(
-    catalog: &Catalog,
-    pool: &BufferPool,
-    disk: &DiskModel,
-    query: &Query,
-    join_order: JoinOrder,
-) -> ExecResult<Plan> {
     if query.graph.is_empty() {
         return Err(ExecError::EmptyQuery);
     }
@@ -81,13 +50,7 @@ pub fn plan_query_with(
         .graph
         .connected_components()
         .iter()
-        .map(|c| match join_order {
-            JoinOrder::Greedy => plan_component(catalog, &est, disk, c),
-            JoinOrder::Dp if c.rel_count() <= DP_MAX_RELATIONS => {
-                plan_component_dp(catalog, &est, disk, c)
-            }
-            JoinOrder::Dp => plan_component(catalog, &est, disk, c),
-        })
+        .map(|c| plan_component(catalog, &est, disk, c))
         .collect::<ExecResult<Vec<_>>>()?;
     // Combine disconnected components: smallest estimated output first,
     // folded into left-deep cartesian products. Estimate once per plan,
@@ -227,75 +190,6 @@ fn plan_component(
         }
     }
     Ok(plan)
-}
-
-/// Left-deep dynamic programming join ordering (System R): for every
-/// connected subset of the component's relations, keep the cheapest
-/// left-deep plan; extend subsets one connected relation at a time.
-fn plan_component_dp(
-    catalog: &Catalog,
-    est: &Estimator<'_>,
-    disk: &DiskModel,
-    graph: &QueryGraph,
-) -> ExecResult<Plan> {
-    let rels: Vec<String> = graph.relations().map(str::to_string).collect();
-    let n = rels.len();
-    debug_assert!(n <= DP_MAX_RELATIONS);
-    let idx_of = |rel: &str| rels.iter().position(|r| r == rel).expect("relation in component");
-    // Access plans (singletons).
-    let mut table: std::collections::HashMap<u32, (Plan, VirtualTime)> =
-        std::collections::HashMap::new();
-    for (i, rel) in rels.iter().enumerate() {
-        let sels: Vec<&Selection> = graph.selections_on(rel).collect();
-        let plan = access_plan(catalog, est, disk, rel, &sels)?;
-        let cost = est.estimate(&plan).time(disk);
-        table.insert(1 << i, (plan, cost));
-    }
-    // Grow subsets in cardinality order.
-    for size in 1..n {
-        let masks: Vec<u32> =
-            table.keys().copied().filter(|m| m.count_ones() as usize == size).collect();
-        for mask in masks {
-            let (plan, _) = table[&mask].clone();
-            let in_set = |rel: &str| mask & (1 << idx_of(rel)) != 0;
-            // Candidate extensions: relations connected to the subset.
-            let mut candidates: BTreeSet<&str> = BTreeSet::new();
-            for j in graph.joins() {
-                match (in_set(&j.left), in_set(&j.right)) {
-                    (true, false) => {
-                        candidates.insert(&j.right);
-                    }
-                    (false, true) => {
-                        candidates.insert(&j.left);
-                    }
-                    _ => {}
-                }
-            }
-            for rel in candidates {
-                let bit = 1u32 << idx_of(rel);
-                let next_mask = mask | bit;
-                let edges: Vec<&Join> = graph
-                    .joins()
-                    .filter(|j| {
-                        (in_set(&j.left) && j.right == rel) || (in_set(&j.right) && j.left == rel)
-                    })
-                    .collect();
-                let sels: Vec<&Selection> = graph.selections_on(rel).collect();
-                let access = access_plan(catalog, est, disk, rel, &sels)?;
-                let candidate =
-                    join_candidate(catalog, est, disk, graph, &plan, rel, &access, &edges)?;
-                let cost = est.estimate(&candidate).time(disk);
-                match table.get(&next_mask) {
-                    Some((_, best)) if *best <= cost => {}
-                    _ => {
-                        table.insert(next_mask, (candidate, cost));
-                    }
-                }
-            }
-        }
-    }
-    let full = if n >= 32 { u32::MAX } else { (1u32 << n) - 1 };
-    table.remove(&full).map(|(p, _)| p).ok_or(ExecError::EmptyQuery)
 }
 
 /// Best access path for one relation given its selections.
@@ -688,42 +582,6 @@ mod tests {
         let disk = DiskModel::default();
         let t = estimate_query_time(&cat, &pool, &disk, &join_query()).unwrap();
         assert!(t > VirtualTime::ZERO);
-    }
-
-    #[test]
-    fn dp_matches_greedy_answers_and_never_costs_more() {
-        let (mut pool, mut cat) = fixture();
-        cat.build_index(&mut pool, "orders", "cust").unwrap();
-        cat.build_index(&mut pool, "customer", "id").unwrap();
-        let disk = DiskModel::default();
-        let q = join_query();
-        let greedy = plan_query_with(&cat, &pool, &disk, &q, JoinOrder::Greedy).unwrap();
-        let dp = plan_query_with(&cat, &pool, &disk, &q, JoinOrder::Dp).unwrap();
-        let est = Estimator::new(&cat, &pool);
-        let (tg, td) = (est.estimate(&greedy).time(&disk), est.estimate(&dp).time(&disk));
-        assert!(td <= tg, "DP {td} must not exceed greedy {tg}");
-        let mut ctx = ExecCtx::new(&mut pool);
-        let a = run_collect(&greedy, &cat, &mut ctx).unwrap().len();
-        let b = run_collect(&dp, &cat, &mut ctx).unwrap().len();
-        assert_eq!(a, b, "plans must agree on the answer");
-    }
-
-    #[test]
-    fn dp_handles_single_relation_and_disconnected() {
-        let (mut pool, cat) = fixture();
-        let disk = DiskModel::default();
-        let mut g = QueryGraph::new();
-        g.add_selection(Selection::new("orders", Predicate::new("total", CompareOp::Lt, 10i64)));
-        let p = plan_query_with(&cat, &pool, &disk, &Query::star(g), JoinOrder::Dp).unwrap();
-        let mut ctx = ExecCtx::new(&mut pool);
-        assert!(!run_collect(&p, &cat, &mut ctx).unwrap().is_empty());
-        // Disconnected: cartesian fold still applies across components.
-        let mut g = QueryGraph::new();
-        g.add_relation("orders");
-        g.add_relation("customer");
-        let p = plan_query_with(&cat, &pool, &disk, &Query::star(g), JoinOrder::Dp).unwrap();
-        let mut ctx = ExecCtx::new(&mut pool);
-        assert_eq!(run_collect(&p, &cat, &mut ctx).unwrap().len(), 3000 * 100);
     }
 
     #[test]

@@ -11,20 +11,19 @@
 //!   1 GB configurations, with the scaled-clock substitution from
 //!   DESIGN.md) and the all-subset-join materialized-view baseline of
 //!   Figure 6,
-//! * [`replay`] — the replay event loop: the speculator issues
+//! * [`replay`] — the one replay event loop: the speculator issues
 //!   cancellable asynchronous manipulations during recorded think time,
-//!   for one user ([`replay_trace`]) or a fleet of sessions sharing
+//!   for one user ([`replay_trace`]), a fleet of sessions sharing
 //!   artifacts under the `specdb-serve` governor
-//!   ([`replay_multi_session`]); sessions do not contend for resources,
-//! * [`multi`] — multi-user replay on a processor-sharing disk
-//!   (Figure 7): the only loop that models contention between users,
+//!   ([`replay_multi_session`]), or simultaneous users contending for a
+//!   processor-sharing server (Figure 7, [`replay_multi`]); the entry
+//!   point picks the contention rule,
 //! * [`report`] — the improvement metric, bucketing, and table rendering,
 //! * [`dashboard`] — self-contained HTML speculation-timeline rendering
 //!   from a traced replay's events and spans.
 
 pub mod dashboard;
 pub mod dataset;
-pub mod multi;
 pub mod replay;
 pub mod report;
 
@@ -32,9 +31,8 @@ pub use dataset::{
     build_base_db, build_base_db_spilling, materialize_all_subset_joins,
     materialize_subset_joins_up_to, DatasetSpec,
 };
-pub use multi::{replay_multi, MultiOutcome};
 pub use replay::{
-    replay_multi_session, replay_trace, MultiSessionConfig, MultiSessionOutcome, ProfileKind,
-    QueryMeasurement, ReplayConfig, ReplayOutcome,
+    replay_multi, replay_multi_session, replay_trace, MultiSessionConfig, MultiSessionOutcome,
+    ProfileKind, QueryMeasurement, ReplayConfig, ReplayOutcome,
 };
 pub use report::{bucketize, improvement, Bucket, BucketRow, PairedRun};

@@ -1,43 +1,57 @@
-//! Trace replay on a virtual clock: one event loop for one session or a
-//! governed fleet of sessions.
+//! Trace replay on a virtual clock: one event loop for one session, a
+//! governed fleet of sessions, or users contending for one server.
 //!
 //! Traces replay against one shared [`Database`] on one virtual clock.
-//! Events from every session are processed in global virtual-time order
-//! (ties fall to the lowest session index), and each session keeps its
-//! own partial query, profile, speculator, and [`ReplayOutcome`]. Under
-//! speculative processing each edit gives the Speculator a decision
-//! point; a chosen manipulation is executed against the engine
-//! immediately (to obtain its true cost and effects) but *commits* only
-//! at `issue_time + duration` on the virtual clock — an edit that
-//! invalidates it, or a GO arriving first, cancels it and rolls its
-//! effects back, exactly the paper's conventions (asynchronous
-//! execution, one outstanding manipulation, cancel-on-GO, and the
-//! garbage-collection heuristic after each final query).
+//! Each session keeps its own partial query, profile, speculator, and
+//! [`ReplayOutcome`]. Under speculative processing each edit gives the
+//! Speculator a decision point; a chosen manipulation is executed against
+//! the engine immediately (to obtain its true cost and effects) but
+//! *commits* only once its build drains from the virtual server — an edit
+//! that invalidates it, or a GO arriving first, cancels it and rolls its
+//! effects back, exactly the paper's conventions (asynchronous execution,
+//! one outstanding manipulation, cancel-on-GO, and the garbage-collection
+//! heuristic after each final query).
 //!
-//! Query executions shift the remainder of their session's trace by
-//! their measured duration (the user cannot resume until results
-//! return), so normal and speculative replays of the same trace diverge
-//! in absolute time while preserving the user's recorded think gaps.
+//! In-flight builds and running final queries are jobs on one virtual
+//! server. The loop's next event is the earlier of the next edit of a
+//! session that is not blocked (ties fall to the lowest session index)
+//! and the next job to drain (drains first at a tie). A GO blocks its
+//! session until its query drains; the rest of the trace then shifts so
+//! that the user's recorded post-GO think gap starts at the answer, so
+//! normal and speculative replays of the same trace diverge in absolute
+//! time while preserving the user's think gaps. A drained build commits
+//! at its session's next event, stamped with the drain instant; under
+//! processor sharing the drain itself is that event.
+//!
+//! The entry point picks how jobs share the server:
+//!
+//! * [`replay_trace`] and [`replay_multi_session`] run every job at full
+//!   rate, as if alone: a build drains exactly its measured duration after
+//!   its issue and a final query takes exactly its measured time;
+//! * [`replay_multi`] shares the server (Figure 7): while `k` jobs are
+//!   active each runs at rate `1/k`, so concurrent speculation stretches
+//!   everyone's queries and query times are sojourn times.
 //!
 //! Every candidate build asks the `specdb-serve` fleet [`Governor`] for
 //! a slot. [`replay_trace`] is the one-session case under a fixed
 //! one-slot governor (budget 1, no preemption, no minimum rate): the
-//! paper's one-outstanding-manipulation rule. [`replay_multi_session`]
+//! paper's one-outstanding-manipulation rule, which [`replay_multi`]
+//! applies per user (one slot per session). [`replay_multi_session`]
 //! models the serving layer: the governor's budget and preemption
-//! replace the per-session rule, and speculative artifacts are shared —
-//! a view materialized for one session serves every session's final
-//! queries, with cross-session reuse accounted per use. A lone session
-//! replays identically under any budget ≥ 1: a free slot always exists,
-//! non-idle decisions carry a positive benefit rate, and the
+//! replace the per-session rule. In every mode speculative artifacts are
+//! shared — a view materialized for one session serves every session's
+//! final queries, with cross-session reuse accounted per use. A lone
+//! session replays identically under any budget ≥ 1 and under either
+//! contention rule: a free slot always exists, non-idle decisions carry a
+//! positive benefit rate, one job never shares the server, and the
 //! cross-session hooks never fire (`tests/determinism.rs` pins this).
 //!
-//! **Approximations.** Sessions do not contend for virtual disk or CPU —
-//! each query's measured time is what it would cost alone; only
-//! [`crate::multi`] models contention. A build another session
-//! registered but has not yet virtually committed is visible to the
-//! planner; only *committed* foreign builds count toward `shared_hits`.
-//! The `suspend_when_busy` knob is ignored: the governor's budget is the
-//! load-control mechanism.
+//! **Approximations.** A job's service demand is measured by executing it
+//! atomically against the shared engine at its issue (build) or GO
+//! (query); contention only decides when it drains. The cost model does
+//! not account for other sessions' load. A build another session
+//! registered but has not yet committed is visible to the planner; only
+//! *committed* foreign builds count toward `shared_hits`.
 
 use specdb_core::session::apply_manipulation;
 use specdb_core::{
@@ -70,14 +84,14 @@ impl Default for ProfileKind {
     }
 }
 
-pub(crate) enum ProfileState {
+enum ProfileState {
     Learner(Box<Learner>),
     Oracle(OracleProfile),
     Uniform(UniformProfile),
 }
 
 impl ProfileState {
-    pub(crate) fn new(kind: &ProfileKind) -> Self {
+    fn new(kind: &ProfileKind) -> Self {
         match kind {
             ProfileKind::Learner(cfg) => ProfileState::Learner(Box::new(Learner::new(cfg.clone()))),
             ProfileKind::Oracle(o) => ProfileState::Oracle(o.clone()),
@@ -85,7 +99,7 @@ impl ProfileState {
         }
     }
 
-    pub(crate) fn as_profile(&self) -> &dyn Profile {
+    fn as_profile(&self) -> &dyn Profile {
         match self {
             ProfileState::Learner(l) => l.as_ref(),
             ProfileState::Oracle(o) => o,
@@ -93,19 +107,19 @@ impl ProfileState {
         }
     }
 
-    pub(crate) fn observe_edit(&mut self, at: VirtualTime, op: &specdb_query::EditOp) {
+    fn observe_edit(&mut self, at: VirtualTime, op: &specdb_query::EditOp) {
         if let ProfileState::Learner(l) = self {
             l.observe_edit(at, op);
         }
     }
 
-    pub(crate) fn observe_go(&mut self, at: VirtualTime, g: &specdb_query::QueryGraph) {
+    fn observe_go(&mut self, at: VirtualTime, g: &specdb_query::QueryGraph) {
         if let ProfileState::Learner(l) = self {
             l.observe_go(at, g);
         }
     }
 
-    pub(crate) fn formulation_start(&self) -> Option<VirtualTime> {
+    fn formulation_start(&self) -> Option<VirtualTime> {
         match self {
             ProfileState::Learner(l) => l.formulation_start(),
             _ => None,
@@ -129,10 +143,11 @@ pub struct ReplayConfig {
     /// experience it. `false` reproduces the paper's conservative
     /// prototype behaviour.
     pub wait_at_go: bool,
-    /// Load-aware speculation (paper Section 7, multi-user only): do not
-    /// issue a manipulation while at least this many jobs are already
-    /// active on the server. `None` reproduces the paper's prototype,
-    /// which speculates regardless of load.
+    /// Load-aware speculation (paper Section 7): do not issue a
+    /// manipulation while at least this many jobs — in-flight builds
+    /// plus running final queries — are on the replay's virtual server.
+    /// `None` reproduces the paper's prototype, which speculates
+    /// regardless of load.
     pub suspend_when_busy: Option<usize>,
     /// Evict the buffer pool before the replay (the paper replays every
     /// trace "with a cold buffer pool"). Disable for the §6.1
@@ -183,7 +198,10 @@ impl Default for ReplayConfig {
 pub struct QueryMeasurement {
     /// Query index within the trace.
     pub index: usize,
-    /// Measured (virtual) execution time.
+    /// Virtual time from GO to the answer: the measured execution time
+    /// plus any wait-at-GO, stretched by contention under
+    /// [`replay_multi`] (a sojourn time, as the paper measures under
+    /// load).
     pub elapsed: VirtualTime,
     /// Result rows.
     pub rows: u64,
@@ -288,8 +306,8 @@ impl ReplayOutcome {
 /// plus the fleet governor's policy.
 #[derive(Debug, Clone, Default)]
 pub struct MultiSessionConfig {
-    /// Per-session replay knobs (profile, wait-at-GO, pipelining, …).
-    /// `suspend_when_busy` is ignored — the governor budget replaces it.
+    /// Per-session replay knobs (profile, wait-at-GO, pipelining,
+    /// load-aware suspension, …).
     pub replay: ReplayConfig,
     /// Fleet-wide admission policy.
     pub governor: GovernorConfig,
@@ -357,11 +375,14 @@ impl MultiSessionOutcome {
     }
 }
 
-pub(crate) struct Pending {
-    pub(crate) manipulation: Manipulation,
+struct Pending {
+    manipulation: Manipulation,
     table: Option<String>,
-    finish_at: VirtualTime,
-    pub(crate) duration: VirtualTime,
+    /// The instant its build drained from the server, once it has; it
+    /// commits at its session's next event (under processor sharing, at
+    /// once).
+    drained_at: Option<VirtualTime>,
+    duration: VirtualTime,
     /// Estimated per-query benefit (positive seconds) at issue time.
     benefit_secs: f64,
     /// Raw predicted per-query time change (negative = beneficial),
@@ -384,12 +405,7 @@ struct CompletedView {
 
 /// Cancel an in-flight build: count and report it, then roll its
 /// effects back.
-pub(crate) fn cancel_pending(
-    db: &mut Database,
-    out: &mut ReplayOutcome,
-    p: &Pending,
-    reason: CancelReason,
-) {
+fn cancel_pending(db: &mut Database, out: &mut ReplayOutcome, p: &Pending, reason: CancelReason) {
     let observer = db.observer();
     out.cancelled += 1;
     if p.predicted {
@@ -419,7 +435,7 @@ pub(crate) fn cancel_pending(
 }
 
 /// Count a finished build and report its completion at `at`.
-pub(crate) fn complete(observer: &Observer, out: &mut ReplayOutcome, p: &Pending, at: VirtualTime) {
+fn complete(observer: &Observer, out: &mut ReplayOutcome, p: &Pending, at: VirtualTime) {
     out.completed += 1;
     out.manipulation_times.push(p.duration);
     observer.metrics().counter("spec.completed").incr();
@@ -473,10 +489,9 @@ fn edit_label(op: &EditOp) -> &'static str {
 
 /// Issue the speculator's best manipulation at `at`, if `admit` lets
 /// it through; returns the new pending build. The gate is consulted
-/// between the decision and its execution: the event loop hangs the
-/// fleet governor there, and the processor-sharing replay admits every
-/// candidate.
-pub(crate) fn issue_gated(
+/// between the decision and its execution: the event loop hangs fleet
+/// dedupe and the governor there.
+fn issue_gated(
     db: &mut Database,
     speculator: &Speculator,
     profile: &ProfileState,
@@ -539,7 +554,7 @@ pub(crate) fn issue_gated(
             Ok(Some(Pending {
                 manipulation: decision.manipulation,
                 table: applied.table,
-                finish_at: at + applied.elapsed,
+                drained_at: None,
                 duration: applied.elapsed,
                 benefit_secs: (-decision.delta_secs).max(0.0),
                 predicted_delta_secs: decision.delta_secs,
@@ -569,19 +584,137 @@ pub fn replay_trace(
     // The lone session's governor reports nothing: its admissions are
     // the paper's rule, not a fleet policy worth tracing.
     let governor = Governor::new(ONE_SLOT);
-    let mut out = replay_sessions(db, std::slice::from_ref(trace), config, &governor)?;
+    let traces = std::slice::from_ref(trace);
+    let mut out = replay_sessions(db, traces, config, &governor, Contention::Isolated)?;
     Ok(out.per_session.remove(0))
 }
 
 /// Replay `traces` concurrently against `db`, one session per trace,
-/// under the fleet governor of `config`.
+/// under the fleet governor of `config`. Sessions do not contend: each
+/// job runs as if alone.
 pub fn replay_multi_session(
     db: &mut Database,
     traces: &[Trace],
     config: &MultiSessionConfig,
 ) -> ExecResult<MultiSessionOutcome> {
     let governor = Governor::with_observer(config.governor.clone(), db.observer().clone());
-    replay_sessions(db, traces, &config.replay, &governor)
+    replay_sessions(db, traces, &config.replay, &governor, Contention::Isolated)
+}
+
+/// Replay `traces` as simultaneous users of one processor-sharing server
+/// (Figure 7): while `k` jobs — in-flight builds and running final
+/// queries — are active, each proceeds at rate `1/k`. Every user keeps
+/// the paper's one outstanding manipulation (one governor slot per
+/// session, no preemption), and query `elapsed` values are sojourn
+/// times.
+pub fn replay_multi(
+    db: &mut Database,
+    traces: &[Trace],
+    config: &ReplayConfig,
+) -> ExecResult<MultiSessionOutcome> {
+    let governor = Governor::new(GovernorConfig { max_outstanding: traces.len(), ..ONE_SLOT });
+    replay_sessions(db, traces, config, &governor, Contention::Shared)
+}
+
+/// How the jobs on the replay's virtual server share it.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Contention {
+    /// Every job runs at full rate, as if it were alone.
+    #[default]
+    Isolated,
+    /// Processor sharing: while `k` jobs are active each runs at rate
+    /// `1/k`.
+    Shared,
+}
+
+/// The one virtual server every session's work runs on. Each session
+/// has at most one job on it: its in-flight build, or the final query
+/// it is blocked on.
+///
+/// Progress is a service clock: `attained` is the work each active job
+/// has received since the server started, and a job drains when
+/// `attained` reaches its tag. Under isolation `attained` equals the
+/// clock, so all arithmetic stays in exact integer [`VirtualTime`].
+#[derive(Default)]
+struct Server {
+    contention: Contention,
+    /// The instant the server was last advanced to.
+    clock: VirtualTime,
+    attained: VirtualTime,
+    /// `(session, tag)` per active job.
+    jobs: Vec<(usize, VirtualTime)>,
+}
+
+impl Server {
+    /// How many jobs split the server's rate.
+    fn sharers(&self) -> u64 {
+        match self.contention {
+            Contention::Isolated => 1,
+            Contention::Shared => self.jobs.len().max(1) as u64,
+        }
+    }
+
+    fn advance(&mut self, to: VirtualTime) {
+        if to > self.clock {
+            self.attained += (to - self.clock) / self.sharers();
+            self.clock = to;
+        }
+    }
+
+    /// Put `session`'s job of `work`, issued at `at`, on the server.
+    /// Only an isolated job may be issued in the past (a lazy pipelined
+    /// refill): it runs as if alone from `at`. Returns the drain instant
+    /// if that is not after the clock — a job without work, or a past
+    /// job that is already done.
+    fn start(&mut self, session: usize, at: VirtualTime, work: VirtualTime) -> Option<VirtualTime> {
+        debug_assert!(
+            at == self.clock || (at < self.clock && self.contention == Contention::Isolated)
+        );
+        let alone = at + work;
+        if alone <= self.clock {
+            return Some(alone);
+        }
+        self.jobs.push((session, self.attained + (alone - self.clock)));
+        None
+    }
+
+    /// Time until `session`'s job drains at the current rate (zero when
+    /// it has none).
+    fn remaining(&self, session: usize) -> VirtualTime {
+        self.jobs
+            .iter()
+            .find(|(s, _)| *s == session)
+            .map_or(VirtualTime::ZERO, |&(_, tag)| (tag - self.attained) * self.sharers())
+    }
+
+    fn remove(&mut self, session: usize) {
+        self.jobs.retain(|(s, _)| *s != session);
+    }
+
+    /// Drain the job that finishes first (ties to the lowest session),
+    /// if it finishes no later than `by`; returns the drain instant and
+    /// the job's session.
+    fn drain_next(&mut self, by: Option<VirtualTime>) -> Option<(VirtualTime, usize)> {
+        let (i, &(session, tag)) =
+            self.jobs.iter().enumerate().min_by_key(|&(_, &(s, tag))| (tag, s))?;
+        let at = self.clock + (tag - self.attained) * self.sharers();
+        if by.is_some_and(|by| at > by) {
+            return None;
+        }
+        self.advance(at);
+        self.jobs.swap_remove(i);
+        Some((at, session))
+    }
+}
+
+/// A session's final query on the server: the session is blocked until
+/// it drains.
+struct RunningGo {
+    /// The GO's instant on the trace's own clock.
+    trace_at: VirtualTime,
+    /// The GO's instant on the replay clock.
+    at: VirtualTime,
+    rows: u64,
 }
 
 struct SessionState<'t> {
@@ -591,11 +724,11 @@ struct SessionState<'t> {
     pq: PartialQuery,
     offset: VirtualTime,
     pending: Option<Pending>,
+    running: Option<RunningGo>,
     /// Ordered, so the end-of-run sunk-cost pass reports in a fixed
     /// order.
     completed_views: BTreeMap<String, CompletedView>,
     out: ReplayOutcome,
-    query_index: usize,
     /// Virtual instant the current question (formulation) started —
     /// feeds the `lat.time_to_go_secs` histogram.
     question_start: Option<VirtualTime>,
@@ -608,21 +741,27 @@ impl SessionState<'_> {
         self.idx < self.trace.edits.len()
     }
 
+    /// The instant of this session's next edit, unless it is blocked on
+    /// a running final query.
     fn next_at(&self) -> Option<VirtualTime> {
+        if self.running.is_some() {
+            return None;
+        }
         self.trace.edits.get(self.idx).map(|te| te.at + self.offset)
     }
 
-    /// Commit this session's finished build: count it, free its
+    /// Commit this session's build, finished at `at`: count it, free its
     /// governor slot, and open its used-or-wasted verdict.
     fn commit(
         &mut self,
         si: usize,
         p: Pending,
+        at: VirtualTime,
         observer: &Observer,
         governor: &Governor,
         fleet: &mut FleetState,
     ) {
-        complete(observer, &mut self.out, &p, p.finish_at);
+        complete(observer, &mut self.out, &p, at);
         governor.finish(si as u64);
         fleet.track_commit(si, &p);
         if let Some(table) = p.table.clone() {
@@ -630,7 +769,8 @@ impl SessionState<'_> {
         }
     }
 
-    /// Cancel this session's in-flight build and free its governor slot.
+    /// Cancel this session's in-flight build, take it off the server and
+    /// free its governor slot.
     fn abort(
         &mut self,
         db: &mut Database,
@@ -643,12 +783,25 @@ impl SessionState<'_> {
         cancel_pending(db, &mut self.out, p, reason);
         governor.finish(si as u64);
         fleet.forget_pending(p);
+        fleet.server.remove(si);
+    }
+
+    /// The running final query drained at `at`: record its time and
+    /// resume the trace, whose recorded post-GO gap starts now.
+    fn finish_go(&mut self, at: VirtualTime, observer: &Observer) {
+        let go = self.running.take().expect("a draining query job has a running GO");
+        let elapsed = at - go.at;
+        observer.metrics().histogram("lat.query_secs").record(elapsed.as_secs_f64());
+        let index = self.out.queries.len();
+        self.out.queries.push(QueryMeasurement { index, elapsed, rows: go.rows });
+        self.offset = at - go.trace_at;
     }
 }
 
-/// Cross-session bookkeeping: who owns which artifact.
+/// Cross-session state: the virtual server and who owns which artifact.
 #[derive(Default)]
 struct FleetState {
+    server: Server,
     /// Canonical graph key → builder index for every live speculative
     /// artifact (pending or committed).
     owner_by_key: HashMap<String, usize>,
@@ -690,12 +843,14 @@ impl FleetState {
     }
 }
 
-/// The event loop behind [`replay_trace`] and [`replay_multi_session`].
+/// The event loop behind [`replay_trace`], [`replay_multi_session`] and
+/// [`replay_multi`].
 fn replay_sessions(
     db: &mut Database,
     traces: &[Trace],
     config: &ReplayConfig,
     governor: &Governor,
+    contention: Contention,
 ) -> ExecResult<MultiSessionOutcome> {
     if config.cold_start {
         db.clear_buffer();
@@ -707,7 +862,8 @@ fn replay_sessions(
         if config.speculative { "replay_speculative" } else { "replay_normal" },
         0,
     );
-    let mut fleet = FleetState::default();
+    let mut fleet =
+        FleetState { server: Server { contention, ..Default::default() }, ..Default::default() };
     let mut sessions: Vec<SessionState> = traces
         .iter()
         .map(|trace| SessionState {
@@ -717,17 +873,17 @@ fn replay_sessions(
             pq: PartialQuery::new(),
             offset: VirtualTime::ZERO,
             pending: None,
+            running: None,
             completed_views: BTreeMap::new(),
             out: ReplayOutcome::default(),
-            query_index: 0,
             question_start: None,
             idx: 0,
         })
         .collect();
 
     loop {
-        // Next event across the fleet: earliest virtual time, ties to
-        // the lowest session index (strict `<` keeps the first seen).
+        // Next edit across the fleet: earliest virtual time, ties to the
+        // lowest session index (strict `<` keeps the first seen).
         let mut next: Option<(VirtualTime, usize)> = None;
         for (i, s) in sessions.iter().enumerate() {
             if let Some(at) = s.next_at() {
@@ -736,9 +892,28 @@ fn replay_sessions(
                 }
             }
         }
+        // A job that drains first is the next event.
+        if let Some((at, si)) = fleet.server.drain_next(next.map(|(at, _)| at)) {
+            let s = &mut sessions[si];
+            let Some(p) = &mut s.pending else {
+                s.finish_go(at, &observer);
+                continue;
+            };
+            p.drained_at = Some(at);
+            // A shared server cannot take work in the past, so there the
+            // drain is an event of its session: the build commits now and
+            // a pipelined refill joins at once. Isolated builds commit at
+            // the session's next edit, which for one session is the same
+            // and keeps fleet governor slots held until then.
+            if contention == Contention::Shared {
+                drain_completions(db, &mut sessions, si, config, governor, &mut fleet)?;
+            }
+            continue;
+        }
         let Some((now, si)) = next else { break };
+        fleet.server.advance(now);
         observer.set_now_micros(now.as_micros());
-        drain_completions(db, &mut sessions, si, now, config, governor, &mut fleet)?;
+        drain_completions(db, &mut sessions, si, config, governor, &mut fleet)?;
         let op = sessions[si].trace.edits[sessions[si].idx].op.clone();
         if op.is_go() {
             process_go(db, &mut sessions, si, now, config, governor, &mut fleet)?;
@@ -795,15 +970,23 @@ fn replay_sessions(
     Ok(out)
 }
 
-/// Issue session `si`'s best manipulation through the governor gate.
+/// Issue session `si`'s best manipulation through the governor gate and
+/// put its build on the server.
 fn try_issue(
     db: &mut Database,
     sessions: &mut [SessionState],
     si: usize,
     at: VirtualTime,
+    config: &ReplayConfig,
     governor: &Governor,
     fleet: &mut FleetState,
 ) -> ExecResult<()> {
+    // Load-aware suspension (paper §7): leave the server alone while it
+    // is already busy enough. Checked before the decision, so a
+    // suspended session costs no decide.
+    if config.suspend_when_busy.is_some_and(|busy| fleet.server.jobs.len() >= busy) {
+        return Ok(());
+    }
     let mut victim: Option<usize> = None;
     let mut deduped = false;
     let mut admitted = false;
@@ -839,8 +1022,9 @@ fn try_issue(
         fleet.deduped += 1;
     }
     match pending {
-        Some(p) => {
+        Some(mut p) => {
             fleet.track_issue(si, &p);
+            p.drained_at = fleet.server.start(si, at, p.duration);
             sessions[si].pending = Some(p);
         }
         // Admission without an issue (the engine refused the build):
@@ -862,15 +1046,14 @@ fn try_issue(
     Ok(())
 }
 
-/// Drain session `si`'s completions due by `now`. With pipelining on,
-/// each completion frees the session's slot and the speculator
-/// immediately issues the next-best manipulation at the completion
-/// instant; the paper-faithful default waits for the next edit.
+/// Commit session `si`'s drained builds. With pipelining on, each
+/// commit frees the session's slot and the speculator immediately issues
+/// the next-best manipulation at the drain instant; the paper-faithful
+/// default waits for the next edit.
 fn drain_completions(
     db: &mut Database,
     sessions: &mut [SessionState],
     si: usize,
-    now: VirtualTime,
     config: &ReplayConfig,
     governor: &Governor,
     fleet: &mut FleetState,
@@ -880,14 +1063,13 @@ fn drain_completions(
     }
     let observer = db.observer().clone();
     while let Some(p) = sessions[si].pending.take() {
-        if p.finish_at > now {
+        let Some(drained_at) = p.drained_at else {
             sessions[si].pending = Some(p);
             break;
-        }
-        let finished_at = p.finish_at;
-        sessions[si].commit(si, p, &observer, governor, fleet);
+        };
+        sessions[si].commit(si, p, drained_at, &observer, governor, fleet);
         if config.pipeline {
-            try_issue(db, sessions, si, finished_at, governor, fleet)?;
+            try_issue(db, sessions, si, drained_at, config, governor, fleet)?;
         }
     }
     Ok(())
@@ -927,7 +1109,7 @@ fn process_edit(
         }
     }
     if config.speculative && s.pending.is_none() {
-        try_issue(db, sessions, si, now, governor, fleet)?;
+        try_issue(db, sessions, si, now, config, governor, fleet)?;
     }
     Ok(())
 }
@@ -947,19 +1129,20 @@ fn process_go(
     // always cancels; with `wait_at_go` (its Section 7 suggestion) we
     // wait out the remainder when it is smaller than the manipulation's
     // estimated per-query benefit, charging the wait to the query's
-    // measured time.
+    // measured time: the build's remaining work joins the query's job.
     let mut wait = VirtualTime::ZERO;
     if let Some(p) = s.pending.take() {
-        let remaining = p.finish_at.saturating_sub(now);
+        let remaining = fleet.server.remaining(si);
         if config.wait_at_go && remaining.as_secs_f64() < p.benefit_secs {
             wait = remaining;
             s.out.waited += 1;
-            s.commit(si, p, &observer, governor, fleet);
+            fleet.server.remove(si);
+            s.commit(si, p, now + remaining, &observer, governor, fleet);
         } else {
             s.abort(db, si, &p, CancelReason::Go, governor, fleet);
         }
     }
-    let query_index = s.query_index;
+    let query_index = s.out.queries.len();
     observer
         .tracer()
         .instant(specdb_obs::SpanKind::Edit, "go", now.as_micros(), |a| {
@@ -975,13 +1158,12 @@ fn process_go(
     let final_query = s.pq.query().clone();
     s.profile.observe_go(now, &final_query.graph);
     let result = db.execute_discard(&final_query)?;
-    let elapsed = result.elapsed + wait;
-    observer.metrics().histogram("lat.query_secs").record(elapsed.as_secs_f64());
-    s.out
-        .queries
-        .push(QueryMeasurement { index: query_index, elapsed, rows: result.row_count });
-    s.query_index += 1;
-    s.offset += elapsed;
+    // The session blocks until its query's job drains.
+    let trace_at = s.trace.edits[s.idx].at;
+    s.running = Some(RunningGo { trace_at, at: now, rows: result.row_count });
+    if let Some(drained_at) = fleet.server.start(si, now, result.elapsed + wait) {
+        s.finish_go(drained_at, &observer);
+    }
     // Settle bets: a committed build read by this plan counts as used
     // exactly once, charged to the session that built it — a read of a
     // foreign build is also a shared hit. A used prediction whose graph
@@ -1090,6 +1272,18 @@ mod tests {
     fn small_trace(queries: usize, seed: u64) -> Trace {
         let cfg = UserModelConfig { queries, questions: 2, ..Default::default() };
         UserModel::new(cfg, specdb_tpch::ExploreDomain::tpch()).generate("u", seed)
+    }
+
+    /// Figure 7's configuration: the multi-user (selection-only) space.
+    fn contended_config(speculative: bool) -> ReplayConfig {
+        ReplayConfig {
+            speculative,
+            speculator: SpeculatorConfig {
+                space: specdb_core::SpaceConfig::multi_user(),
+                ..Default::default()
+            },
+            ..Default::default()
+        }
     }
 
     #[test]
@@ -1361,6 +1555,15 @@ mod tests {
                     assert_eq!(multi.preempted, 0);
                     assert_eq!(multi.deduped, 0);
                 }
+                // One user never shares the processor-sharing server.
+                let contended =
+                    replay_multi(&mut engine(), std::slice::from_ref(&trace), &replay).unwrap();
+                assert_eq!(
+                    contended.per_session,
+                    [single],
+                    "a lone contended user must replay as alone ({replay:?}, {mode:?}, \
+                     {threads} threads)"
+                );
             }
         }
     }
@@ -1409,6 +1612,17 @@ mod tests {
         assert_eq!(issued_total, out.admitted, "every admitted candidate must issue");
         assert!(out.artifact_uses >= out.shared_hits);
         assert_eq!(out.go_latency_secs().len(), 24);
+
+        // Contended users settle every build and every bet too.
+        let mut db = base.clone();
+        let out = replay_multi(&mut db, &traces[..3], &contended_config(true)).unwrap();
+        assert_eq!(out.per_session.len(), 3);
+        for s in &out.per_session {
+            assert_eq!(s.queries.len(), 6);
+            assert_eq!(s.issued, s.completed + s.cancelled);
+            assert!(s.used + s.wasted <= s.completed);
+        }
+        assert!(out.per_session.iter().any(|s| s.issued > 0), "fixture must speculate");
     }
 
     #[test]
@@ -1464,5 +1678,63 @@ mod tests {
                 assert_eq!(qa.rows, qb.rows, "preemption must never change answers");
             }
         }
+    }
+
+    #[test]
+    fn contention_stretches_queries() {
+        // Three users replaying the *same* trace issue their GOs at the
+        // same instants: the processor-sharing server must stretch the
+        // first user's total beyond their solo run. (With *different*
+        // traces the comparison is confounded by shared-buffer warming,
+        // which can legitimately make the contended run faster.)
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let one = small_trace(6, 50);
+        let same = vec![one.clone(), one.clone(), one.clone()];
+        let solo = replay_trace(&mut base.clone(), &one, &ReplayConfig::normal()).unwrap();
+        let multi = replay_multi(&mut base.clone(), &same, &contended_config(false)).unwrap();
+        let solo_total = solo.total().as_secs_f64();
+        let multi_total = multi.per_session[0].total().as_secs_f64();
+        assert!(
+            multi_total > solo_total,
+            "identical concurrent traces must contend: {multi_total} vs solo {solo_total}"
+        );
+    }
+
+    #[test]
+    fn load_aware_suspension_reduces_issued_manipulations() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let traces: Vec<Trace> = (0..3).map(|s| small_trace(8, 21 + s * 31)).collect();
+        let free = contended_config(true);
+        let strict = ReplayConfig { suspend_when_busy: Some(1), ..contended_config(true) };
+        let a = replay_multi(&mut base.clone(), &traces, &free).unwrap();
+        let b = replay_multi(&mut base.clone(), &traces, &strict).unwrap();
+        let issued = |o: &MultiSessionOutcome| o.per_session.iter().map(|u| u.issued).sum::<u64>();
+        assert!(
+            issued(&b) <= issued(&a),
+            "suspension must not issue more: {} vs {}",
+            issued(&b),
+            issued(&a)
+        );
+        // Answers unchanged either way.
+        for (x, y) in a.per_session.iter().zip(&b.per_session) {
+            for (qa, qb) in x.queries.iter().zip(&y.queries) {
+                assert_eq!(qa.rows, qb.rows);
+            }
+        }
+    }
+
+    #[test]
+    fn speculative_multi_user_improves_most_users() {
+        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        let traces: Vec<Trace> = (0..3).map(|s| small_trace(8, 11 + s * 31)).collect();
+        let normal = replay_multi(&mut base.clone(), &traces, &contended_config(false)).unwrap();
+        let spec = replay_multi(&mut base.clone(), &traces, &contended_config(true)).unwrap();
+        let issued: u64 = spec.per_session.iter().map(|u| u.issued).sum();
+        assert!(issued > 0);
+        let (n_total, s_total) = (normal.total().as_secs_f64(), spec.total().as_secs_f64());
+        assert!(
+            s_total < n_total * 1.15,
+            "speculation should not catastrophically regress: {s_total} vs {n_total}"
+        );
     }
 }

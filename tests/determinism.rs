@@ -261,17 +261,19 @@ fn caller_configs() -> Vec<(&'static str, ReplayConfig, MatchMode)> {
     ]
 }
 
-/// The fleet governor is behaviour-neutral for a lone session: under
-/// every caller configuration, at one and four worker threads, the
-/// multi-session replay of a single trace under the default governor
-/// must produce the bit-identical [`ReplayOutcome`] as `replay_trace`.
+/// The fleet governor and the processor-sharing server are
+/// behaviour-neutral for a lone session: under every caller
+/// configuration, at one and four worker threads, the multi-session
+/// replay of a single trace under the default governor and the contended
+/// multi-user replay of it must each produce the bit-identical
+/// [`ReplayOutcome`] as `replay_trace`.
 /// The trace's short think gaps make builds complete, get cancelled by
 /// edits and get cancelled (or waited for) at GO.
 ///
 /// [`ReplayOutcome`]: specdb::sim::replay::ReplayOutcome
 #[test]
 fn single_session_under_governor_identical_to_plain_replay() {
-    use specdb::sim::{replay_multi_session, MultiSessionConfig};
+    use specdb::sim::{replay_multi, replay_multi_session, MultiSessionConfig};
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
     let model = UserModel::new(
         UserModelConfig {
@@ -305,6 +307,12 @@ fn single_session_under_governor_identical_to_plain_replay() {
             );
             assert_eq!(multi.shared_hits, 0);
             assert_eq!(multi.preempted, 0);
+            let contended =
+                replay_multi(&mut engine(), std::slice::from_ref(&trace), &cfg).unwrap();
+            assert_eq!(
+                contended.per_session[0], single,
+                "processor sharing changed a lone {name} user at {threads} threads"
+            );
             completed += single.completed;
             cancelled += single.cancelled;
             waited += single.waited;
@@ -339,6 +347,9 @@ fn multi_session_replay_is_deterministic() {
     assert_eq!(a, parallel, "4 worker threads changed the fleet outcome");
 }
 
+/// The contended multi-user replay (Figure 7) is deterministic and
+/// thread-count-invariant: same traces, same whole outcome at 1 and 4
+/// worker threads.
 #[test]
 fn multi_user_replay_is_deterministic() {
     use specdb::sim::replay_multi;
@@ -350,13 +361,15 @@ fn multi_user_replay_is_deterministic() {
                 .generate(&format!("u{i}"), 500 + i)
         })
         .collect();
-    let run = || {
+    let run = |threads: usize| {
         let mut db = base.clone();
+        db.set_threads(threads);
         replay_multi(&mut db, &traces, &ReplayConfig::speculative()).unwrap()
     };
-    let a = run();
-    assert!(a.per_user.iter().any(|u| u.issued > 0), "fleet must exercise speculation");
-    assert_eq!(a.per_user, run().per_user, "multi-user replay must be reproducible");
+    let a = run(1);
+    assert!(a.per_session.iter().any(|u| u.issued > 0), "fleet must exercise speculation");
+    assert_eq!(a, run(1), "multi-user replay must be reproducible");
+    assert_eq!(a, run(4), "4 worker threads changed the multi-user outcome");
 }
 
 #[test]

@@ -199,7 +199,7 @@ fn multi_user_replay_preserves_answers() {
     let normal = replay_multi(&mut db_n, &traces, &ReplayConfig::normal()).unwrap();
     let mut db_s = base.clone();
     let spec = replay_multi(&mut db_s, &traces, &cfg).unwrap();
-    for (n_user, s_user) in normal.per_user.iter().zip(&spec.per_user) {
+    for (n_user, s_user) in normal.per_session.iter().zip(&spec.per_session) {
         assert_eq!(n_user.queries.len(), s_user.queries.len());
         for (a, b) in n_user.queries.iter().zip(&s_user.queries) {
             assert_eq!(a.rows, b.rows);
