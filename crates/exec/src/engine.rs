@@ -777,6 +777,10 @@ impl Database {
             a.push(("plan_cache_hit", plan_cache_hit.into()));
             a.push(("batches", batch_stats.batches.into()));
             a.push(("cost_secs", elapsed.as_secs_f64().into()));
+            // The estimator reads no buffer residency, so pricing the plan
+            // after the run gives the optimizer's figure for it.
+            let est = Estimator::new(&self.catalog, &self.pool).estimate(&plan);
+            a.push(("est_cost_secs", est.time(&self.disk).as_secs_f64().into()));
             if !used_views.is_empty() {
                 a.push(("used_views", used_views.join(",").into()));
             }

@@ -8,13 +8,27 @@
 //! equality, linear interpolation between min and max for ranges, `1/3`
 //! when nothing is known.
 //!
+//! A materialized view has no histograms of its own, but its columns are
+//! named `rel.col` after the base columns they copy. A view column
+//! **borrows** the base column's histogram, conditioned on the view
+//! column's own `[min, max]`: the selectivity of `x` is
+//! `(F(x) − F(<min)) / (F(≤max) − F(<min))`, so a view that already
+//! filters the column is not charged for that filter a second time.
+//!
+//! The min/max interpolation gives each of the column's `distinct`
+//! values a **boundary share** of `1/distinct` of the rows: `< min` and
+//! `> max` select nothing, `<= max` and `>= min` select everything, and
+//! inside the range `<=` and `>=` add the point's share to `<` and `>`.
+//! An equality index scan, priced as `<= x` minus `< x`, therefore
+//! matches `1/distinct` of the rows, never zero.
+//!
 //! Estimated cost is expressed as a [`CostEstimate`] with the same
 //! components as a measured [`ResourceDemand`], so the one
 //! [`specdb_storage::DiskModel`] converts both estimated and measured
 //! work into virtual time.
 
 use crate::plan::{BoundPred, Plan, PlanNode};
-use specdb_catalog::Catalog;
+use specdb_catalog::{Catalog, Histogram};
 use specdb_query::CompareOp;
 use specdb_storage::{BufferPool, DiskModel, PageId, ResourceDemand, Value, VirtualTime};
 use std::cell::RefCell;
@@ -84,9 +98,9 @@ impl CostEstimate {
 ///
 /// An instance lives for one optimization pass over one catalog state, so
 /// it memoizes per-(table, predicate) selectivities and per-subplan cost
-/// estimates without any invalidation scheme: the greedy/DP join-order
-/// search re-visits the same scan and join subplans many times, and
-/// without the memo that re-walk is exponential in join count.
+/// estimates without any invalidation scheme: the greedy join-order
+/// search and the access-path and join-method choices re-visit the same
+/// scan and join subplans many times.
 pub struct Estimator<'a> {
     catalog: &'a Catalog,
     pool: &'a BufferPool,
@@ -117,38 +131,57 @@ impl<'a> Estimator<'a> {
     }
 
     fn selectivity_uncached(&self, table: &str, column: &str, op: CompareOp, value: &Value) -> f64 {
-        if let Some(h) = self.catalog.histogram(table, column) {
-            return match op {
-                CompareOp::Eq => h.fraction_eq(value),
-                CompareOp::Ne => 1.0 - h.fraction_eq(value),
-                CompareOp::Lt => h.fraction_lt(value),
-                CompareOp::Le => h.fraction_le(value),
-                CompareOp::Gt => 1.0 - h.fraction_le(value),
-                CompareOp::Ge => 1.0 - h.fraction_lt(value),
-            }
-            .clamp(0.0, 1.0);
+        let own = self.catalog.histogram(table, column);
+        if let Some(s) = own.and_then(|h| histogram_selectivity(h, None, op, value)) {
+            return s;
         }
-        // Fall back to basic column stats.
         let stats = self
             .catalog
             .table(table)
-            .and_then(|t| t.schema.index_of(column).map(|i| t.stats.column(i).clone()));
+            .and_then(|t| t.schema.index_of(column).map(|i| t.stats.column(i)));
         let Some(stats) = stats else { return 0.33 };
+        // A view column `rel.col` borrows its base column's histogram.
+        let base = column.split_once('.').and_then(|(rel, col)| self.catalog.histogram(rel, col));
+        if let Some(s) = base.and_then(|h| {
+            histogram_selectivity(h, stats.min.as_ref().zip(stats.max.as_ref()), op, value)
+        }) {
+            return s;
+        }
+        // Fall back to basic column stats.
+        let point = 1.0 / stats.distinct.max(1) as f64;
         match op {
-            CompareOp::Eq => 1.0 / stats.distinct.max(1) as f64,
-            CompareOp::Ne => 1.0 - 1.0 / stats.distinct.max(1) as f64,
+            CompareOp::Eq => point,
+            CompareOp::Ne => 1.0 - point,
             _ => {
                 let (Some(min), Some(max)) = (&stats.min, &stats.max) else {
                     return 0.33;
                 };
                 let (lo, hi, x) = (min.as_numeric(), max.as_numeric(), value.as_numeric());
-                if hi <= lo || !x.is_finite() {
+                if hi < lo || !x.is_finite() {
                     return 0.33;
                 }
-                let frac_below = ((x - lo) / (hi - lo)).clamp(0.0, 1.0);
+                // `distinct` evenly spaced values from min to max, each
+                // holding `point` of the rows: the value at min starts
+                // the mass, the value at max ends it.
+                let lt = if x <= lo {
+                    0.0
+                } else if x > hi {
+                    1.0
+                } else {
+                    (x - lo) / (hi - lo) * (1.0 - point)
+                };
+                let le = if x < lo {
+                    0.0
+                } else if x >= hi {
+                    1.0
+                } else {
+                    lt + point
+                };
                 match op {
-                    CompareOp::Lt | CompareOp::Le => frac_below,
-                    CompareOp::Gt | CompareOp::Ge => 1.0 - frac_below,
+                    CompareOp::Lt => lt,
+                    CompareOp::Le => le,
+                    CompareOp::Gt => 1.0 - le,
+                    CompareOp::Ge => 1.0 - lt,
                     _ => unreachable!(),
                 }
             }
@@ -402,6 +435,41 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// Selectivity of `op value` from histogram `h`. With `within = Some((min,
+/// max))` it is the share of the rows in `[min, max]` that pass,
+/// `(F(x) − F(<min)) / (F(≤max) − F(<min))`, so a view that already
+/// filters the column is not charged for that filter twice. `None` when
+/// `h` puts no rows in the range.
+fn histogram_selectivity(
+    h: &Histogram,
+    within: Option<(&Value, &Value)>,
+    op: CompareOp,
+    value: &Value,
+) -> Option<f64> {
+    let (below, mass, inside) = match within {
+        None => (0.0, 1.0, true),
+        Some((min, max)) => {
+            let x = value.as_numeric();
+            let below = h.fraction_lt(min);
+            (below, h.fraction_le(max) - below, x >= min.as_numeric() && x <= max.as_numeric())
+        }
+    };
+    if mass <= 0.0 {
+        return None;
+    }
+    let share = |f: f64| (f - below) / mass;
+    let eq = if inside { h.fraction_eq(value) / mass } else { 0.0 };
+    let s = match op {
+        CompareOp::Eq => eq,
+        CompareOp::Ne => 1.0 - eq,
+        CompareOp::Lt => share(h.fraction_lt(value)),
+        CompareOp::Le => share(h.fraction_le(value)),
+        CompareOp::Gt => 1.0 - share(h.fraction_le(value)),
+        CompareOp::Ge => 1.0 - share(h.fraction_lt(value)),
+    };
+    Some(s.clamp(0.0, 1.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,24 +480,28 @@ mod tests {
     fn fixture() -> (BufferPool, Catalog) {
         let mut pool = BufferPool::new(256);
         let mut cat = Catalog::new();
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new();
-        for i in 0..2000i64 {
-            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 20)])).unwrap();
-        }
-        loader.finish(&mut pool, heap).unwrap();
-        let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
-        cat.register(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("grp", DataType::Int),
-            ]),
-            heap,
-            stats,
-            false,
-        );
+        let rows = (0..2000i64).map(|i| vec![Value::Int(i), Value::Int(i % 20)]);
+        register(&mut pool, &mut cat, "t", &["id", "grp"], rows);
         (pool, cat)
+    }
+
+    /// Register `rows` as table `name` with Int columns `cols`.
+    fn register(
+        pool: &mut BufferPool,
+        cat: &mut Catalog,
+        name: &str,
+        cols: &[&str],
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) {
+        let heap = HeapFile::create(pool);
+        let mut loader = BulkLoader::new();
+        for r in rows {
+            loader.push(&Tuple::new(r)).unwrap();
+        }
+        loader.finish(pool, heap).unwrap();
+        let stats = TableStats::analyze(pool, heap, cols.len()).unwrap();
+        let schema = Schema::new(cols.iter().map(|c| ColumnDef::new(*c, DataType::Int)).collect());
+        cat.register(name, schema, heap, stats, name.starts_with("mv"));
     }
 
     #[test]
@@ -473,23 +545,8 @@ mod tests {
         // this test uses a table large enough for the index to matter.
         let mut pool = BufferPool::new(2048);
         let mut cat = Catalog::new();
-        let heap = HeapFile::create(&mut pool);
-        let mut loader = BulkLoader::new();
-        for i in 0..50_000i64 {
-            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 20)])).unwrap();
-        }
-        loader.finish(&mut pool, heap).unwrap();
-        let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
-        cat.register(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("grp", DataType::Int),
-            ]),
-            heap,
-            stats,
-            false,
-        );
+        let rows = (0..50_000i64).map(|i| vec![Value::Int(i), Value::Int(i % 20)]);
+        register(&mut pool, &mut cat, "t", &["id", "grp"], rows);
         cat.build_index(&mut pool, "t", "id").unwrap();
         let e = Estimator::new(&cat, &pool);
         // Point lookup: one matched row. Random reads cost ~20× a
@@ -546,6 +603,119 @@ mod tests {
         assert_eq!(e.zone_skippable_pages("t", &filters), pages - 1);
         assert_eq!(e.zone_skippable_pages("t", &[]), 0);
         assert_eq!(e.zone_skippable_pages("nope", &filters), 0);
+    }
+
+    #[test]
+    fn min_max_fallback_gives_the_boundary_value_its_share() {
+        let (pool, cat) = fixture();
+        let e = Estimator::new(&cat, &pool);
+        // grp holds 0..=19, 20 distinct values of 100 rows each.
+        let sel = |op, v: i64| e.selectivity("t", "grp", op, &Value::Int(v));
+        let close = |got: f64, want: f64| assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        use CompareOp::*;
+        // At min.
+        close(sel(Lt, 0), 0.0);
+        close(sel(Le, 0), 0.05);
+        close(sel(Gt, 0), 0.95);
+        close(sel(Ge, 0), 1.0);
+        // At max.
+        close(sel(Lt, 19), 0.95);
+        close(sel(Le, 19), 1.0);
+        close(sel(Gt, 19), 0.0);
+        close(sel(Ge, 19), 0.05);
+        // Inside: `<=` and `>=` add the point's share.
+        close(sel(Le, 10) - sel(Lt, 10), 0.05);
+        close(sel(Ge, 10) - sel(Gt, 10), 0.05);
+        // Outside the range, below and above.
+        for op in [Lt, Le] {
+            close(sel(op, -5), 0.0);
+            close(sel(op, 100), 1.0);
+        }
+        for op in [Gt, Ge] {
+            close(sel(op, -5), 1.0);
+            close(sel(op, 100), 0.0);
+        }
+    }
+
+    #[test]
+    fn eq_index_scan_matches_at_least_one_row() {
+        let (pool, cat) = fixture();
+        let e = Estimator::new(&cat, &pool);
+        for id in [0, 7, 1999] {
+            let plan = Plan {
+                node: PlanNode::IndexScan {
+                    table: "t".into(),
+                    column: "id".into(),
+                    lo: Bound::Included(Value::Int(id)),
+                    hi: Bound::Included(Value::Int(id)),
+                    filters: vec![],
+                },
+                cols: vec!["t.id".into(), "t.grp".into()],
+            };
+            let rows = e.estimate(&plan).rows;
+            assert!(rows > 1.0 - 1e-9, "id = {id} estimated at {rows} rows");
+        }
+    }
+
+    /// Base table `b(k)` whose value `k` in 0..20 appears `10 (k + 1)`
+    /// times (a histogram on `k`), and two views over it: `mv_all` copies
+    /// every row, `mv_hi` only those with `k >= 10`.
+    fn view_fixture() -> (BufferPool, Catalog) {
+        let mut pool = BufferPool::new(256);
+        let mut cat = Catalog::new();
+        let ks: Vec<i64> =
+            (0..20i64).flat_map(|k| std::iter::repeat_n(k, 10 * (k as usize + 1))).collect();
+        let rows = |keep: fn(i64) -> bool| -> Vec<Vec<Value>> {
+            ks.iter().filter(|&&k| keep(k)).map(|&k| vec![Value::Int(k)]).collect()
+        };
+        register(&mut pool, &mut cat, "b", &["k"], rows(|_| true));
+        cat.build_histogram(&mut pool, "b", "k").unwrap();
+        register(&mut pool, &mut cat, "mv_all", &["b.k"], rows(|_| true));
+        register(&mut pool, &mut cat, "mv_hi", &["b.k"], rows(|k| k >= 10));
+        (pool, cat)
+    }
+
+    #[test]
+    fn view_column_borrows_the_base_histogram() {
+        let (pool, cat) = view_fixture();
+        let e = Estimator::new(&cat, &pool);
+        let h = cat.histogram("b", "k").unwrap();
+        let v = Value::Int(4);
+        // Over the base column's full range the view reads the base
+        // histogram's fractions as they are.
+        for (op, want) in [
+            (CompareOp::Le, h.fraction_le(&v)),
+            (CompareOp::Lt, h.fraction_lt(&v)),
+            (CompareOp::Gt, 1.0 - h.fraction_le(&v)),
+            (CompareOp::Eq, h.fraction_eq(&v)),
+        ] {
+            let got = e.selectivity("mv_all", "b.k", op, &v);
+            assert!((got - want).abs() < 1e-9, "{op:?}: {got} vs {want}");
+        }
+        // The true share of k <= 4 is 150 / 2100; the min/max fallback
+        // would say ~0.25.
+        let got = e.selectivity("mv_all", "b.k", CompareOp::Le, &v);
+        assert!((got - 150.0 / 2100.0).abs() < 0.02, "{got}");
+    }
+
+    #[test]
+    fn borrowed_histogram_is_conditioned_on_the_view_range() {
+        let (pool, cat) = view_fixture();
+        let e = Estimator::new(&cat, &pool);
+        let h = cat.histogram("b", "k").unwrap();
+        let (lo, hi, v) = (Value::Int(10), Value::Int(19), Value::Int(14));
+        let mass = h.fraction_le(&hi) - h.fraction_lt(&lo);
+        let want = (h.fraction_le(&v) - h.fraction_lt(&lo)) / mass;
+        let got = e.selectivity("mv_hi", "b.k", CompareOp::Le, &v);
+        assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        // True share inside the view: (11 + .. + 15) / (11 + .. + 20).
+        assert!((got - 65.0 / 155.0).abs() < 0.05, "{got}");
+        // The view's own filter is not counted again.
+        assert!((e.selectivity("mv_hi", "b.k", CompareOp::Ge, &lo) - 1.0).abs() < 1e-9);
+        assert_eq!(e.selectivity("mv_hi", "b.k", CompareOp::Lt, &lo), 0.0);
+        assert_eq!(e.selectivity("mv_hi", "b.k", CompareOp::Eq, &Value::Int(3)), 0.0);
+        let eq = e.selectivity("mv_hi", "b.k", CompareOp::Eq, &v);
+        assert!((eq - h.fraction_eq(&v) / mass).abs() < 1e-9, "{eq}");
     }
 
     #[test]

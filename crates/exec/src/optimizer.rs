@@ -501,11 +501,32 @@ mod tests {
 
     #[test]
     fn index_access_path_chosen_when_selective() {
-        let (mut pool, mut cat) = fixture();
-        cat.build_index(&mut pool, "orders", "id").unwrap();
+        // A point lookup costs two random reads (~16 ms), more than a
+        // scan of the 13-page `orders` fixture, so this test uses a table
+        // large enough for the index to win.
+        let mut pool = BufferPool::new(1024);
+        let mut cat = Catalog::new();
+        let heap = HeapFile::create(&mut pool);
+        let mut loader = BulkLoader::new();
+        for i in 0..30_000i64 {
+            loader.push(&Tuple::new(vec![Value::Int(i), Value::Int(i % 500)])).unwrap();
+        }
+        loader.finish(&mut pool, heap).unwrap();
+        let stats = TableStats::analyze(&mut pool, heap, 2).unwrap();
+        cat.register(
+            "big",
+            Schema::new(vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("total", DataType::Int),
+            ]),
+            heap,
+            stats,
+            false,
+        );
+        cat.build_index(&mut pool, "big", "id").unwrap();
         let disk = DiskModel::default();
         let mut g = QueryGraph::new();
-        g.add_selection(Selection::new("orders", Predicate::new("id", CompareOp::Eq, 7i64)));
+        g.add_selection(Selection::new("big", Predicate::new("id", CompareOp::Eq, 7i64)));
         let plan = plan_query(&cat, &pool, &disk, &Query::star(g)).unwrap();
         assert!(
             matches!(plan.node, PlanNode::IndexScan { .. }),

@@ -72,6 +72,52 @@ fn materialization_correctness_under_rewriting() {
 }
 
 #[test]
+fn view_scans_are_priced_with_their_base_columns_statistics() {
+    // A materialized `lineitem ⋈ orders` has no histograms of its own.
+    // Its columns borrow the base histograms, so `o_orderpriority <= 1`
+    // (the column minimum) is not estimated at zero rows on the view, and
+    // the optimizer does not stack index nested-loop joins on its scan.
+    let mut base = Database::new(DatabaseConfig::with_buffer_pages(128).spill_model(false));
+    generate_into(&mut base, &TpchConfig::new(1).build_aux(true)).expect("generate");
+    let mut g = QueryGraph::new();
+    g.add_join(Join::new("lineitem", "l_orderkey", "orders", "o_orderkey"));
+    g.add_join(Join::new("orders", "o_custkey", "customer", "c_custkey"));
+    g.add_join(Join::new("lineitem", "l_partkey", "part", "p_partkey"));
+    g.add_join(Join::new("lineitem", "l_suppkey", "supplier", "s_suppkey"));
+    g.add_selection(Selection::new("lineitem", Predicate::new("l_quantity", CompareOp::Le, 36i64)));
+    g.add_selection(Selection::new(
+        "orders",
+        Predicate::new("o_orderpriority", CompareOp::Le, 1i64),
+    ));
+    let q = Query::star(g.clone());
+    let mut view = QueryGraph::new();
+    view.add_join(Join::new("lineitem", "l_orderkey", "orders", "o_orderkey"));
+    let mut spec = base.clone();
+    spec.materialize(&view, CancelToken::new()).unwrap();
+    // Prices the same rewrite and plan that `execute` runs.
+    let est_rows = spec.estimate_materialization(&g).unwrap().rows;
+    spec.clear_buffer();
+    base.clear_buffer();
+    let plain = base.execute_discard(&q).unwrap();
+    let got = spec.execute_discard(&q).unwrap();
+    assert_eq!(got.used_views.len(), 1, "the view must be used:\n{}", got.plan);
+    assert_eq!(got.row_count, plain.row_count);
+    assert!(
+        got.elapsed <= plain.elapsed,
+        "view {:?} slower than base {:?}:\n{}",
+        got.elapsed,
+        plain.elapsed,
+        got.plan
+    );
+    let actual = got.row_count as f64;
+    assert!(
+        est_rows >= actual / 4.0 && est_rows <= actual * 4.0,
+        "estimated {est_rows} rows, got {actual}:\n{}",
+        got.plan
+    );
+}
+
+#[test]
 fn subsumption_salvage_matches_cold_execution() {
     use specdb::exec::MatchMode;
     // A near-miss prediction: the speculated query over-shoots the
