@@ -133,14 +133,6 @@ fn bench_observer_overhead(c: &mut Criterion) {
     c.bench_function("buffer_hit_obs_metrics", |b| {
         b.iter(|| pool.read_page(PageId::new(f, 511), AccessKind::Random).unwrap())
     });
-    let (mut pool, f) = build_pool();
-    pool.set_observer(
-        specdb_obs::Observer::enabled()
-            .with_sink(std::sync::Arc::new(specdb_obs::MemorySink::new())),
-    );
-    c.bench_function("buffer_hit_obs_events", |b| {
-        b.iter(|| pool.read_page(PageId::new(f, 511), AccessKind::Random).unwrap())
-    });
 }
 
 fn bench_speculator_decide(c: &mut Criterion) {

@@ -16,6 +16,9 @@ pub struct Applied {
     pub elapsed: VirtualTime,
     /// Materialized table name, for materializations.
     pub table: Option<String>,
+    /// Id of the build's `speculate` span, when tracing is on: the key
+    /// every later instant in the build's life carries as `build`.
+    pub build: Option<u64>,
 }
 
 /// Execute a manipulation against the database. Cancellation aborts with
@@ -28,7 +31,12 @@ pub fn apply_manipulation(
     let tracer = db.observer().tracer().clone();
     let virt_now = db.observer().now_micros();
     let span = tracer.begin(specdb_obs::SpanKind::Speculation, "speculate", virt_now);
-    let result = apply_manipulation_inner(db, m, cancel);
+    let build = span.id();
+    let result = apply_manipulation_inner(db, m, cancel).map(|(elapsed, table)| Applied {
+        elapsed,
+        table,
+        build,
+    });
     match &result {
         Ok(applied) => {
             let build_secs = applied.elapsed.as_secs_f64();
@@ -52,32 +60,31 @@ pub fn apply_manipulation(
     result
 }
 
+/// Run the work of `m`: its virtual elapsed time and, for
+/// materializations, the table it wrote.
 fn apply_manipulation_inner(
     db: &mut Database,
     m: &Manipulation,
     cancel: CancelToken,
-) -> ExecResult<Applied> {
+) -> ExecResult<(VirtualTime, Option<String>)> {
     match m {
-        Manipulation::Null => Ok(Applied { elapsed: VirtualTime::ZERO, table: None }),
+        Manipulation::Null => Ok((VirtualTime::ZERO, None)),
         Manipulation::DataStage { table, pages } => {
             // The paper's prototype could not stage through Oracle's
             // interface; this engine pins buffer pages natively.
-            let out = db.stage(table, *pages)?;
-            Ok(Applied { elapsed: out.elapsed, table: None })
+            Ok((db.stage(table, *pages)?.elapsed, None))
         }
         Manipulation::CreateHistogram { table, column } => {
-            let out = db.create_histogram(table, column)?;
-            Ok(Applied { elapsed: out.elapsed, table: None })
+            Ok((db.create_histogram(table, column)?.elapsed, None))
         }
         Manipulation::CreateIndex { table, column } => {
-            let out = db.create_index(table, column)?;
-            Ok(Applied { elapsed: out.elapsed, table: None })
+            Ok((db.create_index(table, column)?.elapsed, None))
         }
         Manipulation::Materialize { graph }
         | Manipulation::Rewrite { graph }
         | Manipulation::PredictQuery { graph } => {
             let out = db.materialize(graph, cancel)?;
-            Ok(Applied { elapsed: out.elapsed, table: Some(out.table) })
+            Ok((out.elapsed, Some(out.table)))
         }
     }
 }

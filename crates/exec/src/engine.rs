@@ -769,7 +769,7 @@ impl Database {
         }
         let demand = self.pool.demand_since(snap);
         let elapsed = self.disk.time(&demand);
-        self.emit_query_events(&plan, row_count, elapsed, &used_views, batch_stats);
+        self.record_query_metrics(&plan, &used_views, batch_stats);
         // The query's virtual extent is [now, now + its modelled cost]:
         // the replay loop advances the clock *after* execution.
         span.finish_with(virt_start + elapsed.as_micros(), |a| {
@@ -796,18 +796,10 @@ impl Database {
         })
     }
 
-    /// Publish per-query observability: a `QueryFinished` event, one
-    /// `PlanChosen` event per base-relation access, and counters.
-    fn emit_query_events(
-        &self,
-        plan: &Plan,
-        row_count: u64,
-        elapsed: VirtualTime,
-        used_views: &[String],
-        batch_stats: BatchStats,
-    ) {
-        let observer = self.pool.observer();
-        let metrics = observer.metrics();
+    /// Count one executed query: batch statistics, view rewrites, and
+    /// one `exec.plan.{access}` per base-relation access.
+    fn record_query_metrics(&self, plan: &Plan, used_views: &[String], batch_stats: BatchStats) {
+        let metrics = self.pool.observer().metrics();
         metrics.counter("exec.queries").incr();
         if batch_stats != BatchStats::default() {
             metrics.counter("exec.batches").add(batch_stats.batches);
@@ -831,24 +823,9 @@ impl Database {
         if !used_views.is_empty() {
             metrics.counter("exec.queries.view_rewritten").incr();
         }
-        if observer.wants(specdb_obs::EventKind::PlanChosen) {
-            plan.visit_accesses(&mut |table, access| {
-                observer.emit(specdb_obs::Event::PlanChosen {
-                    table: table.to_string(),
-                    access: access.to_string(),
-                });
-            });
-        }
         if metrics.is_enabled() {
-            plan.visit_accesses(&mut |_, access| {
+            plan.visit_accesses(&mut |access| {
                 metrics.counter(&format!("exec.plan.{access}")).incr();
-            });
-        }
-        if observer.wants(specdb_obs::EventKind::QueryFinished) {
-            observer.emit(specdb_obs::Event::QueryFinished {
-                rows: row_count,
-                cost_secs: elapsed.as_secs_f64(),
-                used_views: used_views.to_vec(),
             });
         }
     }

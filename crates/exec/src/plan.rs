@@ -126,21 +126,20 @@ impl Plan {
         self.cols.iter().position(|c| c == qualified)
     }
 
-    /// Call `f(table, access)` for every base-relation access in the
-    /// plan tree: `seq_scan`, `index_scan`, or `index_probe` (the inner
-    /// side of an index nested-loop join). Used for plan-choice
-    /// observability.
-    pub fn visit_accesses(&self, f: &mut impl FnMut(&str, &str)) {
+    /// Call `f(access)` for every base-relation access in the plan tree:
+    /// `seq_scan`, `index_scan`, or `index_probe` (the inner side of an
+    /// index nested-loop join). Feeds the `exec.plan.{access}` counters.
+    pub fn visit_accesses(&self, f: &mut impl FnMut(&'static str)) {
         match &self.node {
-            PlanNode::SeqScan { table, .. } => f(table, "seq_scan"),
-            PlanNode::IndexScan { table, .. } => f(table, "index_scan"),
+            PlanNode::SeqScan { .. } => f("seq_scan"),
+            PlanNode::IndexScan { .. } => f("index_scan"),
             PlanNode::HashJoin { left, right, .. } | PlanNode::NestedLoop { left, right, .. } => {
                 left.visit_accesses(f);
                 right.visit_accesses(f);
             }
-            PlanNode::IndexNLJoin { outer, inner_table, .. } => {
+            PlanNode::IndexNLJoin { outer, .. } => {
                 outer.visit_accesses(f);
-                f(inner_table, "index_probe");
+                f("index_probe");
             }
             PlanNode::Project { input, .. } | PlanNode::Aggregate { input, .. } => {
                 input.visit_accesses(f)

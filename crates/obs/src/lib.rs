@@ -6,15 +6,16 @@
 //! * [`MetricsRegistry`] — named counters, gauges and histograms with
 //!   cheap atomic updates and a zero-overhead disabled mode (a disabled
 //!   counter is a `None` branch, not an atomic).
-//! * [`Event`] / [`EventSink`] — typed structured events covering buffer
-//!   pool traffic, operator execution and the full speculation
-//!   lifecycle, fanned out to pluggable sinks ([`MemorySink`],
-//!   [`JsonlSink`], or the free [`NoopSink`]).
+//! * [`Tracer`] — dual-clock spans over the whole pipeline. The
+//!   speculation lifecycle rides on them: each build is a `speculate`
+//!   span, and its cancellation, completion, use, waste and garbage
+//!   collection are [`SpanKind::Speculation`] instants keyed to that
+//!   span's id.
 //! * [`CalibrationTracker`] — pairs the speculator's *predicted* build
 //!   times and think-time deltas with the *realized* virtual times, and
 //!   summarizes relative error.
 //! * [`Observer`] — a cheaply clonable bundle of the three, carrying a
-//!   shared virtual-time "now" so events are stamped in experiment time
+//!   shared virtual-time "now" so spans are stamped in experiment time
 //!   rather than wall time.
 //!
 //! This crate sits below the storage layer on purpose: it knows nothing
@@ -24,41 +25,37 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
-pub mod events;
 pub mod metrics;
 pub mod span;
 
 pub use calibration::{CalibrationReport, CalibrationTracker};
-pub use events::{CancelReason, Event, EventKind, EventSink, JsonlSink, MemorySink, NoopSink};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use span::{AttrValue, OperatorProfile, SpanHandle, SpanKind, SpanRecord, Tracer};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A cheaply clonable bundle of metrics, event sink, calibration
-/// tracker, and the current virtual time.
+/// A cheaply clonable bundle of metrics, calibration tracker, span
+/// tracer, and the current virtual time.
 ///
 /// Subsystems hold a clone and never care whether observability is on:
 /// [`Observer::disabled`] makes every operation a near-free no-op.
 #[derive(Clone)]
 pub struct Observer {
     metrics: MetricsRegistry,
-    sink: Arc<dyn EventSink>,
     calibration: Arc<CalibrationTracker>,
     now_micros: Arc<AtomicU64>,
     tracer: Tracer,
 }
 
 impl Observer {
-    /// An observer that records metrics and calibration but drops events.
+    /// An observer that records metrics and calibration.
     ///
     /// Span tracing follows the environment: set `SPECDB_TRACE=1` to
     /// record spans (see [`Tracer::from_env`]).
     pub fn enabled() -> Self {
         Observer {
             metrics: MetricsRegistry::new(),
-            sink: Arc::new(NoopSink),
             calibration: Arc::new(CalibrationTracker::new()),
             now_micros: Arc::new(AtomicU64::new(0)),
             tracer: Tracer::from_env(),
@@ -69,20 +66,10 @@ impl Observer {
     pub fn disabled() -> Self {
         Observer {
             metrics: MetricsRegistry::disabled(),
-            sink: Arc::new(NoopSink),
             calibration: Arc::new(CalibrationTracker::new()),
             now_micros: Arc::new(AtomicU64::new(0)),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Replace the event sink, keeping metrics and calibration. The
-    /// sink is given a chance to bind its own gauges/counters into this
-    /// observer's registry (see [`EventSink::attach_metrics`]).
-    pub fn with_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        sink.attach_metrics(&self.metrics);
-        self.sink = sink;
-        self
     }
 
     /// Replace the span tracer, keeping everything else.
@@ -107,7 +94,7 @@ impl Observer {
         &self.calibration
     }
 
-    /// Advance the shared virtual clock used to stamp events.
+    /// Advance the shared virtual clock used to stamp spans.
     ///
     /// The clock is monotone: attempts to move it backwards are ignored,
     /// so concurrent writers can race harmlessly.
@@ -118,25 +105,6 @@ impl Observer {
     /// The current virtual time in microseconds.
     pub fn now_micros(&self) -> u64 {
         self.now_micros.load(Ordering::Relaxed)
-    }
-
-    /// Whether any sink wants events of `kind`.
-    ///
-    /// Hot paths should check this before constructing an event payload.
-    pub fn wants(&self, kind: EventKind) -> bool {
-        self.sink.wants(kind)
-    }
-
-    /// Record `event` at the current virtual time.
-    pub fn emit(&self, event: Event) {
-        self.emit_at(self.now_micros(), event);
-    }
-
-    /// Record `event` at an explicit virtual time in microseconds.
-    pub fn emit_at(&self, at_micros: u64, event: Event) {
-        if self.sink.wants(event.kind()) {
-            self.sink.record(at_micros, &event);
-        }
     }
 }
 
@@ -165,8 +133,8 @@ mod tests {
         let c = obs.metrics().counter("x");
         c.incr();
         assert!(obs.metrics().snapshot().counters.is_empty());
-        assert!(!obs.wants(EventKind::SpecDecision));
-        obs.emit(Event::SpecCollected { table: "t".into() });
+        obs.tracer().instant(SpanKind::Speculation, "gc", 0, |_| panic!("must not run"));
+        assert!(obs.tracer().spans().is_empty());
     }
 
     #[test]
@@ -190,17 +158,5 @@ mod tests {
         assert_eq!(obs.now_micros(), 500);
         clone.set_now_micros(900);
         assert_eq!(obs.now_micros(), 900);
-    }
-
-    #[test]
-    fn sink_receives_stamped_events() {
-        let sink = Arc::new(MemorySink::new());
-        let obs = Observer::enabled().with_sink(sink.clone());
-        obs.set_now_micros(1_000_000);
-        obs.emit(Event::SpecStarted { manipulation: "mat(R)".into(), table: "R".into() });
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].0, 1_000_000);
-        assert_eq!(events[0].1.kind(), EventKind::SpecStarted);
     }
 }

@@ -44,7 +44,10 @@ pub enum SpanKind {
     Decide,
     /// An optimizer estimate (materialization costing).
     Estimate,
-    /// One speculative manipulation build (issue → finish).
+    /// One speculative manipulation build (issue → finish), named
+    /// `speculate`; or an instant in a build's life after it (`cancel`,
+    /// `complete`, `used`, `wasted`, `gc`) whose `build` attribute is the
+    /// id of that `speculate` span.
     Speculation,
     /// One final-query execution.
     Execute,
@@ -154,10 +157,18 @@ pub struct SpanRecord {
     pub wall_end_us: u64,
     /// Ordinal of the recording thread (0 = first thread seen process-wide).
     pub thread: u64,
-    /// True for zero-duration marker events (edits).
+    /// True for zero-duration markers (edits, lifecycle steps, governor
+    /// verdicts).
     pub instant: bool,
     /// Structured attributes.
     pub attrs: Vec<(&'static str, AttrValue)>,
+}
+
+impl SpanRecord {
+    /// The attribute `key`, if this span carries it.
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
 }
 
 /// Process-wide small thread ordinals: stable, dense, human-readable in
@@ -465,13 +476,7 @@ pub struct OperatorProfile {
 pub fn operator_profiles(spans: &[SpanRecord]) -> Vec<OperatorProfile> {
     let mut by_name: Vec<OperatorProfile> = Vec::new();
     for s in spans.iter().filter(|s| s.kind == SpanKind::Operator) {
-        let attr = |key: &str| {
-            s.attrs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| v.as_u64())
-                .unwrap_or(0)
-        };
+        let attr = |key: &str| s.attr(key).and_then(AttrValue::as_u64).unwrap_or(0);
         let (rows, batches) = (attr("rows"), attr("batches"));
         let wall = s.wall_end_us - s.wall_start_us;
         match by_name.iter_mut().find(|p| p.name == s.name) {

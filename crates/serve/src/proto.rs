@@ -119,7 +119,10 @@ fn parse_edit(args: &[&str]) -> Result<EditOp, String> {
             need(2)?;
             Ok(EditOp::RemoveProjection(args[1].to_string(), args[2].to_string()))
         }
-        "GO" => Ok(EditOp::Go),
+        "GO" => {
+            need(0)?;
+            Ok(EditOp::Go)
+        }
         other => Err(format!("unknown EDIT sub-command {other:?}")),
     }
 }

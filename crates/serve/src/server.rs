@@ -8,7 +8,7 @@ use crate::proto::{
 use crate::{GovernorConfig, SessionId};
 use specdb_core::SpeculatorConfig;
 use specdb_exec::Database;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -96,6 +96,11 @@ pub fn serve(db: Database, config: ServeConfig) -> std::io::Result<ServerHandle>
     Ok(ServerHandle { addr, manager, stop, accept: Some(accept) })
 }
 
+/// The longest request the server reads, its newline included. A longer
+/// one gets an error reply and the connection closes, so no client can
+/// grow a connection's buffer without bound.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 fn handle_connection(stream: TcpStream, manager: &SessionManager) {
     // Each reply is one small line the client waits on: with Nagle's
     // algorithm on, it would sit out the client's delayed ACK.
@@ -104,20 +109,30 @@ fn handle_connection(stream: TcpStream, manager: &SessionManager) {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let mut session_id: Option<SessionId> = None;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() == MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            let reply = ErrorResponse::line(format!("request over {MAX_REQUEST_BYTES} bytes"));
+            let _ = writer.write_all(format!("{reply}\n").as_bytes());
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let mut reply = dispatch(&line, manager, &mut session_id);
+        let request = parse_request(line);
+        let quit = matches!(request, Ok(Request::Quit));
+        let mut reply = dispatch(request, manager, &mut session_id);
         reply.push('\n');
-        let quit = matches!(parse_request(&line), Ok(Request::Quit));
-        if writer.write_all(reply.as_bytes()).is_err() {
-            break;
-        }
-        if quit {
+        if writer.write_all(reply.as_bytes()).is_err() || quit {
             break;
         }
     }
@@ -126,8 +141,12 @@ fn handle_connection(stream: TcpStream, manager: &SessionManager) {
     }
 }
 
-fn dispatch(line: &str, manager: &SessionManager, session_id: &mut Option<SessionId>) -> String {
-    let request = match parse_request(line) {
+fn dispatch(
+    request: Result<Request, String>,
+    manager: &SessionManager,
+    session_id: &mut Option<SessionId>,
+) -> String {
+    let request = match request {
         Ok(r) => r,
         Err(e) => return ErrorResponse::line(e),
     };

@@ -142,3 +142,25 @@ fn sequential_round_trips_do_not_wait_on_delayed_acks() {
     handle.shutdown();
     assert!(took < Duration::from_secs(1), "50 STATS round trips took {took:?}");
 }
+
+#[test]
+fn an_unbounded_request_is_refused_and_the_server_keeps_serving() {
+    let handle = serve(db(), ServeConfig::default()).unwrap();
+    let mut flood = Client::connect(handle.addr());
+    // The server stops reading at its cap and closes the socket, so the
+    // tail of this write may fail; only the reply matters.
+    let _ = flood.writer.write_all(&vec![b'x'; 1 << 20]);
+    let mut reply = String::new();
+    flood.reader.read_line(&mut reply).unwrap();
+    let Ok(Value::Object(fields)) = parse(reply.trim()) else { panic!("reply {reply:?}") };
+    assert!(matches!(field(&fields, "ok"), Value::Bool(false)), "{reply}");
+    let mut rest = String::new();
+    let closed = matches!(flood.reader.read_line(&mut rest), Ok(0) | Err(_));
+    assert!(closed, "the connection must close after the error, read {rest:?}");
+
+    let mut client = Client::connect(handle.addr());
+    client.send("CONNECT after-flood");
+    client.send("STATS");
+    client.send("QUIT");
+    handle.shutdown();
+}

@@ -5,13 +5,15 @@
 //!
 //! The top chart draws the *virtual* clock (the experiment timeline the
 //! paper reasons about); the bottom chart draws *wall* time per worker
-//! thread (where the engine actually spent CPU). Inputs are the
-//! artifacts a traced replay already produces: the observer's event log
-//! and the tracer's span records. Everything is inlined — no external
-//! scripts or styles — so the file can be archived as a CI artifact.
+//! thread (where the engine actually spent CPU). The one input is the
+//! tracer's span records: a build is a `speculate` span, and its verdict
+//! is the `cancel`, `used` or `wasted` instant whose `build` attribute
+//! names that span, so two builds of the same view keep their own
+//! verdicts. Everything is inlined — no external scripts or styles — so
+//! the file can be archived as a CI artifact.
 
-use specdb_obs::{AttrValue, Event, SpanKind, SpanRecord};
-use std::collections::{BTreeMap, HashSet};
+use specdb_obs::{AttrValue, SpanKind, SpanRecord};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
 
 const CHART_W: f64 = 1160.0;
@@ -26,27 +28,15 @@ fn esc(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
-fn attr_str(span: &SpanRecord, key: &str) -> Option<String> {
-    span.attrs.iter().find(|(k, _)| *k == key).and_then(|(_, v)| match v {
-        AttrValue::Str(s) => Some(s.clone()),
+fn attr_str<'a>(span: &'a SpanRecord, key: &str) -> Option<&'a str> {
+    match span.attr(key) {
+        Some(AttrValue::Str(s)) => Some(s),
         _ => None,
-    })
-}
-
-fn attr_bool(span: &SpanRecord, key: &str) -> bool {
-    span.attrs
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| matches!(v, AttrValue::Bool(true)))
-        .unwrap_or(false)
+    }
 }
 
 fn attr_u64(span: &SpanRecord, key: &str) -> u64 {
-    span.attrs
-        .iter()
-        .find(|(k, _)| *k == key)
-        .and_then(|(_, v)| v.as_u64())
-        .unwrap_or(0)
+    span.attr(key).and_then(AttrValue::as_u64).unwrap_or(0)
 }
 
 /// A speculative build's fate, as drawn on the timeline.
@@ -78,31 +68,30 @@ impl Verdict {
     }
 }
 
-/// Render the speculation timeline as a complete HTML document.
-///
-/// `events` is an observer sink's `(t_micros, event)` log; `spans` the
-/// tracer's finished span records from the same replay. Either input may
-/// be empty — lanes simply come out blank.
-pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanRecord]) -> String {
-    let used_tables: HashSet<&str> = events
-        .iter()
-        .filter_map(|(_, e)| match e {
-            Event::SpecUsed { table } => Some(table.as_str()),
-            _ => None,
-        })
-        .collect();
-    let wasted_tables: HashSet<&str> = events
-        .iter()
-        .filter_map(|(_, e)| match e {
-            Event::SpecWasted { table } => Some(table.as_str()),
-            _ => None,
-        })
-        .collect();
+/// Render the speculation timeline of `spans`, a tracer's finished span
+/// records from one replay, as a complete HTML document. With no spans
+/// the lanes simply come out blank.
+pub fn render_timeline_html(title: &str, spans: &[SpanRecord]) -> String {
+    let mut settled: HashMap<u64, Verdict> = HashMap::new();
+    for s in spans.iter().filter(|s| s.kind == SpanKind::Speculation && s.instant) {
+        let verdict = match s.name {
+            "cancel" => Verdict::Cancelled,
+            "used" => Verdict::Used,
+            "wasted" => Verdict::Wasted,
+            _ => continue,
+        };
+        if let Some(build) = s.attr("build").and_then(AttrValue::as_u64) {
+            settled.insert(build, verdict);
+        }
+    }
 
     let edits: Vec<&SpanRecord> =
         spans.iter().filter(|s| s.kind == SpanKind::Edit && s.instant).collect();
-    let builds: Vec<&SpanRecord> =
-        spans.iter().filter(|s| s.kind == SpanKind::Speculation).collect();
+    let builds: Vec<(&SpanRecord, Verdict)> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Speculation && !s.instant)
+        .map(|b| (b, settled.get(&b.id).copied().unwrap_or(Verdict::Unresolved)))
+        .collect();
     let queries: Vec<&SpanRecord> = spans.iter().filter(|s| s.kind == SpanKind::Execute).collect();
     let mut morsels: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
     for s in spans.iter().filter(|s| s.kind == SpanKind::Morsel) {
@@ -112,7 +101,7 @@ pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanR
     let virt_max = edits
         .iter()
         .map(|s| s.virt_end_us)
-        .chain(builds.iter().map(|s| s.virt_end_us))
+        .chain(builds.iter().map(|(s, _)| s.virt_end_us))
         .chain(queries.iter().map(|s| s.virt_end_us))
         .max()
         .unwrap_or(1)
@@ -223,17 +212,7 @@ pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanR
         .unwrap();
     }
     // Builds, colored by verdict; hit/miss markers ride on the same lane.
-    for b in &builds {
-        let table = attr_str(b, "table");
-        let verdict = if attr_bool(b, "cancelled") {
-            Verdict::Cancelled
-        } else {
-            match &table {
-                Some(t) if used_tables.contains(t.as_str()) => Verdict::Used,
-                Some(t) if wasted_tables.contains(t.as_str()) => Verdict::Wasted,
-                _ => Verdict::Unresolved,
-            }
-        };
+    for &(b, verdict) in &builds {
         let (x0, x1) = (vx(b.virt_start_us), vx(b.virt_end_us));
         let manip = attr_str(b, "manipulation").unwrap_or_default();
         writeln!(
@@ -245,7 +224,7 @@ pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanR
             lane_y(1),
             (x1 - x0).max(2.0),
             verdict.color(),
-            esc(&manip),
+            esc(manip),
             verdict.label(),
             b.virt_start_us as f64 / 1e6,
             b.virt_end_us as f64 / 1e6,
@@ -261,7 +240,7 @@ pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanR
                 x1,
                 lane_y(1) + my,
                 mark,
-                table.as_deref().unwrap_or(""),
+                attr_str(b, "table").unwrap_or(""),
                 if verdict == Verdict::Used { "hit" } else { "miss" }
             )
             .unwrap();
@@ -332,24 +311,7 @@ pub fn render_timeline_html(title: &str, events: &[(u64, Event)], spans: &[SpanR
     }
 
     // ---- Summary counts. ----
-    let verdict_count = |v: Verdict| {
-        builds
-            .iter()
-            .filter(|b| {
-                let table = attr_str(b, "table");
-                let got = if attr_bool(b, "cancelled") {
-                    Verdict::Cancelled
-                } else {
-                    match &table {
-                        Some(t) if used_tables.contains(t.as_str()) => Verdict::Used,
-                        Some(t) if wasted_tables.contains(t.as_str()) => Verdict::Wasted,
-                        _ => Verdict::Unresolved,
-                    }
-                };
-                got == v
-            })
-            .count()
-    };
+    let verdict_count = |v: Verdict| builds.iter().filter(|(_, got)| *got == v).count();
     writeln!(
         html,
         "<p>{} edits \u{00b7} {} builds ({} used, {} wasted, {} cancelled) \u{00b7} {} queries \
@@ -388,42 +350,54 @@ mod tests {
         }
     }
 
+    fn build(id: u64, table: &str, v0: u64, v1: u64) -> SpanRecord {
+        let mut b = span(SpanKind::Speculation, "speculate", v0, v1);
+        b.id = id;
+        b.attrs.push(("table", AttrValue::Str(table.into())));
+        b
+    }
+
+    fn step(name: &'static str, build: u64, at: u64) -> SpanRecord {
+        let mut s = span(SpanKind::Speculation, name, at, at);
+        s.instant = true;
+        s.attrs.push(("build", AttrValue::Uint(build)));
+        s
+    }
+
     #[test]
     fn timeline_renders_all_lanes_and_verdicts() {
-        let mut build_used = span(SpanKind::Speculation, "speculate", 1_000, 5_000);
-        build_used.attrs.push(("table", AttrValue::Str("mv_1".into())));
-        let mut build_cancelled = span(SpanKind::Speculation, "speculate", 6_000, 9_000);
-        build_cancelled.attrs.push(("cancelled", AttrValue::Bool(true)));
-        let mut build_wasted = span(SpanKind::Speculation, "speculate", 10_000, 12_000);
-        build_wasted.attrs.push(("table", AttrValue::Str("mv_2".into())));
+        // Builds 3 and 4 write the same view: one is cancelled and one is
+        // wasted, and each keeps its own verdict.
         let mut morsel = span(SpanKind::Morsel, "scan_morsel", 0, 800);
         morsel.thread = 3;
         let spans = vec![
             span(SpanKind::Edit, "add_selection", 500, 500),
             span(SpanKind::Edit, "go", 14_000, 14_000),
-            build_used,
-            build_cancelled,
-            build_wasted,
+            build(2, "mv_1", 1_000, 5_000),
+            step("complete", 2, 5_000),
+            build(3, "mv_2", 6_000, 9_000),
+            step("cancel", 3, 7_000),
+            build(4, "mv_2", 10_000, 12_000),
+            step("complete", 4, 12_000),
             span(SpanKind::Execute, "query", 14_000, 15_000),
+            step("used", 2, 14_000),
+            step("gc", 4, 15_000),
+            step("wasted", 4, 15_000),
             morsel,
         ];
-        let events = vec![
-            (14_000, Event::SpecUsed { table: "mv_1".into() }),
-            (15_000, Event::SpecWasted { table: "mv_2".into() }),
-        ];
-        let html = render_timeline_html("test replay", &events, &spans);
+        let html = render_timeline_html("test replay", &spans);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("#2e7d32"), "used build color present");
         assert!(html.contains("#ef6c00"), "wasted build color present");
         assert!(html.contains("#c62828"), "cancelled build color present");
         assert!(html.contains("thread 3"), "worker lane present");
-        assert!(html.contains("1 used, 1 wasted, 1 cancelled"), "summary counts:\n{html}");
+        assert!(html.contains("3 builds (1 used, 1 wasted, 1 cancelled)"), "summary:\n{html}");
         assert!(!html.contains("<script"), "must be inert static HTML");
     }
 
     #[test]
     fn timeline_survives_empty_inputs() {
-        let html = render_timeline_html("empty", &[], &[]);
+        let html = render_timeline_html("empty", &[]);
         assert!(html.contains("no morsel spans"));
         assert!(html.contains("0 edits"));
         let _ = Tracer::disabled(); // module sanity: obs API reachable

@@ -59,7 +59,7 @@ use specdb_core::{
     SpeculatorConfig, UniformProfile,
 };
 use specdb_exec::{CancelToken, Database, ExecResult};
-use specdb_obs::{CancelReason, Event, EventKind, Observer};
+use specdb_obs::{Observer, SpanKind};
 use specdb_query::{EditOp, PartialQuery, QueryGraph};
 use specdb_serve::{Admission, Governor, GovernorConfig};
 use specdb_storage::VirtualTime;
@@ -394,6 +394,54 @@ struct Pending {
     /// only) — compared against the GO query's key to classify a
     /// prediction as an exact hit or a subsumption salvage.
     artifact_key: Option<String>,
+    /// Id of the build's `speculate` span (tracing only): the key of
+    /// every lifecycle instant [`mark`] records for it.
+    build: Option<u64>,
+}
+
+/// The reason a build was abandoned before it committed.
+#[derive(Clone, Copy)]
+enum CancelReason {
+    /// A query edit invalidated the bet.
+    Edit,
+    /// The user issued GO while the build was still running.
+    Go,
+    /// The fleet governor gave the build's slot to a stronger candidate.
+    Preempted,
+}
+
+impl CancelReason {
+    fn as_str(self) -> &'static str {
+        match self {
+            CancelReason::Edit => "edit",
+            CancelReason::Go => "go",
+            CancelReason::Preempted => "preempted",
+        }
+    }
+}
+
+/// Record one step in a build's life — `cancel`, `complete`, `used`,
+/// `wasted` or `gc` — as a [`SpanKind::Speculation`] instant at `at`
+/// (virtual micros). It carries the session whose outcome counts the
+/// step, the build's `speculate` span id when known, and an optional
+/// extra attribute (a cancel's reason, a collected table).
+fn mark(
+    observer: &Observer,
+    step: &'static str,
+    at: u64,
+    session: usize,
+    build: Option<u64>,
+    extra: Option<(&'static str, &str)>,
+) {
+    observer.tracer().instant(SpanKind::Speculation, step, at, |a| {
+        a.push(("session", session.into()));
+        if let Some(id) = build {
+            a.push(("build", id.into()));
+        }
+        if let Some((key, value)) = extra {
+            a.push((key, value.into()));
+        }
+    });
 }
 
 /// A completed materialization awaiting its verdict: read by a final
@@ -403,9 +451,15 @@ struct CompletedView {
     build: Pending,
 }
 
-/// Cancel an in-flight build: count and report it, then roll its
-/// effects back.
-fn cancel_pending(db: &mut Database, out: &mut ReplayOutcome, p: &Pending, reason: CancelReason) {
+/// Cancel session `si`'s in-flight build: count and mark it, then roll
+/// its effects back.
+fn cancel_pending(
+    db: &mut Database,
+    si: usize,
+    out: &mut ReplayOutcome,
+    p: &Pending,
+    reason: CancelReason,
+) {
     let observer = db.observer();
     out.cancelled += 1;
     if p.predicted {
@@ -418,13 +472,7 @@ fn cancel_pending(db: &mut Database, out: &mut ReplayOutcome, p: &Pending, reaso
         CancelReason::Preempted => "spec.cancelled.preempt",
     };
     observer.metrics().counter(counter).incr();
-    if observer.wants(EventKind::SpecCancelled) {
-        observer.emit(Event::SpecCancelled {
-            manipulation: p.manipulation.to_string(),
-            table: p.table.clone().unwrap_or_default(),
-            reason,
-        });
-    }
+    mark(observer, "cancel", observer.now_micros(), si, p.build, Some(("reason", reason.as_str())));
     match (&p.manipulation, &p.table) {
         (_, Some(t)) => db.drop_materialized(t),
         (Manipulation::CreateIndex { table, column }, None) => db.drop_index(table, column),
@@ -434,8 +482,8 @@ fn cancel_pending(db: &mut Database, out: &mut ReplayOutcome, p: &Pending, reaso
     }
 }
 
-/// Count a finished build and report its completion at `at`.
-fn complete(observer: &Observer, out: &mut ReplayOutcome, p: &Pending, at: VirtualTime) {
+/// Count session `si`'s finished build and mark its completion at `at`.
+fn complete(observer: &Observer, si: usize, out: &mut ReplayOutcome, p: &Pending, at: VirtualTime) {
     out.completed += 1;
     out.manipulation_times.push(p.duration);
     observer.metrics().counter("spec.completed").incr();
@@ -443,20 +491,12 @@ fn complete(observer: &Observer, out: &mut ReplayOutcome, p: &Pending, at: Virtu
         .metrics()
         .histogram("lat.spec_build_secs")
         .record(p.duration.as_secs_f64());
-    if observer.wants(EventKind::SpecCompleted) {
-        observer.emit_at(
-            at.as_micros(),
-            Event::SpecCompleted {
-                manipulation: p.manipulation.to_string(),
-                table: p.table.clone().unwrap_or_default(),
-                build_secs: p.duration.as_secs_f64(),
-            },
-        );
-    }
+    mark(observer, "complete", at.as_micros(), si, p.build, None);
 }
 
-/// Charge a build dropped without ever being read as sunk cost.
-fn charge_if_unread(observer: &Observer, out: &mut ReplayOutcome, table: &str, cv: &CompletedView) {
+/// Charge session `si`'s build, dropped without ever being read, as
+/// sunk cost.
+fn charge_if_unread(observer: &Observer, si: usize, out: &mut ReplayOutcome, cv: &CompletedView) {
     if cv.used {
         return;
     }
@@ -466,12 +506,10 @@ fn charge_if_unread(observer: &Observer, out: &mut ReplayOutcome, table: &str, c
         out.predicted_wasted += 1;
         observer.metrics().counter("spec.predicted_wasted").incr();
     }
-    if observer.wants(EventKind::SpecWasted) {
-        observer.emit(Event::SpecWasted { table: table.to_string() });
-    }
+    mark(observer, "wasted", observer.now_micros(), si, cv.build.build, None);
 }
 
-/// Short label for an edit op (event payloads and trace instants).
+/// Short label for an edit op (the name of its trace instant).
 fn edit_label(op: &EditOp) -> &'static str {
     match op {
         EditOp::AddRelation(_) => "add_relation",
@@ -519,14 +557,6 @@ fn issue_gated(
         return Ok(None);
     }
     observer.metrics().counter("spec.decisions").incr();
-    if observer.wants(EventKind::SpecDecision) {
-        observer.emit(Event::SpecDecision {
-            manipulation: decision.manipulation.to_string(),
-            score: decision.score,
-            predicted_build_secs: decision.build.as_secs_f64(),
-            predicted_delta_secs: decision.delta_secs,
-        });
-    }
     // Execute now to learn the true duration and effects; the effects
     // become usable at `at + duration` (cancellation before then
     // rolls them back).
@@ -545,12 +575,6 @@ fn issue_gated(
             observer
                 .calibration()
                 .record_build(decision.build.as_secs_f64(), applied.elapsed.as_secs_f64());
-            if observer.wants(EventKind::SpecStarted) {
-                observer.emit(Event::SpecStarted {
-                    manipulation: decision.manipulation.to_string(),
-                    table: applied.table.clone().unwrap_or_default(),
-                });
-            }
             Ok(Some(Pending {
                 manipulation: decision.manipulation,
                 table: applied.table,
@@ -560,6 +584,7 @@ fn issue_gated(
                 predicted_delta_secs: decision.delta_secs,
                 predicted,
                 artifact_key,
+                build: applied.build,
             }))
         }
         Err(e) if e.is_cancelled() => Ok(None),
@@ -761,7 +786,7 @@ impl SessionState<'_> {
         governor: &Governor,
         fleet: &mut FleetState,
     ) {
-        complete(observer, &mut self.out, &p, at);
+        complete(observer, si, &mut self.out, &p, at);
         governor.finish(si as u64);
         fleet.track_commit(si, &p);
         if let Some(table) = p.table.clone() {
@@ -780,7 +805,7 @@ impl SessionState<'_> {
         governor: &Governor,
         fleet: &mut FleetState,
     ) {
-        cancel_pending(db, &mut self.out, p, reason);
+        cancel_pending(db, si, &mut self.out, p, reason);
         governor.finish(si as u64);
         fleet.forget_pending(p);
         fleet.server.remove(si);
@@ -858,7 +883,7 @@ fn replay_sessions(
     let observer = db.observer().clone();
     let tracer = observer.tracer().clone();
     let session_span = tracer.begin(
-        specdb_obs::SpanKind::Session,
+        SpanKind::Session,
         if config.speculative { "replay_speculative" } else { "replay_normal" },
         0,
     );
@@ -925,9 +950,9 @@ fn replay_sessions(
 
     // Builds that survived every GC without ever being read are sunk
     // cost all the same.
-    for s in &mut sessions {
-        for (table, cv) in &s.completed_views {
-            charge_if_unread(&observer, &mut s.out, table, cv);
+    for (si, s) in sessions.iter_mut().enumerate() {
+        for cv in s.completed_views.values() {
+            charge_if_unread(&observer, si, &mut s.out, cv);
         }
     }
     let predicted_issued: u64 = sessions.iter().map(|s| s.out.predicted_issued).sum();
@@ -1091,15 +1116,9 @@ fn process_edit(
     s.profile.observe_edit(now, op);
     s.pq.apply(op);
     s.question_start.get_or_insert(now);
-    let label = edit_label(op);
-    observer
-        .tracer()
-        .instant(specdb_obs::SpanKind::Edit, label, now.as_micros(), |a| {
-            a.push(("session", (si as u64).into()));
-        });
-    if observer.wants(EventKind::Edit) {
-        observer.emit(Event::Edit { op: label.to_string() });
-    }
+    observer.tracer().instant(SpanKind::Edit, edit_label(op), now.as_micros(), |a| {
+        a.push(("session", (si as u64).into()));
+    });
     // Cancel the in-flight manipulation if the edit invalidated it.
     if let Some(p) = s.pending.take() {
         if s.speculator.should_cancel(&p.manipulation, s.pq.graph()) {
@@ -1143,12 +1162,10 @@ fn process_go(
         }
     }
     let query_index = s.out.queries.len();
-    observer
-        .tracer()
-        .instant(specdb_obs::SpanKind::Edit, "go", now.as_micros(), |a| {
-            a.push(("query", query_index.into()));
-            a.push(("session", (si as u64).into()));
-        });
+    observer.tracer().instant(SpanKind::Edit, "go", now.as_micros(), |a| {
+        a.push(("query", query_index.into()));
+        a.push(("session", (si as u64).into()));
+    });
     if let Some(qs) = s.question_start.take() {
         observer
             .metrics()
@@ -1193,9 +1210,7 @@ fn process_go(
                 observer.metrics().counter("spec.salvaged_hits").incr();
             }
         }
-        if observer.wants(EventKind::SpecUsed) {
-            observer.emit(Event::SpecUsed { table: view.clone() });
-        }
+        mark(&observer, "used", now.as_micros(), owner, cv.build.build, None);
         if owner == si {
             if let Ok(base) = db.estimate_query_time_base(&final_query) {
                 observer.calibration().record_delta(
@@ -1252,13 +1267,15 @@ fn collect_unsupported(
         drop(db, &table);
         sessions[si].out.collected += 1;
         observer.metrics().counter("spec.collected").incr();
-        if observer.wants(EventKind::SpecCollected) {
-            observer.emit(Event::SpecCollected { table: table.clone() });
-        }
+        // A table another session built is charged to, and marked
+        // against, that session's build.
         let owner = fleet.builder_of.get(&table).copied().unwrap_or(si);
         fleet.forget_table(&table);
-        if let Some(cv) = sessions[owner].completed_views.remove(&table) {
-            charge_if_unread(&observer, &mut sessions[owner].out, &table, &cv);
+        let cv = sessions[owner].completed_views.remove(&table);
+        let build = cv.as_ref().and_then(|cv| cv.build.build);
+        mark(&observer, "gc", observer.now_micros(), si, build, Some(("table", &table)));
+        if let Some(cv) = cv {
+            charge_if_unread(&observer, owner, &mut sessions[owner].out, &cv);
         }
     }
 }
@@ -1267,6 +1284,7 @@ fn collect_unsupported(
 mod tests {
     use super::*;
     use crate::dataset::{build_base_db, DatasetSpec};
+    use specdb_obs::AttrValue;
     use specdb_trace::{UserModel, UserModelConfig};
 
     fn small_trace(queries: usize, seed: u64) -> Trace {
@@ -1432,12 +1450,11 @@ mod tests {
 
     #[test]
     fn observer_tracks_speculation_lifecycle() {
-        use specdb_obs::{EventKind, MemorySink, Observer};
-        use std::sync::Arc;
+        use specdb_obs::{Observer, Tracer};
         let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::enabled();
         let mut db = base.clone();
-        db.set_observer(Observer::enabled().with_sink(sink.clone()));
+        db.set_observer(Observer::enabled().with_tracer(tracer.clone()));
         let trace = small_trace(12, 42);
         let out = replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap();
         assert!(out.issued > 0, "fixture must speculate");
@@ -1456,15 +1473,30 @@ mod tests {
         assert!(snap.counter("spec.decisions") >= out.issued);
         assert!(snap.counter("buffer.hit") > 0, "replay must touch the buffer pool");
 
-        // Events mirror the counters.
-        let events = sink.events();
-        let count = |k: EventKind| events.iter().filter(|(_, e)| e.kind() == k).count() as u64;
-        assert_eq!(count(EventKind::SpecStarted), out.issued);
-        assert_eq!(count(EventKind::SpecCompleted), out.completed);
-        assert_eq!(count(EventKind::SpecCancelled), out.cancelled);
-        assert_eq!(count(EventKind::SpecUsed), out.used);
-        assert_eq!(count(EventKind::SpecWasted), out.wasted);
-        assert_eq!(count(EventKind::SpecCollected), out.collected);
+        // Lifecycle instants mirror the counters, and each one that names
+        // a build names a `speculate` span of this replay.
+        let spans = tracer.spans();
+        let builds: HashSet<u64> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Speculation && !s.instant)
+            .map(|s| s.id)
+            .collect();
+        assert!(builds.len() as u64 >= out.issued);
+        let steps: Vec<_> =
+            spans.iter().filter(|s| s.kind == SpanKind::Speculation && s.instant).collect();
+        let count = |name: &str| steps.iter().filter(|s| s.name == name).count() as u64;
+        assert_eq!(count("cancel"), out.cancelled);
+        assert_eq!(count("complete"), out.completed);
+        assert_eq!(count("used"), out.used);
+        assert_eq!(count("wasted"), out.wasted);
+        assert_eq!(count("gc"), out.collected);
+        for step in &steps {
+            match step.attr("build").and_then(AttrValue::as_u64) {
+                Some(id) => assert!(builds.contains(&id), "{} names unknown build {id}", step.name),
+                None => assert_eq!(step.name, "gc", "only a gc may lack its build"),
+            }
+            assert!(step.attr("session").is_some());
+        }
 
         // Every completed materialization resolves to used or wasted
         // (non-view manipulations — indexes, staging — are exempt).

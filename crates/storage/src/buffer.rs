@@ -16,7 +16,7 @@ use crate::disk::ResourceDemand;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{FileId, Page, PageId, PAGE_SIZE};
 use crate::segcache::SegCache;
-use specdb_obs::{Counter, Event, EventKind, Observer};
+use specdb_obs::{Counter, Observer};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -518,12 +518,6 @@ impl BufferPool {
                 self.page_table.insert(pid, victim);
                 self.hand = (self.hand + 1) % n;
                 self.metrics.eviction.incr();
-                if self.observer.wants(EventKind::BufferEviction) {
-                    self.observer.emit(Event::BufferEviction {
-                        file: evicted.file.0,
-                        page: evicted.page_no as u64,
-                    });
-                }
                 return Ok(());
             }
             f.referenced = false;
@@ -834,11 +828,8 @@ mod tests {
     }
 
     #[test]
-    fn observer_counts_traffic_and_emits_evictions() {
-        use specdb_obs::MemorySink;
-
-        let sink = Arc::new(MemorySink::new());
-        let observer = Observer::enabled().with_sink(sink.clone());
+    fn observer_counts_traffic_and_evictions() {
+        let observer = Observer::enabled();
         let mut pool = BufferPool::new(2);
         pool.set_observer(observer.clone());
 
@@ -858,14 +849,6 @@ mod tests {
         // Four writes into two frames force evictions, plus one more to
         // bring page 0 back in.
         assert_eq!(snap.counter("buffer.eviction"), 3);
-
-        let evictions: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter(|(_, e)| e.kind() == EventKind::BufferEviction)
-            .collect();
-        assert_eq!(evictions.len(), 3);
-        assert!(matches!(evictions[0].1, Event::BufferEviction { file, page: 0 } if file == f.0));
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn replay_identical_at_any_thread_count() {
 }
 
 /// Tracing is strictly observational: a full speculative replay with
-/// the tracer and an event sink attached must produce the bit-identical
+/// the tracer attached must produce the bit-identical
 /// [`ReplayOutcome`] as one with observability fully disabled, at every
 /// worker-thread count. Wall-clock span timestamps must never leak into
 /// virtual-time accounting or speculation decisions.
@@ -139,16 +139,14 @@ fn replay_identical_at_any_thread_count() {
 /// [`ReplayOutcome`]: specdb::sim::replay::ReplayOutcome
 #[test]
 fn replay_identical_with_tracing_on_and_off() {
-    use specdb::obs::{MemorySink, Observer, Tracer};
-    use std::sync::Arc;
+    use specdb::obs::{Observer, Tracer};
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
     let trace = UserModel::default().generate("u", 1234);
     let run = |threads: usize, traced: bool| {
         let mut db = base.clone();
         db.set_threads(threads);
         if traced {
-            let sink = Arc::new(MemorySink::new());
-            db.set_observer(Observer::enabled().with_sink(sink).with_tracer(Tracer::enabled()));
+            db.set_observer(Observer::enabled().with_tracer(Tracer::enabled()));
         }
         replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap()
     };

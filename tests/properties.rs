@@ -272,3 +272,69 @@ proptest! {
         prop_assert_eq!(pq.graph(), &g);
     }
 }
+
+// ---------- wire protocol ----------
+
+/// Each `EDIT` sub-command of the wire protocol and its argument count.
+const EDIT_ARITY: &[(&str, usize)] = &[
+    ("ADD_RELATION", 1),
+    ("REMOVE_RELATION", 1),
+    ("ADD_SELECTION", 4),
+    ("REMOVE_SELECTION", 4),
+    ("UPDATE_SELECTION", 5),
+    ("ADD_JOIN", 4),
+    ("REMOVE_JOIN", 4),
+    ("ADD_PROJECTION", 2),
+    ("REMOVE_PROJECTION", 2),
+    ("GO", 0),
+];
+
+/// One whitespace-free token: a verb, an `EDIT` sub-command, a
+/// comparison operator, or a free string.
+fn arb_wire_token() -> impl Strategy<Value = String> {
+    let pick =
+        |words: &'static [&'static str]| (0..words.len()).prop_map(move |i| words[i].to_string());
+    prop_oneof![
+        pick(&["CONNECT", "EDIT", "GO", "go", "CANCEL", "STATS", "QUIT", "exit"]),
+        (0..EDIT_ARITY.len()).prop_map(|i| EDIT_ARITY[i].0.to_ascii_lowercase()),
+        pick(&["=", "==", "!=", "<>", "<", "<=", ">", ">=", "EQ", "ne", "LT", "le"]),
+        "[a-zA-Z0-9_'=<>!.-]{1,8}",
+    ]
+}
+
+/// A request line: free tokens, or an `EDIT` with a sub-command first.
+fn arb_request_line() -> impl Strategy<Value = String> {
+    (any::<bool>(), prop::collection::vec(arb_wire_token(), 0..9)).prop_map(|(edit, tokens)| {
+        let line = tokens.join(" ");
+        if edit {
+            format!("EDIT {line}")
+        } else {
+            line
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn wire_parser_never_panics(line in arb_request_line()) {
+        let _ = specdb::serve::parse_request(&line);
+    }
+
+    #[test]
+    fn edit_with_the_wrong_argument_count_is_refused(
+        (sub, n, args) in (
+            0..EDIT_ARITY.len(),
+            0usize..8,
+            prop::collection::vec(arb_wire_token(), 8),
+        )
+            .prop_filter("wrong count", |(sub, n, _)| *n != EDIT_ARITY[*sub].1)
+    ) {
+        let (name, arity) = EDIT_ARITY[sub];
+        let line = format!("EDIT {name} {}", args[..n].join(" "));
+        prop_assert!(
+            specdb::serve::parse_request(&line).is_err(),
+            "{name} takes {arity} argument(s) but accepted {line:?}"
+        );
+    }
+}

@@ -1,39 +1,49 @@
 //! End-to-end tracing: a multi-threaded speculative replay with the
 //! tracer attached must yield a schema-valid Chrome/Perfetto trace, a
-//! populated per-operator profile, latency histograms, and a renderable
-//! timeline dashboard.
+//! populated per-operator profile, latency histograms, and a timeline
+//! dashboard whose build verdicts are the replay's own counts.
 
 use specdb::obs::span::{validate_chrome_trace, SpanKind};
-use specdb::obs::{MemorySink, Observer, Tracer};
+use specdb::obs::{Observer, Tracer};
 use specdb::sim::dashboard::render_timeline_html;
 use specdb::sim::replay::{replay_trace, ReplayConfig};
 use specdb::sim::report::render_operator_profiles;
 use specdb::sim::{build_base_db, DatasetSpec};
 use specdb::trace::{UserModel, UserModelConfig};
-use std::sync::Arc;
 
 #[test]
 fn traced_replay_produces_valid_artifacts() {
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-    let cfg = UserModelConfig { queries: 8, questions: 2, ..Default::default() };
+    // A hurried user: think gaps comparable to build times, so edits and
+    // GOs cancel builds as well as settle them.
+    let cfg = UserModelConfig {
+        queries: 8,
+        questions: 2,
+        think_median_secs: 0.2,
+        think_min_secs: 0.05,
+        think_max_secs: 2.0,
+        ..Default::default()
+    };
     let trace =
         UserModel::new(cfg, specdb::tpch::ExploreDomain::tpch()).generate("tracing-user", 42);
     assert!(trace.edits.len() >= 20, "fixture trace too small: {} edits", trace.edits.len());
 
-    let sink = Arc::new(MemorySink::new());
     let tracer = Tracer::enabled();
     let mut db = base.clone();
     db.set_threads(4);
-    db.set_observer(Observer::enabled().with_sink(sink.clone()).with_tracer(tracer.clone()));
+    db.set_observer(Observer::enabled().with_tracer(tracer.clone()));
     let outcome = replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap();
     assert!(outcome.issued > 0, "fixture must speculate");
+    assert!(outcome.cancelled > 0, "fixture must cancel a build");
 
     let spans = tracer.spans();
     let count = |k: SpanKind| spans.iter().filter(|s| s.kind == k).count();
     assert_eq!(count(SpanKind::Session), 1, "one session span per replay");
     assert_eq!(count(SpanKind::Execute), outcome.queries.len(), "one execute span per GO query");
     assert!(count(SpanKind::Decide) > 0, "speculator decisions must be traced");
-    assert!(count(SpanKind::Speculation) as u64 >= outcome.issued);
+    let builds =
+        spans.iter().filter(|s| s.kind == SpanKind::Speculation && !s.instant).count() as u64;
+    assert!(builds >= outcome.issued, "every issued build has its speculate span");
     assert!(count(SpanKind::Operator) > 0, "per-operator spans must be recorded");
     assert!(count(SpanKind::Morsel) > 0, "4-thread run must record morsel spans");
     assert!(count(SpanKind::Edit) >= 20, "every user edit leaves an instant");
@@ -70,11 +80,16 @@ fn traced_replay_produces_valid_artifacts() {
     }
     assert!(rendered.contains("p95="), "histograms must render quantiles");
 
-    // The dashboard renders from the same artifacts.
-    let events = sink.events();
-    let html = render_timeline_html("tracing test", &events, &spans);
+    // The dashboard renders from the same spans and draws the replay's
+    // own verdicts.
+    let html = render_timeline_html("tracing test", &spans);
     assert!(html.contains("<svg"), "dashboard must draw charts");
     assert!(html.contains("queries"), "dashboard must label lanes");
+    let verdicts = format!(
+        "{} used, {} wasted, {} cancelled",
+        outcome.used, outcome.wasted, outcome.cancelled
+    );
+    assert!(html.contains(&verdicts), "dashboard disagrees with the replay ({verdicts})");
 }
 
 /// Disabled tracing stays zero-cost and empty: no spans accumulate and
