@@ -13,7 +13,9 @@
 
 use crate::schema::Schema;
 use serde::{Deserialize, Serialize};
-use specdb_storage::{AccessKind, BufferPool, HeapFile, StorageResult, Tuple, TupleId, Value};
+use specdb_storage::{
+    AccessKind, BufferPool, HeapFile, StorageResult, Tuple, TupleId, Value, ValueMap,
+};
 use std::collections::HashMap;
 use std::ops::Bound;
 
@@ -135,7 +137,7 @@ impl OrderedIndex {
         BatchProber {
             index: self,
             leaves: HashMap::new(),
-            results: HashMap::new(),
+            results: ValueMap::default(),
             probes: 0,
             saved_descents: 0,
         }
@@ -175,7 +177,7 @@ pub struct BatchProber<'i> {
     leaves: HashMap<u32, Vec<(Value, TupleId)>>,
     /// Key → (leaf pages its descent reads, matching rids), filled by the
     /// first probe of each distinct key in the batch.
-    results: HashMap<Value, (Vec<u32>, Vec<TupleId>)>,
+    results: ValueMap<(Vec<u32>, Vec<TupleId>)>,
     probes: u64,
     saved_descents: u64,
 }

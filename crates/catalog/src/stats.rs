@@ -7,7 +7,7 @@
 //! optimizer fallback estimates when no histogram exists.
 
 use serde::{Deserialize, Serialize};
-use specdb_storage::{BufferPool, HeapFile, StorageResult, Value};
+use specdb_storage::{BufferPool, HeapFile, StorageResult, Value, ValueBuildHasher};
 use std::collections::HashSet;
 
 /// Per-column statistics.
@@ -51,7 +51,7 @@ impl TableStats {
         let mut mins: Vec<Option<Value>> = vec![None; arity];
         let mut maxs: Vec<Option<Value>> = vec![None; arity];
         let mut nulls = vec![0u64; arity];
-        let mut distincts: Vec<HashSet<Value>> = vec![HashSet::new(); arity];
+        let mut distincts: Vec<HashSet<Value, ValueBuildHasher>> = vec![HashSet::default(); arity];
         // Cap the distinct-tracking set; beyond the cap, scale up by the
         // sampled rate (standard sketch-free approximation).
         const DISTINCT_CAP: usize = 1 << 16;

@@ -55,18 +55,17 @@ use crate::parallel::{
     check_abort, effective_workers, morsel_size, stream_ordered, MorselTask, MIN_MORSEL_PAGES,
 };
 use crate::plan::{BoundPred, Plan, PlanNode};
-use crate::run::{as_ref_bound, Acc};
+use crate::run::{as_ref_bound, Acc, Groups};
 use specdb_catalog::{Catalog, DataType, Schema};
 use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
 use specdb_storage::column::rle_run_of;
 use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    AccessKind, ColumnSegment, ColumnVec, EncodedCol, HeapFile, Page, PageId, SegCache,
-    StorageResult, Tuple, Value, ZoneMap,
+    value_hash, AccessKind, ColumnSegment, ColumnVec, EncodedCol, HeapFile, Page, PageId, SegCache,
+    StorageResult, Tuple, Value, ValueMap, ZoneMap,
 };
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -986,22 +985,24 @@ fn index_scan_batched(
 /// order (row id = arrival position) plus key → row-id buckets, split
 /// into one or more partitions by key hash. A serial build uses a single
 /// partition (and never hashes); a parallel build uses one partition per
-/// worker. A key lives in exactly one partition and every bucket lists
-/// its row ids in arrival order, so probe output order is identical at
-/// any partition count. Probe output references the columns by gather
-/// index instead of copying them.
+/// worker. Buckets and partitions both hash with
+/// [`specdb_storage::tuple::ValueHasher`], whose fixed constants make the
+/// partition layout the same in every run. A key lives in exactly one
+/// partition and every bucket lists its row ids in arrival order, so
+/// probe output order is identical at any partition count. Probe output
+/// references the columns by gather index instead of copying them.
 struct JoinTable {
     cols: Vec<ColumnVec>,
     parts: Vec<Buckets>,
 }
 
-type Buckets = HashMap<Value, Vec<u32>>;
+type Buckets = ValueMap<Vec<u32>>;
 
 impl JoinTable {
     fn part_of(&self, key: &Value) -> &Buckets {
         match self.parts.len() {
             1 => &self.parts[0],
-            n => &self.parts[(key_hash(key) % n as u64) as usize],
+            n => &self.parts[(value_hash(key) % n as u64) as usize],
         }
     }
 
@@ -1041,16 +1042,6 @@ impl JoinTable {
     }
 }
 
-/// Partition hash for join keys (SipHash with fixed zero keys: stable
-/// across runs and thread counts). Partition layout is wall-clock state
-/// only, never observable in results or accounting.
-fn key_hash(v: &Value) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    v.hash(&mut h);
-    h.finish()
-}
-
 /// Build-side pre-digest of one chunk's non-NULL-key rows: key hashes
 /// and keys, the rows' values column-major, and their total encoded
 /// length (for the build-bytes memory charge).
@@ -1079,7 +1070,7 @@ fn build_join_table(
         }
     }
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); left.cols.len()];
-    let mut buckets = Buckets::new();
+    let mut buckets = Buckets::default();
     let mut bytes = 0u64;
     run_batched(left, catalog, ctx, &mut |b: ColumnBatch| {
         for row in 0..b.len() {
@@ -1124,7 +1115,7 @@ fn build_join_table_parallel(
             for row in 0..b.len() {
                 let key = b.value(row, lkey);
                 if !key.is_null() {
-                    d.keys.push((key_hash(key), key.clone()));
+                    d.keys.push((value_hash(key), key.clone()));
                     for (c, col) in d.cols.iter_mut().enumerate() {
                         col.push(b.value(row, c).clone());
                     }
@@ -1159,7 +1150,7 @@ fn build_join_table_parallel(
         // because concurrent partition tasks read the same keys.
         let span = tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
         let rows = keys.len();
-        let mut buckets = Buckets::new();
+        let mut buckets = Buckets::default();
         for (id, (_, key)) in keys.into_iter().enumerate() {
             buckets.entry(key).or_default().push(id as u32);
         }
@@ -1174,7 +1165,7 @@ fn build_join_table_parallel(
             let task: MorselTask<Buckets> = Box::new(move |_abort| {
                 let span =
                     tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
-                let mut buckets = Buckets::new();
+                let mut buckets = Buckets::default();
                 let mut rows = 0usize;
                 for (id, (h, key)) in keys.iter().enumerate() {
                     if (*h % parts_n as u64) as usize == p {
@@ -1457,11 +1448,11 @@ fn aggregate_batched(
     ctx: &mut ExecCtx<'_>,
     out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
+    let mut groups = Groups::default();
     let mut input_rows: u64 = 0;
     // Accumulators read straight from column vectors: group keys gather
     // only the grouping columns, aggregates only their input column.
-    let mut feed = |groups: &mut HashMap<Vec<Value>, Vec<Acc>>, b: &ColumnBatch| {
+    let mut feed = |groups: &mut Groups, b: &ColumnBatch| {
         for row in 0..b.len() {
             input_rows += 1;
             let key: Vec<Value> = group.iter().map(|&c| b.value(row, c).clone()).collect();

@@ -1664,6 +1664,29 @@ mod tests {
         }
     }
 
+    /// The decoded-segment cache is wall-clock state only: a clone that
+    /// caches nothing answers a multi-join query set with the same rows,
+    /// virtual time and resource demand as one that caches every page.
+    #[test]
+    fn segment_cache_never_changes_results_or_accounting() {
+        let db = company_db(1);
+        let mut cached = db.clone();
+        let mut uncached = db.clone();
+        uncached.pool.set_seg_budget(0);
+        for round in 0..2 {
+            for g in company_graphs() {
+                let q = Query::star(g.clone());
+                let a = cached.execute(&q).unwrap();
+                let b = uncached.execute(&q).unwrap();
+                assert_eq!(a.rows, b.rows, "round {round} {g:?}");
+                assert_eq!(a.elapsed, b.elapsed, "round {round} {g:?}");
+                assert_eq!(a.demand, b.demand, "round {round} {g:?}");
+            }
+        }
+        assert!(cached.pool().seg_resident() > 0, "the cached clone must serve decoded pages");
+        assert_eq!(uncached.pool().seg_resident(), 0);
+    }
+
     /// Everything a build could leave behind.
     fn build_traces(db: &Database) -> (Vec<String>, Vec<String>, usize, u64, usize) {
         let mut tables: Vec<String> = db.catalog().table_names().map(String::from).collect();

@@ -12,7 +12,7 @@ use crate::error::{ExecError, ExecResult};
 use crate::plan::{BoundPred, Plan, PlanNode};
 use specdb_catalog::Catalog;
 use specdb_query::AggFunc;
-use specdb_storage::{AccessKind, PageId, Tuple, Value};
+use specdb_storage::{AccessKind, PageId, Tuple, Value, ValueBuildHasher, ValueMap};
 use std::collections::HashMap;
 use std::ops::Bound;
 
@@ -60,6 +60,10 @@ pub fn run(
         }
     }
 }
+
+/// Aggregate groups: group key → one accumulator per aggregate. Never
+/// iterated for output without sorting by key first.
+pub(crate) type Groups = HashMap<Vec<Value>, Vec<Acc>, ValueBuildHasher>;
 
 /// Accumulator state for one aggregate function (shared with the batch
 /// executor so both paths aggregate identically).
@@ -130,7 +134,7 @@ fn aggregate(
     ctx: &mut ExecCtx<'_>,
     out: &mut dyn FnMut(Tuple) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
+    let mut groups = Groups::default();
     let mut input_rows: u64 = 0;
     run(input, catalog, ctx, &mut |t| {
         input_rows += 1;
@@ -265,7 +269,7 @@ fn hash_join(
     out: &mut dyn FnMut(Tuple) -> ExecResult<()>,
 ) -> ExecResult<()> {
     // Build phase: materialize the left input into a hash table.
-    let mut table: HashMap<Value, Vec<Tuple>> = HashMap::new();
+    let mut table: ValueMap<Vec<Tuple>> = ValueMap::default();
     let mut build_bytes: u64 = 0;
     run(left, catalog, ctx, &mut |t| {
         let key = t.get(lkey).clone();

@@ -174,9 +174,12 @@ impl BufferPool {
             spill_model: true,
             observer: Observer::disabled(),
             metrics: PoolMetrics::default(),
-            // The decoded-segment cache budgets by resident encoded
-            // bytes; give it the pool's own nominal byte size.
-            seg_cache: Arc::new(SegCache::new(capacity * PAGE_SIZE)),
+            // The decoded-segment cache is a wall-clock fast path, so its
+            // budget is fixed rather than tied to the modelled pool: the
+            // pool is scaled down with the dataset to keep virtual I/O
+            // faithful, and a cache that shrank with it would decode most
+            // pages again on every read.
+            seg_cache: Arc::new(SegCache::new(Self::SEG_BUDGET_BYTES)),
         }
     }
 
@@ -337,6 +340,10 @@ impl BufferPool {
     /// the segment cache stops growing (hot files are exempt).
     const SEG_SMALL_PAGES: u32 = 256;
 
+    /// Resident encoded bytes the segment cache may auto-cache from
+    /// files that are not hot. Once full it stops admitting pages.
+    pub const SEG_BUDGET_BYTES: usize = 64 << 20;
+
     /// Read a page through the pool and return it as a columnar
     /// [`ColumnSegment`], serving repeat reads of small or hot files from
     /// the decoded segment cache. The underlying
@@ -406,7 +413,7 @@ impl BufferPool {
     /// Replace the auto-caching budget, denominated in pages for caller
     /// convenience (the cache itself budgets the equivalent bytes of
     /// *encoded* segments, so compression stretches the same budget over
-    /// more pages; default = pool capacity).
+    /// more pages; default [`BufferPool::SEG_BUDGET_BYTES`]).
     pub fn set_seg_budget(&mut self, pages: usize) {
         self.seg_cache.set_budget(pages * PAGE_SIZE);
     }
@@ -740,6 +747,49 @@ mod tests {
         let d = pool.demand_since(before);
         assert_eq!((d.seq_reads, d.hits), (0, 1));
         assert!(Arc::ptr_eq(&seg, &again), "repeat read must reuse the decoded segment");
+    }
+
+    /// The segment cache's budget is not the modelled pool's size: a
+    /// table five times the pool is decoded once, and re-scanning it
+    /// serves every page from the cache while charging the same I/O.
+    #[test]
+    fn segment_cache_holds_data_larger_than_the_pool() {
+        use crate::tuple::Value;
+        let observer = Observer::enabled();
+        let mut pool = BufferPool::new(8);
+        pool.set_observer(observer.clone());
+        let f = pool.create_file();
+        for i in 0..40u32 {
+            // Distinct strings: the page compresses poorly under any
+            // encoding, so the table's encoded bytes exceed the pool's.
+            let mut page = Page::new();
+            let mut row = 0;
+            loop {
+                let t = Tuple::new(vec![Value::Str(format!("p{i}-r{row}-{row:040}"))]);
+                if page.insert(&t.encode()).unwrap().is_none() {
+                    break;
+                }
+                row += 1;
+            }
+            pool.put_page(PageId::new(f, i), page).unwrap();
+        }
+        let scan = |pool: &mut BufferPool| {
+            pool.clear();
+            let before = pool.snapshot();
+            for i in 0..40u32 {
+                pool.read_page_columnar(PageId::new(f, i), AccessKind::Sequential).unwrap();
+            }
+            pool.demand_since(before)
+        };
+        let misses = || observer.metrics().snapshot().counter("segcache.miss");
+        let first = scan(&mut pool);
+        assert_eq!(misses(), 40, "a cold scan decodes every page");
+        let cold = misses();
+        let second = scan(&mut pool);
+        assert_eq!(misses() - cold, 0, "a re-scan decodes nothing");
+        assert_eq!(first, second, "the cache never changes the charged I/O");
+        assert_eq!(first.seq_reads, 40);
+        assert!(pool.seg_resident_bytes() > 8 * PAGE_SIZE, "the table outgrows the pool");
     }
 
     #[test]

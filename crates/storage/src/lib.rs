@@ -37,4 +37,4 @@ pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, TupleId};
 pub use page::{FileId, Page, PageId, PAGE_SIZE};
 pub use segcache::{encoding_from_env, PrefetchKind, SegCache};
-pub use tuple::{Tuple, Value};
+pub use tuple::{value_hash, Tuple, Value, ValueBuildHasher, ValueMap};

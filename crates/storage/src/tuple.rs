@@ -120,6 +120,91 @@ impl std::hash::Hash for Value {
     }
 }
 
+/// A deterministic fast hasher for [`Value`] keys (hash-join buckets
+/// and partitions, aggregate groups, index probe memos).
+///
+/// Each written word is folded in FxHash style (rotate, xor, multiply),
+/// and [`std::hash::Hasher::finish`] applies murmur3's `fmix64`
+/// avalanche. The avalanche is not optional: [`Value::Int`] hashes as the bit pattern
+/// of an `f64`, whose low mantissa bits are zero for small integers,
+/// and a bare multiply leaves those zeros in the low bits the table
+/// indexes by, so every small key would land in a handful of buckets.
+/// The constants are fixed and nothing is seeded, so a key hashes the
+/// same in every process and at every thread count.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ValueHasher {
+    state: u64,
+}
+
+impl ValueHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl std::hash::Hasher for ValueHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // murmur3 fmix64.
+        let mut h = self.state;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// `BuildHasher` for [`ValueHasher`]; every instance hashes alike.
+pub type ValueBuildHasher = std::hash::BuildHasherDefault<ValueHasher>;
+
+/// A hash map keyed by [`Value`] under [`ValueHasher`].
+pub type ValueMap<V> = std::collections::HashMap<Value, V, ValueBuildHasher>;
+
+/// [`ValueHasher`]'s hash of `v`: equal values (including `Int(3)` and
+/// `Float(3.0)`) hash equal, in every process.
+pub fn value_hash(v: &Value) -> u64 {
+    use std::hash::BuildHasher;
+    ValueBuildHasher::default().hash_one(v)
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -398,5 +483,36 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(3)), h(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn value_hash_honours_equality() {
+        assert_eq!(value_hash(&Value::Int(3)), value_hash(&Value::Float(3.0)));
+        assert_eq!(value_hash(&Value::Int(-7)), value_hash(&Value::Float(-7.0)));
+        assert_ne!(value_hash(&Value::Int(3)), value_hash(&Value::Float(3.5)));
+        assert_ne!(value_hash(&Value::Int(0)), value_hash(&Value::Null));
+        assert_ne!(value_hash(&Value::Str("ab".into())), value_hash(&Value::Str("ba".into())));
+    }
+
+    /// Pinned outputs: the constants are fixed and nothing is seeded, so
+    /// every process (and every build) computes exactly these hashes.
+    /// They were checked against an independent implementation of the
+    /// fold and `fmix64`.
+    #[test]
+    fn value_hash_is_the_same_in_every_process() {
+        assert_eq!(value_hash(&Value::Null), 0);
+        assert_eq!(value_hash(&Value::Int(1)), 10022434667839834108);
+        assert_eq!(value_hash(&Value::Float(2.5)), 8290614689687181415);
+        assert_eq!(value_hash(&Value::Str("PERU".into())), 9040333986455777495);
+    }
+
+    /// Small integers hash as `f64` bit patterns with zero low bits; the
+    /// finishing avalanche must still spread them over a table's low
+    /// bits. 1024 keys into 1024 buckets fill about 647 when uniform.
+    #[test]
+    fn value_hash_spreads_small_ints_over_low_bits() {
+        let buckets: std::collections::HashSet<u64> =
+            (0..1024).map(|i| value_hash(&Value::Int(i)) & 1023).collect();
+        assert!(buckets.len() > 560, "only {} of 1024 buckets used", buckets.len());
     }
 }

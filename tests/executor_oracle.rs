@@ -424,3 +424,78 @@ proptest! {
             "columnar resource accounting diverged; plan:\n{}", got.plan);
     }
 }
+
+// ---------- hash-join keys that mix Int and Float ----------
+//
+// `Int(3)` and `Float(3.0)` compare equal, so they must hash equal in
+// the join's bucket map and in its partition hash; a hasher that saw
+// the type instead of the number would drop those matches.
+
+/// mix(k, pad): `k` is `Int(v)` or `Float(v)` by a coin flip per row,
+/// and `Float(v + 0.5)` (matching nothing) on every fifth row.
+fn mixed_key_rows(n: i64, domain: i64, salt: i64) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| {
+            let v = (i * 7 + salt) % domain;
+            let coin = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 63;
+            let k = if i % 5 == 4 {
+                Value::Float(v as f64 + 0.5)
+            } else if coin == 0 {
+                Value::Int(v)
+            } else {
+                Value::Float(v as f64)
+            };
+            Tuple::new(vec![k, Value::Str(format!("pad-{i:032}"))])
+        })
+        .collect()
+}
+
+#[test]
+fn mixed_int_float_join_keys_agree_across_paths() {
+    let a = mixed_key_rows(3000, 400, 0);
+    let b = mixed_key_rows(2500, 400, 3);
+    let pairs: Vec<(&Value, &Value)> = a
+        .iter()
+        .flat_map(|l| b.iter().map(move |r| (l.get(0), r.get(0))))
+        .filter(|(l, r)| l == r)
+        .collect();
+    let expected = pairs.len() as u64;
+    let cross = pairs
+        .iter()
+        .filter(|(l, r)| {
+            matches!((l, r), (Value::Int(_), Value::Float(_)) | (Value::Float(_), Value::Int(_)))
+        })
+        .count();
+    assert!(cross > 1000, "only {cross} of {expected} matches pair an Int with a Float");
+    let mut base = Database::new(DatabaseConfig::with_buffer_pages(64));
+    for (name, rows) in [("a", &a), ("b", &b)] {
+        base.create_table(
+            name,
+            Schema::new(vec![
+                ColumnDef::new("k", DataType::Float),
+                ColumnDef::new("pad", DataType::Str),
+            ]),
+        )
+        .unwrap();
+        base.load(name, rows.iter().cloned()).unwrap();
+    }
+    let mut g = QueryGraph::new();
+    g.add_join(Join::new("a", "k", "b", "k"));
+    let query = Query::star(g);
+    let mut row_db = base.clone();
+    row_db.set_exec_mode(ExecMode::Row);
+    let oracle = row_db.execute(&query).unwrap();
+    assert!(oracle.plan.contains("HashJoin"), "plan:\n{}", oracle.plan);
+    assert_eq!(oracle.row_count, expected);
+    // Four threads build a partitioned join table (both inputs span
+    // more than a morsel's worth of pages), so the partition hash is
+    // exercised too.
+    for threads in [1, 4] {
+        let mut db = base.clone();
+        db.set_exec_mode(ExecMode::Columnar);
+        db.set_threads(threads);
+        let got = db.execute(&query).unwrap();
+        assert_eq!(got.rows, oracle.rows, "{threads} threads; plan:\n{}", got.plan);
+        assert_eq!(got.demand, oracle.demand, "{threads} threads");
+    }
+}
