@@ -6,14 +6,11 @@
 //! batch-at-a-time. This bench runs a memory-resident TPC-H workload
 //! (scans, joins, aggregates) through both [`ExecMode`]s plus a third
 //! arm running the columnar pipeline with four morsel workers
-//! (`Database::set_threads(4)`) and a fourth running it with segment
-//! encoding disabled (`Database::set_encoding(false)` — plain segments,
-//! no dictionaries or zone maps) — the columnar arms with every table's
+//! (`Database::set_threads(4)`) — the columnar arms with every table's
 //! segments pinned — verifying along the way that rows and
-//! virtual-time accounting are bit-identical across modes, thread
-//! counts, and encodings (all of them wall-clock optimizations only).
-//! The artifact also records the encoded-segment compression ratio and
-//! the number of pages zone maps let the scans skip.
+//! virtual-time accounting are bit-identical across modes and thread
+//! counts (both wall-clock optimizations only). The artifact also
+//! records the number of pages zone maps let the scans skip.
 //!
 //! Results land in `BENCH_executor.json` at the repository root so CI
 //! can archive them; the criterion-style stderr lines participate in
@@ -132,7 +129,6 @@ fn main() {
         .map(|&mode| {
             let mut db = base.clone();
             db.set_exec_mode(mode);
-            db.set_encoding(true);
             if mode != ExecMode::Row {
                 for t in specdb_tpch::TPCH_TABLES {
                     db.cache_table_segments(t).expect("cache segments");
@@ -146,18 +142,6 @@ fn main() {
     {
         let mut db = arms.last().expect("columnar arm").clone();
         db.set_threads(4);
-        arms.push(db);
-    }
-    // Fourth arm: serial columnar with segment encoding off — plain
-    // `ColumnVec` segments, no dictionaries, no zone maps. The baseline
-    // the encoded kernels must beat on dictionary-friendly scans.
-    {
-        let mut db = base.clone();
-        db.set_exec_mode(ExecMode::Columnar);
-        db.set_encoding(false);
-        for t in specdb_tpch::TPCH_TABLES {
-            db.cache_table_segments(t).expect("cache segments");
-        }
         arms.push(db);
     }
     let qs = workload(&base);
@@ -176,25 +160,21 @@ fn main() {
         fan_out.plan
     );
 
-    // Storage-format stats, on a dedicated clone of the encoded columnar
-    // arm so the metrics observer never perturbs the timed arms: resident
-    // encoded vs would-be-plain bytes, and zone-map page skips over one
-    // workload pass.
-    let (compression_ratio, pages_skipped) = {
+    // Zone-map page skips over one workload pass, on a dedicated clone
+    // of the columnar arm so the metrics observer never perturbs the
+    // timed arms.
+    let pages_skipped = {
         let mut db = arms[1].clone();
         db.set_observer(specdb_obs::Observer::enabled());
         run_workload(&mut db, &qs);
-        let snap = db.observer().metrics().snapshot();
-        let encoded = db.pool().seg_resident_bytes().max(1);
-        let plain = db.pool().seg_resident_plain_bytes();
-        (plain as f64 / encoded as f64, snap.counter("exec.pages_skipped"))
+        db.observer().metrics().snapshot().counter("exec.pages_skipped")
     };
 
     // Criterion lines (participate in --save-baseline / --baseline).
     let labels: Vec<String> = MODES
         .iter()
         .map(|m| m.as_str().replace('-', "_"))
-        .chain(["batch_columnar_par4".into(), "batch_columnar_plain".into()])
+        .chain(["batch_columnar_par4".into()])
         .collect();
     let mut c = Criterion::default().sample_size(if smoke { 2 } else { 10 });
     for (db, label) in arms.iter_mut().zip(&labels) {
@@ -208,43 +188,34 @@ fn main() {
     let us: Vec<f64> = arms.iter_mut().map(|db| time_arm(db, &qs, passes)).collect();
     let arm_samples: Vec<Vec<f64>> =
         arms.iter_mut().map(|db| sample_arm(db, &qs, passes)).collect();
-    let (row_us, columnar_us, par4_us, plain_us) = (us[0], us[1], us[2], us[3]);
+    let (row_us, columnar_us, par4_us) = (us[0], us[1], us[2]);
     let speedup = row_us / columnar_us.max(1e-9);
     let par4_speedup = columnar_us / par4_us.max(1e-9);
-    let encoded_speedup_vs_plain = plain_us / columnar_us.max(1e-9);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     // Per-query breakdown (stderr only; helps attribute regressions).
-    let mut per_query: Vec<Vec<f64>> = Vec::with_capacity(qs.len());
     for (qi, (q, sql)) in qs.iter().zip(WORKLOAD).enumerate() {
         let per: Vec<f64> = arms
             .iter_mut()
             .map(|db| time_arm(db, std::slice::from_ref(q), passes))
             .collect();
         eprintln!(
-            "executor:   q{qi}: row {:7.1} | columnar {:7.1} | par4 {:7.1} | plain {:7.1} us \
-             ({:.2}x vs row, {:.2}x vs plain)  {}",
+            "executor:   q{qi}: row {:7.1} | columnar {:7.1} | par4 {:7.1} us \
+             ({:.2}x vs row)  {}",
             per[0],
             per[1],
             per[2],
-            per[3],
             per[0] / per[1].max(1e-9),
-            per[3] / per[1].max(1e-9),
             sql
         );
-        per_query.push(per);
     }
-    // q0 is the dictionary-friendly scan (low-cardinality string
-    // equality): the encoded kernel's headline matchup against plain.
-    let encoded_q0_speedup = per_query[0][3] / per_query[0][1].max(1e-9);
 
     println!();
     println!(
         "executor ({} queries x {passes} passes, {seg_pages} segment-cached pages, \
          {cores} cores): row {row_us:.1} | columnar {columnar_us:.1} | \
-         par4 {par4_us:.1} | plain {plain_us:.1} us/query ({speedup:.2}x vs row, \
-         par4 {par4_speedup:.2}x vs columnar, encoded {encoded_speedup_vs_plain:.2}x vs plain, \
-         compression {compression_ratio:.2}x, {pages_skipped} pages skipped)",
+         par4 {par4_us:.1} us/query ({speedup:.2}x vs row, \
+         par4 {par4_speedup:.2}x vs columnar, {pages_skipped} pages skipped)",
         qs.len()
     );
 
@@ -253,15 +224,12 @@ fn main() {
          \"dataset\": \"{}\",\n  \"dataset_mb\": {},\n  \"queries\": {},\n  \"passes\": {passes},\n  \
          \"seg_cached_pages\": {seg_pages},\n  \"host_cores\": {cores},\n  \
          \"us_per_query\": {{ \"row\": {row_us:.3}, \
-         \"batch_columnar\": {columnar_us:.3}, \"batch_columnar_par4\": {par4_us:.3}, \
-         \"batch_columnar_plain\": {plain_us:.3} }},\n  \
+         \"batch_columnar\": {columnar_us:.3}, \"batch_columnar_par4\": {par4_us:.3} }},\n  \
          \"us_per_query_quantiles\": {{ \"row\": {}, \
-         \"batch_columnar\": {}, \"batch_columnar_par4\": {}, \"batch_columnar_plain\": {} }},\n  \
+         \"batch_columnar\": {}, \"batch_columnar_par4\": {} }},\n  \
          \"speedup\": {speedup:.3},\n  \
          \"par4_speedup_vs_columnar\": {par4_speedup:.3},\n  \
-         \"encoded_speedup_vs_plain\": {encoded_speedup_vs_plain:.3},\n  \
-         \"encoded_q0_speedup_vs_plain\": {encoded_q0_speedup:.3},\n  \
-         \"compression_ratio\": {compression_ratio:.3},\n  \"pages_skipped\": {pages_skipped},\n  \
+         \"pages_skipped\": {pages_skipped},\n  \
          \"identical\": {identical}\n}}\n",
         spec_ds.label,
         spec_ds.actual_mb(),
@@ -269,7 +237,6 @@ fn main() {
         specdb_bench::quantiles_json(&arm_samples[0]),
         specdb_bench::quantiles_json(&arm_samples[1]),
         specdb_bench::quantiles_json(&arm_samples[2]),
-        specdb_bench::quantiles_json(&arm_samples[3]),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_executor.json");
     write_json(&path, &json);
@@ -280,20 +247,10 @@ fn main() {
         eprintln!("executor: FAIL — columnar path slower than row path ({speedup:.2}x)");
         std::process::exit(1);
     }
-    // Encoding gate: on the dictionary-friendly scan (q0, string
-    // equality over a handful of nations) the encoded kernel must not be
-    // slower than the plain columnar baseline (10% noise allowance —
-    // per-query smoke timings are short).
-    if smoke && encoded_q0_speedup < 0.9 {
-        eprintln!(
-            "executor: FAIL — encoded scan slower than plain on dictionary-friendly q0 \
-             ({encoded_q0_speedup:.2}x)"
-        );
-        std::process::exit(1);
-    }
     // Morsel-parallel gate: only meaningful with real cores to run on —
     // on a single-core host four workers time-slice one CPU and the arm
-    // measures pure scheduling overhead (10% noise allowance here too).
+    // measures pure scheduling overhead (10% noise allowance — per-query
+    // smoke timings are short).
     if smoke && cores >= 2 && par4_speedup < 0.9 {
         eprintln!(
             "executor: FAIL — parallel-4 slower than serial columnar \

@@ -14,7 +14,9 @@
 //! prediction waste ratio, plus a held-out predictor accuracy section
 //! over a train/held-out corpus split. Results land in
 //! `BENCH_prediction.json` at the repository root; set
-//! `SPECDB_BENCH_SMOKE=1` for a seconds-scale smoke run.
+//! `SPECDB_BENCH_SMOKE=1` for a seconds-scale smoke run. The JSON's
+//! `dataset` is the paper's nominal label: the data actually generated
+//! is `nominal_mb / divisor` (`dataset_mb`).
 
 use specdb_bench::{quantile, quantiles_json};
 use specdb_core::{Learner, LearnerConfig};
@@ -205,11 +207,13 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"bench\": \"prediction\",\n  \"smoke\": {smoke},\n  \"dataset\": \"{}\",\n  \
-         \"dataset_mb\": {},\n  \"users\": {users},\n  \"queries_per_user\": {queries},\n  \
+         \"nominal_mb\": {},\n  \"divisor\": {},\n  \"dataset_mb\": {},\n  \"users\": {users},\n  \"queries_per_user\": {queries},\n  \
          \"predict_off\": {},\n  \"predict_on\": {},\n  \"p50_ratio\": {ratio:.4},\n  \
          \"exact_hit_rate\": {exact_rate:.4},\n  \"salvage_hit_rate\": {salvage_rate:.4},\n  \
          \"prediction_waste_ratio\": {waste:.4},\n  \"held_out_top3\": {top3:.4}\n}}\n",
         spec_ds.label,
+        spec_ds.nominal_mb,
+        spec_ds.divisor,
         spec_ds.actual_mb(),
         arm_json(&off),
         arm_json(&on),

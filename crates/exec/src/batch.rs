@@ -30,15 +30,9 @@
 //! [`Value`] comparison semantics per element and only skip the generic
 //! tag dispatch.
 //!
-//! Kernels additionally exploit the segment cache's *encoded* column
-//! forms ([`specdb_storage::EncodedCol`]): dictionary columns evaluate a
-//! predicate once per distinct value and filter by `u32` code,
-//! run-length columns accept or reject whole runs, and per-column zone
-//! maps ([`specdb_storage::ZoneMap`]) let a scan skip decoding pages
-//! that provably contain no qualifying row (`exec.pages_skipped`).
-//! Selection vectors make materialization late: only the columns a
-//! query keeps, on the pages that survive the zones, ever inflate to
-//! `Vec<Value>`.
+//! Per-column zone maps ([`specdb_storage::ZoneMap`]) let a scan skip
+//! pages that provably contain no qualifying row (`exec.pages_skipped`)
+//! before any filter runs.
 //!
 //! **Equivalence contract**: for any plan, this path produces the same
 //! tuples in the same order as [`crate::run::run`], and charges the same
@@ -59,10 +53,9 @@ use crate::run::{as_ref_bound, Acc, Groups};
 use specdb_catalog::{Catalog, DataType, Schema};
 use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
-use specdb_storage::column::rle_run_of;
 use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    value_hash, AccessKind, ColumnSegment, ColumnVec, EncodedCol, HeapFile, Page, PageId, SegCache,
+    value_hash, AccessKind, ColumnSegment, ColumnVec, HeapFile, Page, PageId, SegCache,
     StorageResult, Tuple, Value, ValueMap, ZoneMap,
 };
 use std::cmp::Ordering;
@@ -122,18 +115,15 @@ impl ColumnBatch {
         ColumnBatch { cols: cols.into_iter().map(Col::plain).collect(), sel: None, rows }
     }
 
-    /// Batch over a decoded page segment's columns (all of them
-    /// materialized — see `ColumnBatch::from_segment_keep` for the
-    /// late-materializing scan path).
+    /// Batch over every column of a decoded page segment (see
+    /// `ColumnBatch::from_segment_keep` for the projecting scan path).
     pub fn from_segment(seg: &ColumnSegment) -> Self {
         ColumnBatch::new(seg.cols())
     }
 
     /// Batch over only the `keep` columns of a segment (`None` keeps
-    /// all). This is where late materialization pays off: columns a
-    /// query filters on but never outputs are left encoded, and the
-    /// kept columns decode lazily, once, shared by every batch over the
-    /// page.
+    /// all), sharing the segment's column vectors with every batch over
+    /// the page.
     fn from_segment_keep(seg: &ColumnSegment, keep: Option<&[usize]>) -> Self {
         let cols = match keep {
             Some(keep) => keep.iter().map(|&c| Col::plain(Arc::clone(seg.col(c)))).collect(),
@@ -528,14 +518,6 @@ impl<'v> FilterKernel<'v> {
 /// Evaluate scan filters column-at-a-time into a selection vector.
 /// `None` means "all rows live" (no filters). A predicate on a NULL
 /// constant matches nothing ([`CompareOp::eval`] three-valued logic).
-///
-/// Kernels run on the column's *encoded* form: a dictionary column
-/// evaluates the predicate once per distinct value and then tests `u32`
-/// codes against the resulting pass set; an RLE column evaluates once
-/// per run and accepts or rejects whole runs. Both are exact because
-/// encoding groups rows by identical representation and every kernel is
-/// a pure function of the value — the selection vector is bit-identical
-/// to the plain per-row loop.
 fn eval_filters(seg: &ColumnSegment, filters: &[BoundPred], schema: &Schema) -> Option<Vec<u32>> {
     if filters.is_empty() {
         return None;
@@ -544,77 +526,25 @@ fn eval_filters(seg: &ColumnSegment, filters: &[BoundPred], schema: &Schema) -> 
     for f in filters {
         let col_ty = schema.columns().get(f.idx).map(|c| c.ty);
         let kernel = FilterKernel::choose(col_ty, &f.value);
-        let next = match seg.encoded(f.idx) {
-            EncodedCol::Plain(col) => {
-                let col = col.as_slice();
-                match &sel {
-                    None => {
-                        let mut v = Vec::new();
-                        for (i, val) in col.iter().enumerate() {
-                            if kernel.matches(f.op, val) {
-                                v.push(i as u32);
-                            }
-                        }
-                        v
-                    }
-                    Some(prev) => {
-                        let mut v = Vec::with_capacity(prev.len());
-                        for &i in prev {
-                            if kernel.matches(f.op, &col[i as usize]) {
-                                v.push(i);
-                            }
-                        }
-                        v
+        let col = seg.col(f.idx).as_slice();
+        let next = match &sel {
+            None => {
+                let mut v = Vec::new();
+                for (i, val) in col.iter().enumerate() {
+                    if kernel.matches(f.op, val) {
+                        v.push(i as u32);
                     }
                 }
+                v
             }
-            EncodedCol::Dict { codes, dict } => {
-                let pass: Vec<bool> = dict.iter().map(|v| kernel.matches(f.op, v)).collect();
-                match &sel {
-                    None => {
-                        let mut v = Vec::new();
-                        for (i, &code) in codes.iter().enumerate() {
-                            if pass[code as usize] {
-                                v.push(i as u32);
-                            }
-                        }
-                        v
-                    }
-                    Some(prev) => {
-                        let mut v = Vec::with_capacity(prev.len());
-                        for &i in prev {
-                            if pass[codes[i as usize] as usize] {
-                                v.push(i);
-                            }
-                        }
-                        v
+            Some(prev) => {
+                let mut v = Vec::with_capacity(prev.len());
+                for &i in prev {
+                    if kernel.matches(f.op, &col[i as usize]) {
+                        v.push(i);
                     }
                 }
-            }
-            EncodedCol::Rle { values, starts } => {
-                let pass: Vec<bool> = values.iter().map(|v| kernel.matches(f.op, v)).collect();
-                match &sel {
-                    None => {
-                        let rows = seg.rows() as u32;
-                        let mut v = Vec::new();
-                        for (run, &start) in starts.iter().enumerate() {
-                            if pass[run] {
-                                let end = starts.get(run + 1).copied().unwrap_or(rows);
-                                v.extend(start..end);
-                            }
-                        }
-                        v
-                    }
-                    Some(prev) => {
-                        let mut v = Vec::with_capacity(prev.len());
-                        for &i in prev {
-                            if pass[rle_run_of(starts, i)] {
-                                v.push(i);
-                            }
-                        }
-                        v
-                    }
-                }
+                v
             }
         };
         if next.is_empty() {
@@ -2048,10 +1978,10 @@ mod tests {
     }
 
     #[test]
-    fn encoded_filters_match_plain_filters() {
-        // dept (i % 10) dictionary-encodes, age (20 + i % 50) has runs
-        // too short to RLE, id is unique: the same plan exercises dict,
-        // plain, and zone logic against the row oracle in one pass.
+    fn filters_match_row_oracle() {
+        // dept (i % 10) is low-cardinality, age (20 + i % 50) repeats in
+        // short runs, id is unique: each predicate's filter kernel and
+        // zone logic are checked against the row oracle.
         for (idx, op, value) in [
             (1, CompareOp::Eq, Value::Int(7)),
             (1, CompareOp::Ne, Value::Int(3)),

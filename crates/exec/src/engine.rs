@@ -68,13 +68,6 @@ pub struct DatabaseConfig {
     /// and virtual-time accounting are bit-identical at any value; only
     /// wall-clock changes.
     pub threads: usize,
-    /// Encode cached column segments (dictionary/RLE with zone maps —
-    /// see [`specdb_storage::column`]). Defaults to the
-    /// `SPECDB_ENCODING` environment variable (on unless set to
-    /// `0`/`off`/`false`/`no`). Results and virtual-time accounting are
-    /// bit-identical on or off; encoding trades decode CPU for cache
-    /// capacity and code-width kernels.
-    pub encoding: bool,
 }
 
 /// Which executor pipeline the engine runs plans on.
@@ -115,7 +108,6 @@ impl DatabaseConfig {
             plan_cache: true,
             exec_mode: ExecMode::Columnar,
             threads: threads_from_env(),
-            encoding: specdb_storage::encoding_from_env(),
         }
     }
 
@@ -163,12 +155,6 @@ impl DatabaseConfig {
     /// Set the morsel worker thread count (clamped to at least 1).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Toggle segment encoding (see [`DatabaseConfig::encoding`]).
-    pub fn encoding(mut self, on: bool) -> Self {
-        self.encoding = on;
         self
     }
 }
@@ -311,7 +297,6 @@ impl Database {
     pub fn new(config: DatabaseConfig) -> Self {
         let mut pool = BufferPool::new(config.buffer_pages);
         pool.set_spill_model(config.spill_model);
-        pool.set_encoding(config.encoding);
         Database {
             pool,
             catalog: Catalog::new(),
@@ -338,18 +323,11 @@ impl Database {
         self.threads
     }
 
-    /// Toggle segment encoding at runtime. Already-decoded segments are
-    /// dropped so the cache re-decodes in the new format; results and
-    /// accounting are bit-identical either way (only decode cost and
-    /// cache capacity change).
-    pub fn set_encoding(&mut self, on: bool) {
-        self.pool.set_encoding(on);
-    }
-
-    /// True when cached column segments store encoded (dictionary/RLE)
-    /// columns rather than plain vectors.
+    /// Always `false`: column segments are always stored plain (see
+    /// [`specdb_storage::column`]). The accessor exists only because the
+    /// benchmark's run provenance (`perfbench/src/main.rs`) reads it.
     pub fn encoding(&self) -> bool {
-        self.pool.encoding()
+        false
     }
 
     /// Warm the segment cache for `tables`' heap pages through the

@@ -49,9 +49,9 @@ impl PoolMetrics {
     }
 
     /// Segment-cache handles, resolved alongside the pool's own.
-    fn resolve_seg(observer: &Observer) -> crate::segcache::SegMetricHandles {
+    fn resolve_seg(observer: &Observer) -> crate::segcache::SegMetrics {
         let m = observer.metrics();
-        crate::segcache::SegMetricHandles {
+        crate::segcache::SegMetrics {
             hit: m.counter("segcache.hit"),
             miss: m.counter("segcache.miss"),
             evict: m.counter("segcache.evictions"),
@@ -60,9 +60,6 @@ impl PoolMetrics {
             prefetch_useful_predict: m.counter("segcache.prefetch_useful.predict"),
             resident_bytes: m.gauge("segcache.resident_bytes"),
             decode_us: m.histogram("segcache.decode_us"),
-            decode_plain_us: m.histogram("lat.decode_plain_us"),
-            decode_dict_us: m.histogram("lat.decode_dict_us"),
-            decode_rle_us: m.histogram("lat.decode_rle_us"),
         }
     }
 }
@@ -340,7 +337,7 @@ impl BufferPool {
     /// the segment cache stops growing (hot files are exempt).
     const SEG_SMALL_PAGES: u32 = 256;
 
-    /// Resident encoded bytes the segment cache may auto-cache from
+    /// Resident bytes the segment cache may auto-cache from
     /// files that are not hot. Once full it stops admitting pages.
     pub const SEG_BUDGET_BYTES: usize = 64 << 20;
 
@@ -399,34 +396,16 @@ impl BufferPool {
         self.seg_cache.resident()
     }
 
-    /// Resident encoded bytes held by the segment cache.
+    /// Resident bytes held by the segment cache.
     pub fn seg_resident_bytes(&self) -> usize {
         self.seg_cache.resident_bytes()
     }
 
-    /// Bytes the resident segments would occupy fully decoded — divide
-    /// by [`BufferPool::seg_resident_bytes`] for the compression ratio.
-    pub fn seg_resident_plain_bytes(&self) -> usize {
-        self.seg_cache.resident_plain_bytes()
-    }
-
     /// Replace the auto-caching budget, denominated in pages for caller
     /// convenience (the cache itself budgets the equivalent bytes of
-    /// *encoded* segments, so compression stretches the same budget over
-    /// more pages; default [`BufferPool::SEG_BUDGET_BYTES`]).
+    /// decoded segments; default [`BufferPool::SEG_BUDGET_BYTES`]).
     pub fn set_seg_budget(&mut self, pages: usize) {
         self.seg_cache.set_budget(pages * PAGE_SIZE);
-    }
-
-    /// Toggle dictionary/RLE segment encoding for future decodes
-    /// (`SPECDB_ENCODING`; results are identical either way).
-    pub fn set_encoding(&mut self, on: bool) {
-        self.seg_cache.set_encoding(on);
-    }
-
-    /// True when segment decodes apply dictionary/RLE encoding.
-    pub fn encoding(&self) -> bool {
-        self.seg_cache.encoding()
     }
 
     /// Look at a page's current disk image **without** any buffer-pool
@@ -760,8 +739,8 @@ mod tests {
         pool.set_observer(observer.clone());
         let f = pool.create_file();
         for i in 0..40u32 {
-            // Distinct strings: the page compresses poorly under any
-            // encoding, so the table's encoded bytes exceed the pool's.
+            // Long distinct strings: the table's decoded bytes exceed the
+            // pool's.
             let mut page = Page::new();
             let mut row = 0;
             loop {

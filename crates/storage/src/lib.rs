@@ -31,10 +31,10 @@ pub mod tuple;
 
 pub use buffer::{AccessKind, BufferPool, IoSnapshot, IoStats};
 pub use clock::VirtualTime;
-pub use column::{ColumnSegment, ColumnVec, EncodedCol, EncodingKind, ZoneMap};
+pub use column::{ColumnSegment, ColumnVec, ZoneMap};
 pub use disk::{DiskModel, ResourceDemand};
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, TupleId};
 pub use page::{FileId, Page, PageId, PAGE_SIZE};
-pub use segcache::{encoding_from_env, PrefetchKind, SegCache};
+pub use segcache::{PrefetchKind, SegCache};
 pub use tuple::{value_hash, Tuple, Value, ValueBuildHasher, ValueMap};

@@ -7,10 +7,8 @@
 //! an [`Arc`] with a vendored `parking_lot` mutex: the pool holds one
 //! handle, every scan worker holds another.
 //!
-//! Since PR 7 the cached unit is the *encoded* segment
-//! (dictionary/RLE/plain, see [`crate::column`]) and the cache budgets
-//! by **resident encoded bytes** rather than entry count — compression
-//! directly grows effective cache capacity. The cache also retains two
+//! The cache budgets by **resident bytes** of the decoded columns (see
+//! [`ColumnSegment::bytes`]) rather than entry count. It also retains two
 //! lightweight side structures:
 //!
 //! - **Zone maps** ([`crate::column::ZoneMap`]) survive segment
@@ -36,23 +34,13 @@
 //! results against the old version are discarded, so a stale page image
 //! can never enter the cache.
 
-use crate::column::{ColumnSegment, EncodingKind, ZoneMap};
+use crate::column::{ColumnSegment, ZoneMap};
 use crate::error::StorageResult;
 use crate::page::{FileId, Page, PageId};
 use parking_lot::Mutex;
 use specdb_obs::{Counter, Gauge, Histogram};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Default encoding selection: `SPECDB_ENCODING` unset or anything but
-/// `0`/`off`/`false`/`no` means encodings are on.
-pub fn encoding_from_env() -> bool {
-    match std::env::var("SPECDB_ENCODING") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    }
-}
 
 /// Why a page was speculatively warmed. Useful-prefetch accounting is
 /// split by kind so the observability layer can tell whether warm hits
@@ -66,36 +54,21 @@ pub enum PrefetchKind {
     Prediction,
 }
 
-/// Metric handles bumped by the cache (no-ops until an observer is
-/// installed via [`SegCache::set_metrics`]).
+/// Metric handles bumped by the cache (no-ops until the pool's observer
+/// hookup, [`crate::buffer::BufferPool::set_observer`], installs them via
+/// [`SegCache::set_metrics`]).
 #[derive(Clone, Default)]
-struct SegMetrics {
-    hit: Counter,
-    miss: Counter,
-    evict: Counter,
-    prefetch_issued: Counter,
-    prefetch_useful_manip: Counter,
-    prefetch_useful_predict: Counter,
-    resident_bytes: Gauge,
+pub(crate) struct SegMetrics {
+    pub hit: Counter,
+    pub miss: Counter,
+    pub evict: Counter,
+    pub prefetch_issued: Counter,
+    pub prefetch_useful_manip: Counter,
+    pub prefetch_useful_predict: Counter,
+    pub resident_bytes: Gauge,
     /// Wall-clock decode cost per page, microseconds. Observational
     /// only — never feeds virtual accounting.
-    decode_us: Histogram,
-    /// Same samples, split by the segment's dominant encoding so
-    /// operator profiles can attribute scan time to decode flavor.
-    decode_plain_us: Histogram,
-    decode_dict_us: Histogram,
-    decode_rle_us: Histogram,
-}
-
-impl SegMetrics {
-    fn record_decode(&self, kind: EncodingKind, us: f64) {
-        self.decode_us.record(us);
-        match kind {
-            EncodingKind::Plain => self.decode_plain_us.record(us),
-            EncodingKind::Dict => self.decode_dict_us.record(us),
-            EncodingKind::Rle => self.decode_rle_us.record(us),
-        }
-    }
+    pub decode_us: Histogram,
 }
 
 /// A retained zone-map entry. `confirmed` means a synchronous
@@ -122,13 +95,10 @@ struct SegCacheInner {
     /// Files pinned into the cache regardless of size or budget
     /// (materialized speculation results, explicitly cached tables).
     hot: HashSet<FileId>,
-    /// Max resident encoded bytes auto-cached for files not marked hot.
+    /// Max resident bytes auto-cached for files not marked hot.
     budget_bytes: usize,
-    /// Resident encoded bytes across all cached segments.
+    /// Resident bytes across all cached segments.
     resident_bytes: usize,
-    /// What those segments would occupy fully decoded (compression-ratio
-    /// denominator).
-    resident_plain_bytes: usize,
     /// Bumped on every invalidation/file drop; in-flight prefetches
     /// carry the version they observed and discard on mismatch.
     version: u64,
@@ -138,8 +108,7 @@ struct SegCacheInner {
 impl SegCacheInner {
     fn insert(&mut self, pid: PageId, seg: &Arc<ColumnSegment>) {
         if self.map.insert(pid, Arc::clone(seg)).is_none() {
-            self.resident_bytes += seg.encoded_bytes();
-            self.resident_plain_bytes += seg.plain_bytes();
+            self.resident_bytes += seg.bytes();
             self.metrics.resident_bytes.set(self.resident_bytes as f64);
         }
     }
@@ -147,8 +116,7 @@ impl SegCacheInner {
     fn forget(&mut self, pid: PageId) -> bool {
         match self.map.remove(&pid) {
             Some(seg) => {
-                self.resident_bytes -= seg.encoded_bytes();
-                self.resident_plain_bytes -= seg.plain_bytes();
+                self.resident_bytes -= seg.bytes();
                 self.prefetched.remove(&pid);
                 self.metrics.resident_bytes.set(self.resident_bytes as f64);
                 true
@@ -182,49 +150,20 @@ impl SegCacheInner {
 /// buffer pool and morsel-scan workers via `Arc<SegCache>`.
 pub struct SegCache {
     inner: Mutex<SegCacheInner>,
-    /// Whether decodes apply dictionary/RLE encoding (`SPECDB_ENCODING`,
-    /// default on). Changing it mid-flight is safe: both forms decode to
-    /// identical values.
-    encoding: AtomicBool,
 }
 
 impl SegCache {
     /// Create a cache that may auto-cache up to `budget_bytes` of
-    /// encoded segments from non-hot files.
+    /// segments from non-hot files.
     pub fn new(budget_bytes: usize) -> Self {
-        SegCache {
-            inner: Mutex::new(SegCacheInner { budget_bytes, ..SegCacheInner::default() }),
-            encoding: AtomicBool::new(encoding_from_env()),
-        }
+        SegCache { inner: Mutex::new(SegCacheInner { budget_bytes, ..SegCacheInner::default() }) }
     }
 
     /// Install metric handles (called when the pool's observer changes).
-    pub(crate) fn set_metrics(&self, m: SegMetricHandles) {
+    pub(crate) fn set_metrics(&self, m: SegMetrics) {
         let mut inner = self.inner.lock();
-        inner.metrics = SegMetrics {
-            hit: m.hit,
-            miss: m.miss,
-            evict: m.evict,
-            prefetch_issued: m.prefetch_issued,
-            prefetch_useful_manip: m.prefetch_useful_manip,
-            prefetch_useful_predict: m.prefetch_useful_predict,
-            resident_bytes: m.resident_bytes,
-            decode_us: m.decode_us,
-            decode_plain_us: m.decode_plain_us,
-            decode_dict_us: m.decode_dict_us,
-            decode_rle_us: m.decode_rle_us,
-        };
+        inner.metrics = m;
         inner.metrics.resident_bytes.set(inner.resident_bytes as f64);
-    }
-
-    /// Toggle dictionary/RLE encoding for future decodes.
-    pub fn set_encoding(&self, on: bool) {
-        self.encoding.store(on, Ordering::Relaxed);
-    }
-
-    /// True when decodes apply dictionary/RLE encoding.
-    pub fn encoding(&self) -> bool {
-        self.encoding.load(Ordering::Relaxed)
     }
 
     /// Look up the decoded form of `pid`, decoding (and caching, when
@@ -266,11 +205,11 @@ impl SegCache {
             metrics = inner.metrics.clone();
         }
         let t0 = std::time::Instant::now();
-        let seg = Arc::new(ColumnSegment::decode_page_with(page, self.encoding())?);
-        metrics.record_decode(seg.dominant_encoding(), t0.elapsed().as_micros() as f64);
+        let seg = Arc::new(ColumnSegment::decode_page(page)?);
+        metrics.decode_us.record(t0.elapsed().as_micros() as f64);
         let mut inner = self.inner.lock();
         inner.put_zones(pid, &seg, true);
-        let fits = inner.resident_bytes + seg.encoded_bytes() <= inner.budget_bytes;
+        let fits = inner.resident_bytes + seg.bytes() <= inner.budget_bytes;
         if cache_hot || inner.hot.contains(&pid.file) || (small_file && fits) {
             if let Some(existing) = inner.map.get(&pid) {
                 return Ok(Arc::clone(existing));
@@ -308,17 +247,17 @@ impl SegCache {
         }
         metrics.prefetch_issued.incr();
         let t0 = std::time::Instant::now();
-        let Ok(seg) = ColumnSegment::decode_page_with(page, self.encoding()) else {
+        let Ok(seg) = ColumnSegment::decode_page(page) else {
             return false;
         };
         let seg = Arc::new(seg);
-        metrics.record_decode(seg.dominant_encoding(), t0.elapsed().as_micros() as f64);
+        metrics.decode_us.record(t0.elapsed().as_micros() as f64);
         let mut inner = self.inner.lock();
         if inner.version != version || inner.map.contains_key(&pid) {
             return false;
         }
         inner.put_zones(pid, &seg, false);
-        let fits = inner.resident_bytes + seg.encoded_bytes() <= inner.budget_bytes;
+        let fits = inner.resident_bytes + seg.bytes() <= inner.budget_bytes;
         if cache_hot || inner.hot.contains(&pid.file) || (small_file && fits) {
             inner.insert(pid, &seg);
             inner.prefetched.insert(pid, kind);
@@ -402,15 +341,9 @@ impl SegCache {
         self.inner.lock().map.len()
     }
 
-    /// Resident encoded bytes across all cached segments.
+    /// Resident bytes across all cached segments.
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().resident_bytes
-    }
-
-    /// Bytes the resident segments would occupy fully decoded; the
-    /// compression ratio is `resident_plain_bytes / resident_bytes`.
-    pub fn resident_plain_bytes(&self) -> usize {
-        self.inner.lock().resident_plain_bytes
     }
 
     /// Replace the auto-caching byte budget; shrinking below the
@@ -445,29 +378,11 @@ impl SegCache {
                 hot: inner.hot.clone(),
                 budget_bytes: inner.budget_bytes,
                 resident_bytes: inner.resident_bytes,
-                resident_plain_bytes: inner.resident_plain_bytes,
                 version: inner.version,
                 metrics: inner.metrics.clone(),
             }),
-            encoding: AtomicBool::new(self.encoding()),
         }
     }
-}
-
-/// Bundle of metric handles resolved by the pool's observer hookup
-/// (see [`crate::buffer::BufferPool::set_observer`]).
-pub(crate) struct SegMetricHandles {
-    pub hit: Counter,
-    pub miss: Counter,
-    pub evict: Counter,
-    pub prefetch_issued: Counter,
-    pub prefetch_useful_manip: Counter,
-    pub prefetch_useful_predict: Counter,
-    pub resident_bytes: Gauge,
-    pub decode_us: Histogram,
-    pub decode_plain_us: Histogram,
-    pub decode_dict_us: Histogram,
-    pub decode_rle_us: Histogram,
 }
 
 impl std::fmt::Debug for SegCache {
@@ -494,7 +409,7 @@ mod tests {
         p
     }
 
-    /// A page big enough that its encoded bytes are nontrivial.
+    /// A page big enough that its resident bytes are nontrivial.
     fn wide_page(rows: i64) -> Page {
         let mut p = Page::new();
         for i in 0..rows {
@@ -555,24 +470,17 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_in_resident_encoded_bytes() {
+    fn budget_is_in_resident_bytes() {
         let page = wide_page(100);
-        // Pin encoding on: the compression assertion below must hold
-        // regardless of the ambient SPECDB_ENCODING default.
-        let probe = SegCache::new(usize::MAX);
-        probe.set_encoding(true);
-        let seg = probe.get_or_decode(PageId::new(FileId(9), 0), &page, true).unwrap();
-        let one = seg.encoded_bytes();
+        let one = ColumnSegment::decode_page(&page).unwrap().bytes();
         assert!(one > 0);
         // Budget for exactly two segments: the third must be refused.
         let cache = SegCache::new(2 * one);
-        cache.set_encoding(true);
         for i in 0..3 {
             cache.get_or_decode(PageId::new(FileId(1), i), &page, true).unwrap();
         }
         assert_eq!(cache.resident(), 2, "third segment exceeds the byte budget");
         assert_eq!(cache.resident_bytes(), 2 * one);
-        assert!(cache.resident_plain_bytes() > cache.resident_bytes(), "encoded must compress");
         // Shrinking the budget evicts down.
         cache.set_budget(one - 1);
         assert_eq!(cache.resident(), 0);

@@ -161,35 +161,6 @@ fn replay_identical_with_tracing_on_and_off() {
     }
 }
 
-/// Segment encoding (dictionary/RLE columns, zone-map page skipping,
-/// speculative prefetch) is strictly a wall-clock optimisation: a full
-/// speculative replay with encodings on must produce the bit-identical
-/// [`ReplayOutcome`] as one with encodings off — same rows, virtual
-/// timings, speculation decisions, and manipulation lifecycle counts —
-/// at every worker-thread count.
-///
-/// [`ReplayOutcome`]: specdb::sim::replay::ReplayOutcome
-#[test]
-fn replay_identical_with_encodings_on_and_off() {
-    let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-    let trace = UserModel::default().generate("u", 1234);
-    let run = |threads: usize, encoding: bool| {
-        let mut db = base.clone();
-        db.set_threads(threads);
-        db.set_encoding(encoding);
-        replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap()
-    };
-    for threads in [1usize, 4] {
-        let plain = run(threads, false);
-        let encoded = run(threads, true);
-        assert!(plain.issued > 0, "trace must exercise speculation");
-        assert_eq!(
-            plain, encoded,
-            "segment encoding changed observable replay behaviour at {threads} threads"
-        );
-    }
-}
-
 /// Whole-query prediction keeps the determinism contract: for each
 /// setting of the predictor knob a full speculative replay is
 /// bit-identical across repeat runs and worker-thread counts, and

@@ -1,15 +1,16 @@
-//! Encoded-segment correctness against the plain columnar pipeline.
+//! Zone-map and columnar scan correctness against the row oracle.
 //!
-//! Segment encoding (dictionary, RLE, zone-map page skipping) promises
-//! bit-identical rows, order, AND virtual-time accounting against the
-//! unencoded pipeline for any scan. The cases that break encoded kernels
-//! in practice are NULL-heavy columns (NULL must stay excluded from dict
-//! membership and zone bounds), low-cardinality columns (dict code paths),
-//! sorted columns (RLE runs and zone maps that actually exclude pages),
-//! mixed Int/Float columns (cross-representation equality must not be
-//! conflated by the encoder), and table sizes straddling the k·1024 batch
-//! boundary. This property generates exactly those and cross-checks every
-//! encoding setting against the plain row oracle.
+//! The columnar pipeline (segment cache, filter kernels over selection
+//! vectors, zone-map page skipping) promises bit-identical rows, order,
+//! AND virtual-time accounting against the row-at-a-time executor for
+//! any scan. The cases that break scans in practice are NULL-heavy
+//! columns (NULL must stay out of zone bounds and never match),
+//! low-cardinality columns, sorted columns (zone maps that actually
+//! exclude pages), mixed Int/Float columns (cross-representation
+//! equality must not be conflated at decode), and table sizes straddling
+//! the k·1024 batch boundary. This property generates exactly those and
+//! cross-checks the columnar pipeline, cold and warm, against the row
+//! oracle.
 
 use proptest::prelude::*;
 use specdb::catalog::{ColumnDef, DataType, Schema};
@@ -20,16 +21,16 @@ use specdb::storage::Value;
 
 const TAGS: [&str; 4] = ["red", "green", "blue", "red "];
 
-/// One-table database stressing every encoding path at once:
+/// One-table database stressing every scan path at once:
 /// w(id: Int sorted unique, dept: Int? low-cardinality, run: Int long
 /// runs, mix: Float? mixed Int/Float/NULL, tag: Str? tiny domain).
 #[derive(Debug, Clone)]
-struct EncDb {
+struct ScanDb {
     n: usize,
     seed: u64,
 }
 
-impl EncDb {
+impl ScanDb {
     /// Deterministic row stream from the seed (xorshift, like the
     /// executor oracle) — keeps proptest shrinking tractable at 2049 rows.
     fn rows(&self) -> Vec<Tuple> {
@@ -46,7 +47,7 @@ impl EncDb {
                     if next() % 10 < 3 { Value::Null } else { Value::Int((next() % 8) as i64) };
                 // Mixed representations sharing numeric values: Int(6)
                 // and Float(3.0) both appear, and so does Float(6.0) via
-                // x=12 — the encoder must not merge Int(6) with Float(6.0).
+                // x=12 — decode must not merge Int(6) with Float(6.0).
                 let mix = match next() % 10 {
                     0..=2 => Value::Null,
                     m if m % 2 == 0 => Value::Float((next() % 12) as f64 / 2.0),
@@ -63,29 +64,29 @@ impl EncDb {
     }
 }
 
-fn arb_db() -> impl Strategy<Value = EncDb> {
+fn arb_db() -> impl Strategy<Value = ScanDb> {
     (
         prop_oneof![Just(1023usize), Just(1024), Just(1025), Just(2047), Just(2048), Just(2049)],
         any::<u64>(),
     )
-        .prop_map(|(n, seed)| EncDb { n, seed })
+        .prop_map(|(n, seed)| ScanDb { n, seed })
 }
 
 #[derive(Debug, Clone)]
-struct EncQuery {
+struct ScanQuery {
     /// `id < c` — sorted column: zone maps genuinely exclude pages.
     id_lt: Option<i64>,
-    /// `dept = c` — dictionary membership with NULLs in the column.
+    /// `dept = c` — low-cardinality equality with NULLs in the column.
     dept_eq: Option<i64>,
-    /// `run >= c` — RLE runs spanning whole pages.
+    /// `run >= c` — long runs spanning whole pages.
     run_ge: Option<i64>,
     /// `mix <= c` — mixed Int/Float representations.
     mix_le: Option<i64>,
-    /// `tag = TAGS[i]` — string dictionary.
+    /// `tag = TAGS[i]` — tiny string domain.
     tag_eq: Option<u8>,
 }
 
-fn arb_query() -> impl Strategy<Value = EncQuery> {
+fn arb_query() -> impl Strategy<Value = ScanQuery> {
     (
         prop::option::of(0i64..2100),
         prop::option::of(0i64..9),
@@ -93,7 +94,7 @@ fn arb_query() -> impl Strategy<Value = EncQuery> {
         prop::option::of(0i64..7),
         prop::option::of(0u8..4),
     )
-        .prop_map(|(id_lt, dept_eq, run_ge, mix_le, tag_eq)| EncQuery {
+        .prop_map(|(id_lt, dept_eq, run_ge, mix_le, tag_eq)| ScanQuery {
             id_lt,
             dept_eq,
             run_ge,
@@ -102,8 +103,8 @@ fn arb_query() -> impl Strategy<Value = EncQuery> {
         })
 }
 
-fn build_engine(db: &EncDb, encoding: bool) -> Database {
-    let mut engine = Database::new(DatabaseConfig::with_buffer_pages(256).encoding(encoding));
+fn build_engine(db: &ScanDb) -> Database {
+    let mut engine = Database::new(DatabaseConfig::with_buffer_pages(256));
     engine
         .create_table(
             "w",
@@ -120,7 +121,7 @@ fn build_engine(db: &EncDb, encoding: bool) -> Database {
     engine
 }
 
-fn to_query(q: &EncQuery) -> Query {
+fn to_query(q: &ScanQuery) -> Query {
     let mut g = QueryGraph::new();
     g.add_relation("w");
     if let Some(c) = q.id_lt {
@@ -148,27 +149,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn encoded_scans_match_plain(db in arb_db(), q in arb_query()) {
+    fn scans_match_row_oracle(db in arb_db(), q in arb_query()) {
         let query = to_query(&q);
-        // Oracle: the row executor with encoding off — no segments, no
-        // zones, no dictionaries anywhere near the result.
-        let mut oracle = build_engine(&db, false);
+        // Oracle: the row executor — no segments and no zone maps
+        // anywhere near the result.
+        let mut oracle = build_engine(&db);
         oracle.set_exec_mode(ExecMode::Row);
         let expected = oracle.execute(&query).unwrap();
-        for encoding in [false, true] {
-            let mut engine = build_engine(&db, encoding);
-            engine.set_exec_mode(ExecMode::Columnar);
-            // Twice: cold (decodes every page) then warm (segment-cache
-            // hits + zone-map skips) must be indistinguishable.
-            for pass in ["cold", "warm"] {
-                let got = engine.execute(&query).unwrap();
-                prop_assert_eq!(&got.rows, &expected.rows,
-                    "encoding={} {} rows diverged; plan:\n{}", encoding, pass, got.plan);
-                prop_assert_eq!(got.row_count, expected.row_count,
-                    "encoding={} {} row_count", encoding, pass);
-                prop_assert_eq!(got.demand, expected.demand,
-                    "encoding={} {} accounting diverged; plan:\n{}", encoding, pass, got.plan);
-            }
+        let mut engine = build_engine(&db);
+        engine.set_exec_mode(ExecMode::Columnar);
+        // Twice: cold (decodes every page) then warm (segment-cache
+        // hits + zone-map skips) must be indistinguishable.
+        for pass in ["cold", "warm"] {
+            let got = engine.execute(&query).unwrap();
+            prop_assert_eq!(&got.rows, &expected.rows,
+                "{} rows diverged; plan:\n{}", pass, got.plan);
+            prop_assert_eq!(got.row_count, expected.row_count, "{} row_count", pass);
+            prop_assert_eq!(got.demand, expected.demand,
+                "{} accounting diverged; plan:\n{}", pass, got.plan);
         }
     }
 }
