@@ -968,13 +968,6 @@ impl Database {
         }
     }
 
-    /// Canonical keys of registered views the given partial query still
-    /// supports under the configured [`MatchMode`] — the lease set a
-    /// serving session holds on the shared artifact cache.
-    pub fn supported_view_keys(&self, graph: &QueryGraph) -> Vec<String> {
-        self.views.supported_keys(graph, self.match_mode)
-    }
-
     /// Names of views *not* supported by `graph` (candidates for the
     /// paper's garbage-collection heuristic).
     pub fn unsupported_views(&self, graph: &QueryGraph) -> Vec<String> {

@@ -144,17 +144,6 @@ impl ViewRegistry {
     ) -> impl Iterator<Item = &'a ViewDef> {
         self.by_key.values().filter(move |v| view_matches(&v.graph, graph, mode))
     }
-
-    /// Canonical keys of views whose defining graph is still contained
-    /// in `graph` under `mode` — the lease set a serving session holds
-    /// on the shared artifact cache. Sorted, as the registry is.
-    pub fn supported_keys(&self, graph: &QueryGraph, mode: MatchMode) -> Vec<String> {
-        self.by_key
-            .iter()
-            .filter(|(_, v)| view_matches(&v.graph, graph, mode))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
 }
 
 /// How view definitions are matched against query graphs.

@@ -24,7 +24,7 @@
 //! [`CancelToken`]: specdb_exec::CancelToken
 //! [`SessionManager`]: crate::SessionManager
 
-use crate::artifacts::SessionId;
+use crate::registry::SessionId;
 use parking_lot::Mutex;
 use specdb_exec::CancelToken;
 use specdb_obs::{Observer, SpanKind};

@@ -18,11 +18,17 @@
 //!   ([`Decision::benefit_rate`], straight from the Theorem 3.1 cost
 //!   model), a global outstanding-build budget is enforced, and weaker
 //!   in-flight builds can be preempted at morsel boundaries;
-//! - the **[`SharedArtifactCache`]** extends the engine's canonical-
-//!   query-keyed view registry into a refcounted (per-session leases),
-//!   GC'd, build-deduplicating cache, so one session's speculative
+//! - the **[`FleetRegistry`]** extends the engine's canonical-query-
+//!   keyed view registry into a fleet-wide, build-deduplicating record
+//!   of who built which artifact and what each session's partial query
+//!   supports, GC'd by one rule, so one session's speculative
 //!   materialization serves hits for every session
 //!   (`spec.shared_hits` / `spec.cross_session_reuse` metrics).
+//!
+//! Both sit under one [`SessionCore`] per session: the speculation
+//! protocol itself, without threads, locks or clocks. The live
+//! [`ServeSession`] drives it with build threads and the manager's
+//! clock; the virtual-clock replay in `specdb-sim` drives the same core.
 //!
 //! See `docs/serving.md` for the operator's guide and the full wire-
 //! protocol reference.
@@ -77,18 +83,20 @@
 
 #![warn(missing_docs)]
 
-pub mod artifacts;
 pub mod governor;
 pub mod manager;
 pub mod proto;
+pub mod registry;
 pub mod server;
 pub mod session;
+pub mod speculation;
 
-pub use artifacts::{
-    BeginBuild, BuildTicket, CacheStats, CompleteBuild, SessionId, SharedArtifactCache,
-};
 pub use governor::{Admission, Governor, GovernorConfig, GovernorStats};
-pub use manager::{FleetStats, SessionManager};
+pub use manager::{Clock, FleetStats, SessionManager};
 pub use proto::{parse_request, Request};
+pub use registry::{CacheStats, FleetRegistry, SessionId};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use session::{GoOutcome, ServeSession, ServeSessionStats};
+pub use speculation::{
+    CancelReason, Issue, ProfileKind, QueryMeasurement, Rollback, SessionCore, SessionOutcome,
+};

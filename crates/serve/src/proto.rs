@@ -25,8 +25,8 @@
 //! (single quotes optional: `FRANCE` and `'FRANCE'` are the same).
 //! A worked transcript lives in `docs/serving.md`.
 
-use crate::artifacts::CacheStats;
 use crate::governor::GovernorStats;
+use crate::registry::CacheStats;
 use crate::session::ServeSessionStats;
 use serde::Serialize;
 use specdb_query::{CompareOp, EditOp, Join, Predicate, Selection};
@@ -254,8 +254,6 @@ pub struct CacheSummary {
     pub ready: u64,
     /// Builds in flight.
     pub building: u64,
-    /// Ready-artifact lookups.
-    pub hits: u64,
     /// Hits/uses served by another session's build.
     pub shared_hits: u64,
     /// Fraction of plan uses served cross-session.
@@ -267,7 +265,6 @@ impl From<CacheStats> for CacheSummary {
         CacheSummary {
             ready: s.ready,
             building: s.building,
-            hits: s.hits,
             shared_hits: s.shared_hits,
             cross_session_reuse: s.cross_session_reuse(),
         }

@@ -178,7 +178,7 @@ fn dispatch(
                         relations: g.relations().count() as u64,
                         selections: g.selections().count() as u64,
                         joins: g.join_count() as u64,
-                        outstanding: manager.governor().outstanding() > 0,
+                        outstanding: session.building(),
                     })
                 }
                 Request::Go => match session.go_counted() {
@@ -196,10 +196,13 @@ fn dispatch(
                     render(&CancelResponse { ok: true, cancelled })
                 }
                 Request::Stats => {
+                    // The session settles a finished build first, so the
+                    // fleet counters below include it.
+                    let stats = session.stats();
                     let fleet = manager.fleet_stats();
                     render(&StatsResponse {
                         ok: true,
-                        session: session.stats(),
+                        session: stats,
                         sessions: fleet.sessions,
                         governor: fleet.governor.into(),
                         cache: fleet.cache.into(),

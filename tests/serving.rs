@@ -1,122 +1,164 @@
-//! Serving-layer integration: the shared artifact cache under real
-//! concurrency, DDL-epoch races, and the TCP wire protocol end to end
-//! with two sessions sharing one speculative artifact.
+//! Serving-layer integration: the fleet registry under real
+//! concurrency, the TCP wire protocol end to end with two sessions
+//! sharing one speculative artifact, and the live session manager
+//! agreeing with the replay on one scripted trace.
 
 use serde_json::{parse, Value};
-use specdb::serve::{
-    serve, BeginBuild, CompleteBuild, ServeConfig, SessionId, SharedArtifactCache,
-};
-use specdb::sim::{build_base_db, DatasetSpec};
+use specdb::core::SpeculatorConfig;
+use specdb::query::{CompareOp, EditOp, Predicate, Selection};
+use specdb::serve::{serve, GovernorConfig, ServeConfig, SessionId, SessionManager};
+use specdb::sim::{build_base_db, replay_multi_session, DatasetSpec, MultiSessionConfig};
+use specdb::storage::VirtualTime;
+use specdb::trace::{TimedEdit, Trace};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The cache's bookkeeping must stay coherent when many sessions
-/// register, look up, lease, and collect concurrently: no lost entries,
-/// no double-installs, and a final sweep that leaves the cache empty.
+fn quantity(at_most: i64) -> Selection {
+    Selection::new("lineitem", Predicate::new("l_quantity", CompareOp::Le, at_most))
+}
+
+/// The registry's bookkeeping must stay coherent when many sessions
+/// build, read, and collect shared artifacts concurrently: no lost
+/// entries, no double installs, and nothing left once every session
+/// has disconnected.
 #[test]
 fn artifact_cache_consistent_under_concurrent_register_lookup_drop() {
     const SESSIONS: SessionId = 8;
-    const ROUNDS: usize = 200;
-    let cache = SharedArtifactCache::new();
+    const ROUNDS: i64 = 6;
+    let db = build_base_db(&DatasetSpec::tiny()).unwrap();
+    let manager = SessionManager::new(db, SpeculatorConfig::default(), GovernorConfig::default());
     std::thread::scope(|scope| {
         for sid in 0..SESSIONS {
-            let cache = &cache;
+            let manager = &manager;
             scope.spawn(move || {
+                let (id, session) = manager.connect(&format!("s{sid}"));
+                session.lock().edit(EditOp::AddRelation("lineitem".into()));
                 for round in 0..ROUNDS {
-                    let key = format!("k{}", (round + sid as usize) % 4);
-                    match cache.begin_build(&key, sid) {
-                        BeginBuild::Started(ticket) => {
-                            // Install immediately; the table name encodes
-                            // the key so by_table stays consistent.
-                            let verdict = cache.complete_build(ticket, format!("mv_{key}"));
-                            assert!(matches!(
-                                verdict,
-                                CompleteBuild::Installed | CompleteBuild::Stale
-                            ));
-                        }
-                        BeginBuild::InFlight => {}
-                        BeginBuild::Ready(table) => {
-                            cache.note_use(&table, sid);
-                        }
-                    }
-                    cache.lookup(&key, sid);
-                    cache.set_leases(sid, std::slice::from_ref(&key));
-                    cache.set_leases(sid, &[]);
-                    let _ = cache.collect_unleased();
+                    // Four questions shared round-robin across the fleet.
+                    let sel = quantity(1 + (round + sid as i64) % 4);
+                    session.lock().edit(EditOp::AddSelection(sel.clone()));
+                    std::thread::sleep(Duration::from_millis(5));
+                    let rows = session.lock().go().expect("GO under churn").output.row_count;
+                    assert!(rows > 0);
+                    session.lock().edit(EditOp::RemoveSelection(sel));
                 }
+                let mut session = session.lock();
+                session.cancel();
+                let st = session.stats();
+                assert_eq!(st.issued, st.completed + st.cancelled, "bookkeeping must balance");
+                drop(session);
+                assert!(manager.disconnect(id));
             });
         }
     });
-    // Quiesced: every session abandons its leases and the sweep reaps
-    // whatever survived the churn.
-    for sid in 0..SESSIONS {
-        cache.release_session(sid);
-    }
-    let _ = cache.collect_unleased();
-    let stats = cache.stats();
-    assert!(cache.is_empty(), "unleased artifacts must all be collected: {stats:?}");
-    assert_eq!(stats.ready, 0);
-    assert_eq!(stats.building, 0);
-    assert!(stats.installed > 0, "the churn must install artifacts");
-    // Installed artifacts leave the cache only through the GC sweep, so
-    // on an empty cache the two tallies must balance exactly.
-    assert_eq!(stats.installed, stats.collected, "{stats:?}");
+    let fleet = manager.fleet_stats();
+    let cache = fleet.cache;
+    assert_eq!((cache.ready, cache.building), (0, 0), "{cache:?}");
+    assert_eq!(fleet.governor.outstanding, 0, "no build survives disconnect");
+    // Installed artifacts leave the registry only through the GC sweep,
+    // so once every session has gone the two tallies balance exactly.
+    assert_eq!(cache.installed, cache.collected, "{cache:?}");
+    assert!(cache.used + cache.wasted <= cache.installed, "{cache:?}");
+    manager.with_db(|db| assert!(db.views().is_empty(), "no view outlives the fleet"));
 }
 
-/// A DDL-epoch bump racing an in-flight build must never install the
-/// stale result, whatever the interleaving; a build completing *before*
-/// the bump stays installed (ready artifacts are governed by leases,
-/// not by the epoch — the wire protocol has no DDL verbs).
+/// One scripted two-session trace, driven through the live session
+/// manager on a substituted virtual clock and through the replay, must
+/// make the same speculative decisions and return the same answers.
+/// Think gaps are longer than any build, so each live build finishes
+/// before the script's next event, as it drains in the replay.
 #[test]
-fn epoch_invalidation_racing_in_flight_build_never_installs_stale() {
-    // Deterministic orderings first.
-    let cache = SharedArtifactCache::new();
-    let ticket = match cache.begin_build("k", 1) {
-        BeginBuild::Started(t) => t,
-        other => panic!("expected Started, got {other:?}"),
+fn scripted_trace_agrees_between_manager_and_replay() {
+    let secs = VirtualTime::from_secs;
+    // Each user asks one question, then detours through a selection
+    // they take back before asking a second.
+    let script = |user: &str, start: u64, [first, detour, second]: [i64; 3]| {
+        let edits = [
+            EditOp::AddRelation("lineitem".into()),
+            EditOp::AddSelection(quantity(first)),
+            EditOp::Go,
+            EditOp::AddSelection(quantity(detour)),
+            EditOp::RemoveSelection(quantity(detour)),
+            EditOp::RemoveSelection(quantity(first)),
+            EditOp::AddSelection(quantity(second)),
+            EditOp::Go,
+        ];
+        let edits = edits.into_iter().enumerate();
+        let edits = edits.map(|(i, op)| TimedEdit { at: secs(start + 10 * i as u64), op });
+        Trace { user: user.into(), seed: 0, edits: edits.collect() }
     };
-    cache.invalidate();
-    assert_eq!(cache.complete_build(ticket, "mv_stale".into()), CompleteBuild::Stale);
-    assert!(cache.is_empty(), "a stale build must leave no residue");
+    let traces = [script("a", 0, [2, 6, 3]), script("b", 5, [2, 7, 4])];
+    let mut base = build_base_db(&DatasetSpec::tiny()).unwrap();
+    let replayed =
+        replay_multi_session(&mut base.clone(), &traces, &MultiSessionConfig::speculative())
+            .unwrap();
 
-    // Now the actual race, across a range of interleavings.
-    for delay_us in [0u64, 20, 100, 500] {
-        let cache = SharedArtifactCache::new();
-        let barrier = std::sync::Barrier::new(2);
-        let verdict = std::thread::scope(|scope| {
-            let builder = scope.spawn(|| {
-                let ticket = match cache.begin_build("k", 1) {
-                    BeginBuild::Started(t) => t,
-                    other => panic!("expected Started, got {other:?}"),
-                };
-                barrier.wait();
-                std::thread::sleep(Duration::from_micros(delay_us));
-                cache.complete_build(ticket, "mv_k".into())
-            });
-            barrier.wait();
-            cache.invalidate();
-            builder.join().unwrap()
-        });
-        let stats = cache.stats();
-        match verdict {
-            CompleteBuild::Installed => {
-                // The build won the race: it is visible and reusable.
-                assert_eq!(stats.ready, 1, "{stats:?}");
-                assert_eq!(cache.lookup("k", 2), Some("mv_k".into()));
-            }
-            CompleteBuild::Stale => {
-                // The bump won: nothing installed, and a rebuild under
-                // the new epoch succeeds.
-                assert_eq!(stats.ready, 0, "{stats:?}");
-                let t2 = match cache.begin_build("k", 1) {
-                    BeginBuild::Started(t) => t,
-                    other => panic!("expected Started, got {other:?}"),
-                };
-                assert_eq!(cache.complete_build(t2, "mv_k2".into()), CompleteBuild::Installed);
+    // The replay starts from a cold buffer; so does the live run.
+    base.clear_buffer();
+    let now = Arc::new(AtomicU64::new(0));
+    let clock = Arc::clone(&now);
+    let manager = SessionManager::with_clock(
+        base,
+        SpeculatorConfig::default(),
+        GovernorConfig::default(),
+        Arc::new(move || VirtualTime::from_micros(clock.load(Ordering::SeqCst))),
+    );
+    let sessions: Vec<_> = traces.iter().map(|t| manager.connect(&t.user)).collect();
+    // The replay's schedule: the earliest next edit (ties to the lower
+    // session), with each trace shifted so that its post-GO think gap
+    // starts at the answer.
+    let mut next = [0usize; 2];
+    let mut offset = [VirtualTime::ZERO; 2];
+    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); 2];
+    while let Some((at, si)) = (0..2)
+        .filter_map(|si| traces[si].edits.get(next[si]).map(|te| (te.at + offset[si], si)))
+        .min()
+    {
+        for (_, s) in &sessions {
+            while s.lock().building() {
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
+        now.store(at.as_micros(), Ordering::SeqCst);
+        let te = &traces[si].edits[next[si]];
+        let (id, session) = &sessions[si];
+        if te.op.is_go() {
+            let out = session.lock().go().unwrap().output;
+            rows[si].push(out.row_count);
+            offset[si] = at + out.elapsed - te.at;
+        } else {
+            session.lock().edit(te.op.clone());
+        }
+        next[si] += 1;
+        if next[si] == traces[si].edits.len() {
+            assert!(manager.disconnect(*id));
+        }
     }
+
+    let fleet = manager.fleet_stats();
+    let sum = |f: fn(&specdb::sim::ReplayOutcome) -> u64| -> u64 {
+        replayed.per_session.iter().map(f).sum()
+    };
+    let live = (
+        fleet.governor.admitted,
+        fleet.governor.denied,
+        fleet.cache.deduped,
+        fleet.cache.used,
+        fleet.cache.wasted,
+    );
+    let twin =
+        (replayed.admitted, replayed.denied, replayed.deduped, sum(|o| o.used), sum(|o| o.wasted));
+    assert_eq!(live, twin, "(admitted, denied, deduped, used, wasted): live vs replay");
+    assert!(twin.0 > 0 && twin.3 > 0 && twin.4 > 0, "the script must bet, win and lose: {twin:?}");
+    let replay_rows: Vec<Vec<u64>> = replayed
+        .per_session
+        .iter()
+        .map(|o| o.queries.iter().map(|q| q.rows).collect())
+        .collect();
+    assert_eq!(rows, replay_rows, "GO row counts");
 }
 
 /// A tiny line-protocol client for the end-to-end test.
@@ -218,6 +260,13 @@ fn wire_protocol_serves_concurrent_sessions_with_shared_artifacts() {
     let cache = field(&stats, "cache");
     assert!(as_u64(field(cache, "shared_hits")) >= 1, "{stats:?}");
     assert!(as_u64(field(field(&stats, "session"), "queries")) >= 1);
+    // Each session's bets settle at most once: every verdict is on a
+    // completed build.
+    for client in [&mut alice, &mut bob] {
+        let stats = client.send("STATS");
+        let count = |name: &str| as_u64(field(field(&stats, "session"), name));
+        assert!(count("used") + count("wasted") <= count("completed"), "{stats:?}");
+    }
 
     bob.send("QUIT");
     alice.send("QUIT");
