@@ -4,21 +4,21 @@
 //! The paper's speculation loop runs `decide()` on *every* edit, so its
 //! latency bounds how large a manipulation space (and how small a think
 //! gap) the system can afford. This bench drives a recorded TPC-H edit
-//! session through the loop twice — with the plan/estimate caches and
-//! the incremental manipulation space on, and with both off — and
-//! reports per-edit decide() wall-clock plus end-to-end replay
-//! throughput for each arm, verifying along the way that the two arms
-//! produce identical decisions and replay outcomes (caching must be
-//! pure memoization).
+//! session through the loop twice — with the engine's plan cache on and
+//! with it off — and reports per-edit decide() wall-clock plus
+//! end-to-end replay throughput for each arm, verifying along the way
+//! that the two arms produce identical decisions and replay outcomes
+//! (the plan cache must be pure memoization).
 //!
-//! Results land in `BENCH_decision_loop.json` at the repository root so
-//! CI can archive them; the criterion-style stderr lines participate in
-//! `--save-baseline` / `--baseline` regression tracking. Set
-//! `SPECDB_BENCH_SMOKE=1` for a seconds-scale smoke run.
+//! Results land in `BENCH_decision_loop.json` at the repository root;
+//! the criterion-style stderr lines participate in `--save-baseline` /
+//! `--baseline` regression tracking. Set `SPECDB_BENCH_SMOKE=1` for a
+//! seconds-scale smoke run, which writes `target/BENCH_decision_loop.json`
+//! instead so the checked-in full-scale copy stays as it is.
 
 use criterion::{black_box, Criterion};
 use specdb_bench::BenchEnv;
-use specdb_core::{Manipulation, Speculator, SpeculatorConfig, UniformProfile};
+use specdb_core::{Manipulation, Speculator, UniformProfile};
 use specdb_exec::Database;
 use specdb_query::{PartialQuery, QueryGraph};
 use specdb_sim::replay::{replay_trace, ReplayConfig, ReplayOutcome};
@@ -68,13 +68,12 @@ fn sweep(spec: &Speculator, points: &[QueryGraph], db: &Database) -> Vec<Decisio
         .collect()
 }
 
-/// An arm of the comparison: a database and speculator with caching
-/// either fully on or fully off.
+/// An arm of the comparison: a database with the plan cache on or off,
+/// and a default speculator.
 fn arm(base: &Database, cached: bool) -> (Database, Speculator) {
     let mut db = base.clone();
     db.set_plan_cache(cached);
-    let spec = Speculator::new(SpeculatorConfig { incremental: cached, ..Default::default() });
-    (db, spec)
+    (db, Speculator::default())
 }
 
 /// Per-edit decide() wall times over `passes` sweeps, in microseconds —
@@ -98,19 +97,9 @@ fn time_decides(base: &Database, points: &[QueryGraph], cached: bool, passes: us
 fn time_replay(base: &Database, trace: &Trace, cached: bool) -> (f64, ReplayOutcome) {
     let mut db = base.clone();
     db.set_plan_cache(cached);
-    let mut cfg = ReplayConfig::speculative();
-    cfg.speculator.incremental = cached;
     let start = Instant::now();
-    let outcome = replay_trace(&mut db, trace, &cfg).expect("replay");
+    let outcome = replay_trace(&mut db, trace, &ReplayConfig::speculative()).expect("replay");
     (start.elapsed().as_secs_f64(), outcome)
-}
-
-fn write_json(path: &std::path::Path, body: &str) {
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("decision_loop: cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("decision_loop: wrote {}", path.display());
-    }
 }
 
 fn main() {
@@ -137,7 +126,8 @@ fn main() {
         points.len()
     );
 
-    // Caching must be pure memoization: identical decisions either way.
+    // The plan cache must be pure memoization: identical decisions
+    // either way.
     let (db_c, spec_c) = arm(&base, true);
     let (db_u, spec_u) = arm(&base, false);
     let cached_decisions = sweep(&spec_c, &points, &db_c);
@@ -206,7 +196,5 @@ fn main() {
         specdb_bench::quantiles_json(&cached_samples),
         specdb_bench::quantiles_json(&uncached_samples),
     );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_decision_loop.json");
-    write_json(&path, &json);
+    specdb_bench::write_artifact("BENCH_decision_loop.json", smoke, &json);
 }

@@ -94,14 +94,6 @@ fn sample_arm(db: &mut Database, qs: &[Query], passes: usize) -> Vec<f64> {
     samples
 }
 
-fn write_json(path: &std::path::Path, body: &str) {
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("executor: cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("executor: wrote {}", path.display());
-    }
-}
-
 /// The two measured pipelines: the row oracle and the columnar default.
 const MODES: [ExecMode; 2] = [ExecMode::Row, ExecMode::Columnar];
 
@@ -238,8 +230,7 @@ fn main() {
         specdb_bench::quantiles_json(&arm_samples[1]),
         specdb_bench::quantiles_json(&arm_samples[2]),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_executor.json");
-    write_json(&path, &json);
+    specdb_bench::write_artifact("BENCH_executor.json", false, &json);
 
     // CI regression gate: on the smoke workload the columnar path must
     // not be slower than the row baseline.

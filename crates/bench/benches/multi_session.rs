@@ -67,14 +67,6 @@ fn run_fleet(base: &Database, traces: &[Trace], config: &MultiSessionConfig) -> 
     }
 }
 
-fn write_json(path: &std::path::Path, body: &str) {
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("multi_session: cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("multi_session: wrote {}", path.display());
-    }
-}
-
 fn main() {
     let smoke = std::env::var("SPECDB_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
     let spec_ds = if smoke {
@@ -161,7 +153,5 @@ fn main() {
         governor.min_benefit_rate,
         fleets.join(",\n"),
     );
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_multi_session.json");
-    write_json(&path, &json);
+    specdb_bench::write_artifact("BENCH_multi_session.json", false, &json);
 }

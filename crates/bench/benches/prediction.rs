@@ -14,7 +14,8 @@
 //! prediction waste ratio, plus a held-out predictor accuracy section
 //! over a train/held-out corpus split. Results land in
 //! `BENCH_prediction.json` at the repository root; set
-//! `SPECDB_BENCH_SMOKE=1` for a seconds-scale smoke run. The JSON's
+//! `SPECDB_BENCH_SMOKE=1` for a seconds-scale smoke run, which writes
+//! `target/BENCH_prediction.json` instead. The JSON's
 //! `dataset` is the paper's nominal label: the data actually generated
 //! is `nominal_mb / divisor` (`dataset_mb`).
 
@@ -55,7 +56,6 @@ fn run_arm(base: &Database, traces: &[Trace], predict: bool) -> Arm {
     // follow the one-step manipulation it extends.
     cfg.pipeline = true;
     cfg.speculator.predict = predict;
-    cfg.speculator.predict_topk = 3;
     let start = Instant::now();
     let mut arm = Arm::default();
     for trace in traces {
@@ -106,14 +106,6 @@ fn held_out_accuracy(model: &UserModel, train: usize, held_out: usize, k: usize)
     }
     eprintln!("prediction: {}", SplitSummary::of(&split).render());
     (hits as f64 / total.max(1) as f64, total)
-}
-
-fn write_json(path: &std::path::Path, body: &str) {
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("prediction: cannot write {}: {e}", path.display());
-    } else {
-        eprintln!("prediction: wrote {}", path.display());
-    }
 }
 
 fn main() {
@@ -218,6 +210,5 @@ fn main() {
         arm_json(&off),
         arm_json(&on),
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_prediction.json");
-    write_json(&path, &json);
+    specdb_bench::write_artifact("BENCH_prediction.json", smoke, &json);
 }

@@ -229,6 +229,20 @@ pub fn quantiles_json(samples: &[f64]) -> String {
     )
 }
 
+/// Write a bench artifact `file` (e.g. `BENCH_prediction.json`) at the
+/// repository root, or under the root's `target/` when `scratch` is set:
+/// a smoke run whose numbers must not overwrite the checked-in
+/// full-scale copy. A failed write is reported on stderr, not fatal.
+pub fn write_artifact(file: &str, scratch: bool, body: &str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if scratch { root.join("target") } else { root };
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,7 @@ pub use cost_model::{CostModel, CostModelConfig};
 pub use learner::predict::EditPredictor;
 pub use learner::{Learner, LearnerConfig, OracleProfile, Profile, UniformProfile};
 pub use manipulation::Manipulation;
-pub use space::{IncrementalSpace, ManipulationSpace, SpaceConfig};
+pub use space::{ManipulationSpace, SpaceConfig};
 pub use speculator::{Decision, Speculator, SpeculatorConfig};
 
 /// The learner's user-profile type alias used across the workspace.

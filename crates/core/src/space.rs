@@ -16,8 +16,7 @@
 
 use crate::manipulation::Manipulation;
 use specdb_exec::Database;
-use specdb_query::{canonical_key, Join, QueryGraph, Selection};
-use std::collections::{BTreeMap, BTreeSet};
+use specdb_query::QueryGraph;
 
 /// Which manipulation types the space generates.
 #[derive(Debug, Clone)]
@@ -182,157 +181,6 @@ impl ManipulationSpace {
     }
 }
 
-/// A candidate sub-graph with its canonical key pre-rendered, so the
-/// already-materialized check is a hash lookup instead of a graph walk.
-#[derive(Debug, Clone)]
-struct CachedGraph {
-    graph: QueryGraph,
-    key: String,
-}
-
-/// Delta-maintained manipulation space.
-///
-/// [`ManipulationSpace::enumerate`] rebuilds every candidate sub-graph
-/// (and re-renders its canonical key inside `already_applied`) on every
-/// edit, even though a single [`specdb_query::EditOp`] touches one vertex
-/// or edge. This variant keeps the per-selection and per-join candidate
-/// sub-graphs from the previous partial query and recomputes only the
-/// entries an edit affected:
-///
-/// * a selection's sub-graph depends only on the selection itself, so it
-///   is reused while the selection stays on the canvas;
-/// * a join's sub-graph carries *all* selections on both endpoints
-///   (paper Section 3.5), so it is rebuilt when either endpoint's
-///   selection set changed;
-/// * a DDL-epoch bump ([`Database::ddl_epoch`]) drops everything, forcing
-///   a full rescore against the new catalog state.
-///
-/// `candidates` returns exactly what `enumerate` would — same elements,
-/// same order — so the speculator's strictly-less/first-wins argmin picks
-/// the identical manipulation either way (asserted by parity tests and
-/// the replay determinism test).
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalSpace {
-    config: SpaceConfig,
-    epoch: u64,
-    last: Option<QueryGraph>,
-    sel_cache: BTreeMap<Selection, CachedGraph>,
-    join_cache: BTreeMap<Join, CachedGraph>,
-}
-
-impl IncrementalSpace {
-    /// Incremental space with the given configuration.
-    pub fn new(config: SpaceConfig) -> Self {
-        IncrementalSpace { config, ..Default::default() }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SpaceConfig {
-        &self.config
-    }
-
-    /// Number of cached candidate sub-graphs (observability for tests).
-    pub fn cached_len(&self) -> usize {
-        self.sel_cache.len() + self.join_cache.len()
-    }
-
-    /// Candidate manipulations for `partial`, reusing sub-graphs cached
-    /// from the previous call where the edit delta allows. Output is
-    /// element-for-element identical to
-    /// [`ManipulationSpace::enumerate`] on the same inputs.
-    pub fn candidates(&mut self, partial: &QueryGraph, db: &Database) -> Vec<Manipulation> {
-        let epoch = db.ddl_epoch();
-        if self.epoch != epoch {
-            self.sel_cache.clear();
-            self.join_cache.clear();
-            self.epoch = epoch;
-        }
-        // Relations whose selection set changed since the last partial
-        // query: join sub-graphs touching them are stale.
-        let cur_sels: BTreeSet<&Selection> = partial.selections().collect();
-        let changed: BTreeSet<&str> = match &self.last {
-            None => partial.relations().collect(),
-            Some(last) => {
-                let last_sels: BTreeSet<&Selection> = last.selections().collect();
-                cur_sels.symmetric_difference(&last_sels).map(|s| s.rel.as_str()).collect()
-            }
-        };
-        self.sel_cache.retain(|s, _| cur_sels.contains(s));
-        let cur_joins: BTreeSet<&Join> = partial.joins().collect();
-        self.join_cache.retain(|j, _| {
-            cur_joins.contains(j)
-                && !changed.contains(j.left.as_str())
-                && !changed.contains(j.right.as_str())
-        });
-
-        // Assembly mirrors `enumerate` exactly: Null, selection rewrites,
-        // join rewrites, staging, then index/histogram per selection.
-        let mut out = vec![Manipulation::Null];
-        if self.config.materializations {
-            for s in partial.selections() {
-                let entry = self.sel_cache.entry(s.clone()).or_insert_with(|| {
-                    let graph = partial.selection_subgraph(s);
-                    let key = canonical_key(&graph);
-                    CachedGraph { graph, key }
-                });
-                if !db.has_view_key(&entry.key) {
-                    let m = Manipulation::Rewrite { graph: entry.graph.clone() };
-                    if !out.contains(&m) {
-                        out.push(m);
-                    }
-                }
-            }
-            if !self.config.selections_only {
-                for j in partial.joins() {
-                    let entry = self.join_cache.entry(j.clone()).or_insert_with(|| {
-                        let graph = partial.join_subgraph(j);
-                        let key = canonical_key(&graph);
-                        CachedGraph { graph, key }
-                    });
-                    if !db.has_view_key(&entry.key) {
-                        let m = Manipulation::Rewrite { graph: entry.graph.clone() };
-                        if !out.contains(&m) {
-                            out.push(m);
-                        }
-                    }
-                }
-            }
-        }
-        if self.config.staging {
-            for rel in partial.relations() {
-                let m = Manipulation::DataStage { table: rel.to_string(), pages: u32::MAX };
-                if !m.already_applied(db) && !out.contains(&m) {
-                    out.push(m);
-                }
-            }
-        }
-        if self.config.indexes || self.config.histograms {
-            for s in partial.selections() {
-                if self.config.indexes {
-                    let m = Manipulation::CreateIndex {
-                        table: s.rel.clone(),
-                        column: s.pred.column.clone(),
-                    };
-                    if !m.already_applied(db) && !out.contains(&m) {
-                        out.push(m);
-                    }
-                }
-                if self.config.histograms {
-                    let m = Manipulation::CreateHistogram {
-                        table: s.rel.clone(),
-                        column: s.pred.column.clone(),
-                    };
-                    if !m.already_applied(db) && !out.contains(&m) {
-                        out.push(m);
-                    }
-                }
-            }
-        }
-        self.last = Some(partial.clone());
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,6 +258,10 @@ mod tests {
             table: "customer".into(),
             column: "c_nation".into()
         }));
+        assert!(!ms.contains(&Manipulation::CreateHistogram {
+            table: "customer".into(),
+            column: "c_nation".into()
+        }));
         // The orders column is still offered.
         assert!(ms.contains(&Manipulation::CreateIndex {
             table: "orders".into(),
@@ -425,12 +277,18 @@ mod tests {
             "customer",
             Predicate::new("c_nation", CompareOp::Eq, "FRANCE"),
         ));
-        db.materialize(&sub, CancelToken::new()).unwrap();
+        let view = db.materialize(&sub, CancelToken::new()).unwrap().table;
         let space = ManipulationSpace::default();
         let ms = space.enumerate(&partial(), &db);
         assert!(
             !ms.iter().any(|m| m.graph() == Some(&sub)),
             "already-materialized sub-query must not reappear"
+        );
+        db.drop_materialized(&view);
+        let ms = space.enumerate(&partial(), &db);
+        assert!(
+            ms.iter().any(|m| m.graph() == Some(&sub)),
+            "a dropped view's sub-query must be offered again"
         );
     }
 
@@ -461,84 +319,5 @@ mod tests {
         let ms = ManipulationSpace::default().enumerate(&QueryGraph::new(), &db);
         assert_eq!(ms.len(), 1);
         assert!(ms[0].is_null());
-    }
-
-    /// Incremental candidates must be element-for-element identical to a
-    /// fresh enumeration across an edit sequence, for every config arm.
-    #[test]
-    fn incremental_matches_enumerate_across_edits() {
-        let db = db();
-        for config in [SpaceConfig::default(), SpaceConfig::multi_user(), SpaceConfig::everything()]
-        {
-            let space = ManipulationSpace::new(config.clone());
-            let mut inc = IncrementalSpace::new(config);
-            // Edit sequence: grow the partial query one part at a time,
-            // then shrink it again.
-            let mut g = QueryGraph::new();
-            let mut steps: Vec<QueryGraph> = vec![g.clone()];
-            g.add_selection(Selection::new(
-                "customer",
-                Predicate::new("c_nation", CompareOp::Eq, "FRANCE"),
-            ));
-            steps.push(g.clone());
-            g.add_join(Join::new("orders", "o_custkey", "customer", "c_custkey"));
-            steps.push(g.clone());
-            g.add_selection(Selection::new(
-                "orders",
-                Predicate::new("o_orderpriority", CompareOp::Le, 2i64),
-            ));
-            steps.push(g.clone());
-            g.remove_selection(&Selection::new(
-                "customer",
-                Predicate::new("c_nation", CompareOp::Eq, "FRANCE"),
-            ));
-            steps.push(g.clone());
-            for step in &steps {
-                assert_eq!(
-                    inc.candidates(step, &db),
-                    space.enumerate(step, &db),
-                    "divergence at partial {step}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_reuses_cached_subgraphs_between_edits() {
-        let db = db();
-        let mut inc = IncrementalSpace::default();
-        let p = partial();
-        inc.candidates(&p, &db);
-        assert_eq!(inc.cached_len(), 3, "2 selections + 1 join cached");
-        // Removing one selection keeps the other's entry but invalidates
-        // the join sub-graph (its endpoint's selection set changed).
-        let mut p2 = p.clone();
-        p2.remove_selection(&Selection::new(
-            "orders",
-            Predicate::new("o_orderpriority", CompareOp::Le, 2i64),
-        ));
-        inc.candidates(&p2, &db);
-        assert_eq!(inc.cached_len(), 2, "1 surviving selection + rebuilt join");
-    }
-
-    #[test]
-    fn incremental_sees_new_views_after_ddl_epoch_bump() {
-        let mut db = db();
-        let mut inc = IncrementalSpace::default();
-        let p = partial();
-        let before = inc.candidates(&p, &db);
-        let sub = p.selection_subgraph(
-            p.selections().find(|s| s.rel == "customer").expect("customer selection"),
-        );
-        let epoch_before = db.ddl_epoch();
-        db.materialize(&sub, CancelToken::new()).unwrap();
-        assert!(db.ddl_epoch() > epoch_before, "materialize must bump the epoch");
-        let after = inc.candidates(&p, &db);
-        assert_eq!(after.len(), before.len() - 1);
-        assert!(
-            !after.iter().any(|m| m.graph() == Some(&sub)),
-            "materialized candidate must disappear after the epoch bump"
-        );
-        assert_eq!(after, ManipulationSpace::default().enumerate(&p, &db));
     }
 }

@@ -13,9 +13,8 @@
 use crate::cost_model::CostModel;
 use crate::learner::Profile;
 use crate::manipulation::Manipulation;
-use crate::space::{IncrementalSpace, ManipulationSpace, SpaceConfig};
+use crate::space::{ManipulationSpace, SpaceConfig};
 use crate::CostModelConfig;
-use parking_lot::Mutex;
 use specdb_exec::Database;
 use specdb_query::QueryGraph;
 use specdb_storage::VirtualTime;
@@ -30,16 +29,11 @@ pub struct SpeculatorConfig {
     /// Minimum expected benefit (virtual seconds) before acting; filters
     /// out noise-level wins that are not worth the system load.
     pub min_benefit_secs: f64,
-    /// Maintain the candidate set incrementally across edits
-    /// ([`IncrementalSpace`]) instead of re-enumerating from scratch.
-    /// Produces bit-identical decisions either way; on by default, and
-    /// the decision-loop benchmark's no-cache arm turns it off.
-    pub incremental: bool,
     /// Whole-query speculation: also score the profile's top-k predicted
     /// *completed* queries as candidates (`SPECDB_PREDICT`, default on).
     pub predict: bool,
     /// How many predicted completions to consider per decision
-    /// (`SPECDB_PREDICT_TOPK`, default 3).
+    /// (default 3).
     pub predict_topk: usize,
 }
 
@@ -49,9 +43,8 @@ impl Default for SpeculatorConfig {
             space: SpaceConfig::default(),
             cost: CostModelConfig::default(),
             min_benefit_secs: 0.0,
-            incremental: true,
             predict: predict_from_env(),
-            predict_topk: predict_topk_from_env(),
+            predict_topk: 3,
         }
     }
 }
@@ -63,14 +56,6 @@ pub fn predict_from_env() -> bool {
         Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false")),
         Err(_) => true,
     }
-}
-
-/// Predicted-completion fan-out from `SPECDB_PREDICT_TOPK` (default 3).
-pub fn predict_topk_from_env() -> usize {
-    std::env::var("SPECDB_PREDICT_TOPK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
 }
 
 /// The speculator's choice for the current partial query.
@@ -138,11 +123,6 @@ impl Decision {
 /// The Speculator component.
 pub struct Speculator {
     space: ManipulationSpace,
-    /// Delta-maintained candidate state when `incremental` is on. Behind
-    /// a mutex because `decide` takes `&self` and the speculator is
-    /// shared (`Arc`) with the session worker; contention is nil — one
-    /// decide runs at a time.
-    incremental: Option<Mutex<IncrementalSpace>>,
     cost_model: CostModel,
     min_benefit: f64,
     predict: bool,
@@ -159,10 +139,7 @@ impl Speculator {
     /// Speculator with the given configuration.
     pub fn new(config: SpeculatorConfig) -> Self {
         Speculator {
-            space: ManipulationSpace::new(config.space.clone()),
-            incremental: config
-                .incremental
-                .then(|| Mutex::new(IncrementalSpace::new(config.space))),
+            space: ManipulationSpace::new(config.space),
             cost_model: CostModel::new(config.cost),
             min_benefit: config.min_benefit_secs.max(0.0),
             predict: config.predict,
@@ -188,12 +165,8 @@ impl Speculator {
             build: VirtualTime::ZERO,
             delta_secs: 0.0,
         };
-        let candidates = match &self.incremental {
-            Some(inc) => inc.lock().candidates(partial, db),
-            None => self.space.enumerate(partial, db),
-        };
         let mut scored_n = 0u64;
-        for m in candidates {
+        for m in self.space.enumerate(partial, db) {
             if m.is_null() {
                 continue;
             }

@@ -431,8 +431,9 @@ impl Database {
 
     /// Current DDL epoch: advances on every catalog-shape change
     /// (load, index/histogram create+drop, materialize/drop, view-mode
-    /// changes). The incremental manipulation space keys its delta state
-    /// off this counter.
+    /// changes), and each advance clears the plan cache. Tests read it to
+    /// check that an operation invalidated (or, on failure, left alone)
+    /// the cached plans and estimates.
     pub fn ddl_epoch(&self) -> u64 {
         self.plan_cache.lock().epoch()
     }
@@ -986,13 +987,6 @@ impl Database {
     /// True if a view over exactly this graph exists.
     pub fn has_view(&self, graph: &QueryGraph) -> bool {
         self.views.get(graph).is_some()
-    }
-
-    /// [`Database::has_view`] for a pre-rendered canonical key — lets
-    /// callers that cache keys (the incremental manipulation space) skip
-    /// re-rendering the graph.
-    pub fn has_view_key(&self, key: &str) -> bool {
-        self.views.get_by_key(key).is_some()
     }
 
     /// Optimizer estimate of the best execution time for `query` under

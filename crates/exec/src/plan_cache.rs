@@ -77,8 +77,8 @@ impl PlanCache {
     }
 
     /// Record a catalog change: advance the epoch and drop every entry.
-    /// The epoch advances even while disabled so external observers (the
-    /// incremental manipulation space) can key off it.
+    /// The epoch advances even while disabled, so it counts catalog
+    /// changes whichever way the cache is toggled.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
         if !self.plans.is_empty() || !self.times.is_empty() || !self.mats.is_empty() {

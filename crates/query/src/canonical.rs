@@ -32,9 +32,9 @@ pub fn short_digest(g: &QueryGraph) -> String {
     short_digest_of_key(&canonical_key(g))
 }
 
-/// [`short_digest`] over an already-rendered canonical key. Callers that
-/// cache keys (the plan cache, the incremental manipulation space) derive
-/// digests without re-walking the graph.
+/// [`short_digest`] over an already-rendered canonical key, so a caller
+/// that has the key (the engine's `materialize`) derives the digest
+/// without re-walking the graph.
 pub fn short_digest_of_key(key: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.bytes() {

@@ -910,7 +910,6 @@ mod tests {
         let spec = ReplayConfig::speculative();
         let mut predict = spec.clone();
         predict.speculator.predict = true;
-        predict.speculator.predict_topk = 3;
         let oracle = specdb_trace::gen::oracle_profile(&UserModelConfig::default());
         let configs = [
             (ReplayConfig::normal(), MatchMode::Exact),

@@ -58,7 +58,6 @@ fn replay_identical_across_separately_built_engines() {
     let mut cfg = ReplayConfig::speculative();
     cfg.pipeline = true;
     cfg.speculator.predict = true;
-    cfg.speculator.predict_topk = 3;
     let model = UserModel::new(
         UserModelConfig {
             queries: 12,
@@ -81,10 +80,9 @@ fn replay_identical_across_separately_built_engines() {
     }
 }
 
-/// The plan cache and the incremental manipulation space are pure
-/// memoization: with them on or off, a speculative replay must produce
-/// the *bit-identical* outcome — same decisions, same timings, same
-/// manipulation lifecycle counts.
+/// The plan cache is pure memoization: with it on or off, a speculative
+/// replay must produce the *bit-identical* outcome — same decisions,
+/// same timings, same manipulation lifecycle counts.
 #[test]
 fn replay_identical_with_caching_on_and_off() {
     let base = build_base_db(&DatasetSpec::tiny()).unwrap();
@@ -92,9 +90,7 @@ fn replay_identical_with_caching_on_and_off() {
     let run = |cached: bool| {
         let mut db = base.clone();
         db.set_plan_cache(cached);
-        let mut cfg = ReplayConfig::speculative();
-        cfg.speculator.incremental = cached;
-        replay_trace(&mut db, &trace, &cfg).unwrap()
+        replay_trace(&mut db, &trace, &ReplayConfig::speculative()).unwrap()
     };
     let cached = run(true);
     let uncached = run(false);
@@ -177,7 +173,6 @@ fn replay_identical_with_prediction_on_and_off() {
         db.set_threads(threads);
         let mut cfg = ReplayConfig::speculative();
         cfg.speculator.predict = predict;
-        cfg.speculator.predict_topk = 3;
         replay_trace(&mut db, &trace, &cfg).unwrap()
     };
     let mut per_setting = Vec::new();
@@ -206,7 +201,6 @@ fn caller_configs() -> Vec<(&'static str, ReplayConfig, MatchMode)> {
     let spec = ReplayConfig::speculative();
     let mut predict = spec.clone();
     predict.speculator.predict = true;
-    predict.speculator.predict_topk = 3;
     let oracle = oracle_profile(&UserModelConfig::default());
     vec![
         ("normal", ReplayConfig::normal(), MatchMode::Exact),

@@ -1,10 +1,8 @@
 //! Plan-cache invalidation: a cached plan or estimate must be dropped
 //! and re-derived after every catalog-shape change — index and histogram
 //! creation/drop, materialization, and data loads — so cached planning
-//! can never serve stale answers. Exercised both directly against the
-//! engine and through the incremental manipulation space.
+//! can never serve stale answers.
 
-use specdb::core::{IncrementalSpace, Manipulation, ManipulationSpace};
 use specdb::exec::{CancelToken, Database, DatabaseConfig};
 use specdb::query::{CompareOp, Join, Predicate, Query, QueryGraph, Selection};
 use specdb::storage::Tuple;
@@ -148,54 +146,10 @@ fn load_invalidates_cached_estimates() {
             Value::Float(i as f64),
         ])
     });
+    let epoch = db.ddl_epoch();
     db.load("customer", extra).unwrap();
+    assert_eq!(db.ddl_epoch(), epoch + 1);
     let after = db.estimate_query_time(&q).unwrap();
     assert_ne!(before, after, "load must invalidate the cached estimate");
     assert_eq!(db.execute_discard(&q).unwrap().row_count, rows_before + 500);
-}
-
-#[test]
-fn incremental_space_tracks_every_invalidation_source() {
-    let mut db = db();
-    let space = ManipulationSpace::default();
-    let mut inc = IncrementalSpace::default();
-    let p = partial();
-    assert_eq!(inc.candidates(&p, &db), space.enumerate(&p, &db));
-
-    // Each DDL operation must be reflected on the incremental space's
-    // next call, exactly as a fresh enumeration would see it.
-    let sub = p.selection_subgraph(p.selections().find(|s| s.rel == "customer").unwrap());
-    let mat = db.materialize(&sub, CancelToken::new()).unwrap();
-    let after_mat = inc.candidates(&p, &db);
-    assert_eq!(after_mat, space.enumerate(&p, &db));
-    assert!(!after_mat.iter().any(|m| m.graph() == Some(&sub)));
-
-    db.drop_materialized(&mat.table);
-    let after_drop = inc.candidates(&p, &db);
-    assert_eq!(after_drop, space.enumerate(&p, &db));
-    assert!(after_drop.iter().any(|m| m.graph() == Some(&sub)));
-
-    // Index/histogram arms (config with everything on).
-    let everything = specdb::core::SpaceConfig::everything();
-    let space = ManipulationSpace::new(everything.clone());
-    let mut inc = IncrementalSpace::new(everything);
-    assert_eq!(inc.candidates(&p, &db), space.enumerate(&p, &db));
-    db.create_index("customer", "c_nation").unwrap();
-    db.create_histogram("orders", "o_orderpriority").unwrap();
-    let after_ddl = inc.candidates(&p, &db);
-    assert_eq!(after_ddl, space.enumerate(&p, &db));
-    assert!(!after_ddl.contains(&Manipulation::CreateIndex {
-        table: "customer".into(),
-        column: "c_nation".into()
-    }));
-    assert!(!after_ddl.contains(&Manipulation::CreateHistogram {
-        table: "orders".into(),
-        column: "o_orderpriority".into()
-    }));
-
-    // A load (stats refresh) also bumps the epoch and forces rescoring.
-    let epoch = db.ddl_epoch();
-    db.load("customer", std::iter::empty::<Tuple>()).unwrap();
-    assert_eq!(db.ddl_epoch(), epoch + 1);
-    assert_eq!(inc.candidates(&p, &db), space.enumerate(&p, &db));
 }
