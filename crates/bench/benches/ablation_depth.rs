@@ -32,10 +32,7 @@ fn main() {
         eprintln!("replaying depth {depth}...");
         let cfg = ReplayConfig {
             speculative: true,
-            speculator: SpeculatorConfig {
-                cost: CostModelConfig { depth, ..Default::default() },
-                ..Default::default()
-            },
+            speculator: SpeculatorConfig { cost: CostModelConfig { depth }, ..Default::default() },
             ..Default::default()
         };
         let cohort = run_paired(&base, &traces, &ReplayConfig::normal(), &cfg);

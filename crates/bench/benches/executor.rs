@@ -112,20 +112,15 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
     let base = build_base_db(&spec_ds).expect("base db");
-    // One arm per mode. The memory-resident fast path under test: pin
-    // every table's decoded column segments for the columnar arm
-    // (materialized speculation results get this automatically from
-    // `Database::materialize`); the row path never reads the cache.
+    // One arm per mode. The memory-resident fast path under test: the
+    // columnar arm's scans keep decoded column segments in the segment
+    // cache (every table fits its byte budget); the row path never reads
+    // the cache.
     let mut arms: Vec<Database> = MODES
         .iter()
         .map(|&mode| {
             let mut db = base.clone();
             db.set_exec_mode(mode);
-            if mode != ExecMode::Row {
-                for t in specdb_tpch::TPCH_TABLES {
-                    db.cache_table_segments(t).expect("cache segments");
-                }
-            }
             db
         })
         .collect();

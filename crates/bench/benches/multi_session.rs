@@ -78,7 +78,7 @@ fn main() {
         .remove(0)
     };
     let queries = if smoke { 4 } else { 12 };
-    let governor = GovernorConfig::from_env();
+    let governor = GovernorConfig::default();
 
     eprintln!(
         "multi_session: dataset {} ({} MB), {} queries/session, budget {}, preempt {}{}",
@@ -144,13 +144,12 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"multi_session\",\n  \"smoke\": {smoke},\n  \
          \"dataset\": \"{}\",\n  \"dataset_mb\": {},\n  \"queries_per_session\": {queries},\n  \
-         \"governor\": {{ \"max_outstanding\": {}, \"preempt\": {}, \"min_benefit_rate\": {} }},\n  \
+         \"governor\": {{ \"max_outstanding\": {}, \"preempt\": {} }},\n  \
          \"fleets\": [\n{}\n  ]\n}}\n",
         spec_ds.label,
         spec_ds.actual_mb(),
         governor.max_outstanding,
         governor.preempt,
-        governor.min_benefit_rate,
         fleets.join(",\n"),
     );
     specdb_bench::write_artifact("BENCH_multi_session.json", false, &json);

@@ -21,10 +21,7 @@
 
 use specdb_exec::Database;
 use specdb_sim::replay::{replay_trace, ReplayConfig, ReplayOutcome};
-use specdb_sim::report::{
-    bucketize, improvement, pair_runs, render_rows, render_speculation_summary, PairedRun,
-    SpeculationSummary,
-};
+use specdb_sim::report::{bucketize, improvement, pair_runs, render_rows, PairedRun};
 use specdb_sim::DatasetSpec;
 use specdb_storage::VirtualTime;
 use specdb_trace::{Trace, UserModel, UserModelConfig};
@@ -105,20 +102,6 @@ impl PairedCohort {
         } else {
             100.0 * (issued - self.completed()) as f64 / issued as f64
         }
-    }
-
-    /// Aggregate speculation statistics across the treatment outcomes.
-    pub fn speculation(&self) -> SpeculationSummary {
-        SpeculationSummary::from_outcomes(&self.treatment)
-    }
-
-    /// Render the speculation summary (hit rate, waste, calibration when
-    /// the treatment database carried an enabled observer).
-    pub fn speculation_report(
-        &self,
-        calibration: Option<&specdb_obs::CalibrationTracker>,
-    ) -> String {
-        render_speculation_summary(&self.speculation(), calibration)
     }
 
     /// Mean completed-manipulation duration.
@@ -232,20 +215,56 @@ pub fn quantiles_json(samples: &[f64]) -> String {
 /// Write a bench artifact `file` (e.g. `BENCH_prediction.json`) at the
 /// repository root, or under the root's `target/` when `scratch` is set:
 /// a smoke run whose numbers must not overwrite the checked-in
-/// full-scale copy. A failed write is reported on stderr, not fatal.
+/// full-scale copy. The JSON object `body` gains a one-line
+/// `"provenance": { "commit", "host_cores", "profile" }` first field.
+/// A failed write is reported on stderr, not fatal.
 pub fn write_artifact(file: &str, scratch: bool, body: &str) {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let provenance = provenance_json(&root);
     let dir = if scratch { root.join("target") } else { root };
     let path = dir.join(file);
+    let body = body.replacen("{\n", &format!("{{\n  \"provenance\": {provenance},\n"), 1);
     match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("cannot write {}: {e}", path.display()),
     }
 }
 
+/// Where an artifact's numbers came from, as a one-line JSON object:
+/// the checkout's `git rev-parse HEAD` (`"none"` outside a git
+/// checkout), the host's available parallelism and the build profile.
+fn provenance_json(repo: &std::path::Path) -> String {
+    let commit = std::process::Command::new("git")
+        .arg("-C")
+        .arg(repo)
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "none".into());
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    format!(
+        "{{ \"commit\": \"{commit}\", \"host_cores\": {host_cores}, \"profile\": \"{profile}\" }}"
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn provenance_names_commit_cores_and_profile() {
+        let line = provenance_json(std::path::Path::new(env!("CARGO_MANIFEST_DIR")));
+        assert!(line.starts_with("{ \"commit\": \""), "{line}");
+        assert!(line.contains("\"host_cores\": "), "{line}");
+        assert!(
+            line.contains("\"profile\": \"debug\"") || line.contains("\"profile\": \"release\"")
+        );
+        assert!(!line.contains('\n'), "one line, so CI can strip it: {line}");
+    }
 
     #[test]
     fn env_defaults() {

@@ -95,11 +95,6 @@ impl Histogram {
         self.total
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Estimated fraction of rows strictly less than `v`.
     pub fn fraction_lt(&self, v: &Value) -> f64 {
         self.fraction_below(v.as_numeric(), false)

@@ -13,13 +13,12 @@
 //! between scanning the materialized result and computing it from
 //! scratch. Negative values are expected benefit; `Cost⊆(m∅) = 0`.
 //!
-//! Two extensions the paper sketches are implemented behind config
-//! flags:
+//! Two extensions the paper sketches are implemented:
 //!
-//! * **depth-n speculation** (Section 3.3): a materialization that
-//!   persists across queries is reused; the expected benefit over the
-//!   next `n` final queries is `Σ_{k=0}^{n-1} p_persist(qm)^k` times the
-//!   single-query benefit,
+//! * **depth-n speculation** (Section 3.3, `CostModelConfig::depth`): a
+//!   materialization that persists across queries is reused; the
+//!   expected benefit over the next `n` final queries is
+//!   `Σ_{k=0}^{n-1} p_persist(qm)^k` times the single-query benefit,
 //! * **completion probability**: a manipulation only helps if it
 //!   finishes before GO, so the benefit is weighted by
 //!   `P(remaining think time > build time)` from the profile's
@@ -31,41 +30,35 @@ use specdb_exec::{Database, Estimator};
 use specdb_query::{CompareOp, Query, QueryGraph};
 use specdb_storage::{ResourceDemand, VirtualTime, PAGE_SIZE};
 
+/// Heuristic benefit fraction for histogram creation (histograms
+/// improve estimates, not execution directly; the paper notes their
+/// low cost / low specificity trade-off).
+const HISTOGRAM_BENEFIT: f64 = 0.05;
+
+/// Candidates whose completion probability falls below this floor score
+/// zero: issuing a manipulation that almost surely cannot finish before
+/// GO wastes the single outstanding slot (the paper keeps "the overall
+/// system load low" with the one-outstanding rule; this guard keeps the
+/// slot useful).
+const MIN_COMPLETION_PROB: f64 = 0.15;
+
+/// Materializations must beat recomputation by at least this fraction
+/// (`scan(result) ≤ (1 − f) · compute`): near-useless views (e.g. a
+/// 90%-selectivity predicate) are never worth the rewriting risk of
+/// losing an index-based plan on the base relation.
+const MIN_RELATIVE_BENEFIT: f64 = 0.3;
+
 /// Cost model configuration.
 #[derive(Debug, Clone)]
 pub struct CostModelConfig {
     /// Speculation depth `n ≥ 1`: how many future queries a
     /// materialization is scored against.
     pub depth: usize,
-    /// Weight benefits by the probability the manipulation completes
-    /// before GO.
-    pub use_completion_prob: bool,
-    /// Heuristic benefit fraction for histogram creation (histograms
-    /// improve estimates, not execution directly; the paper notes their
-    /// low cost / low specificity trade-off).
-    pub histogram_benefit: f64,
-    /// Candidates whose completion probability falls below this floor
-    /// score zero: issuing a manipulation that almost surely cannot
-    /// finish before GO wastes the single outstanding slot (the paper
-    /// keeps "the overall system load low" with the one-outstanding
-    /// rule; this guard keeps the slot useful).
-    pub min_completion_prob: f64,
-    /// Materializations must beat recomputation by at least this
-    /// fraction (`scan(result) ≤ (1 − f) · compute`): near-useless views
-    /// (e.g. a 90%-selectivity predicate) are never worth the rewriting
-    /// risk of losing an index-based plan on the base relation.
-    pub min_relative_benefit: f64,
 }
 
 impl Default for CostModelConfig {
     fn default() -> Self {
-        CostModelConfig {
-            depth: 1,
-            use_completion_prob: true,
-            histogram_benefit: 0.05,
-            min_completion_prob: 0.15,
-            min_relative_benefit: 0.3,
-        }
+        CostModelConfig { depth: 1 }
     }
 }
 
@@ -151,7 +144,7 @@ impl CostModel {
             return Scored { score: 0.0, build: VirtualTime::ZERO, delta_secs: 0.0 };
         };
         let delta = est.scan_result.as_secs_f64() - est.compute_now.as_secs_f64();
-        let required = -self.config.min_relative_benefit * est.compute_now.as_secs_f64();
+        let required = -MIN_RELATIVE_BENEFIT * est.compute_now.as_secs_f64();
         if delta > required {
             return Scored { score: 0.0, build: est.build, delta_secs: delta };
         }
@@ -175,15 +168,11 @@ impl CostModel {
     }
 
     fn completion(&self, profile: &dyn Profile, elapsed: VirtualTime, build: VirtualTime) -> f64 {
-        if self.config.use_completion_prob {
-            let p = profile.p_think_exceeds(elapsed, build);
-            if p < self.config.min_completion_prob {
-                0.0
-            } else {
-                p
-            }
+        let p = profile.p_think_exceeds(elapsed, build);
+        if p < MIN_COMPLETION_PROB {
+            0.0
         } else {
-            1.0
+            p
         }
     }
 
@@ -200,7 +189,7 @@ impl CostModel {
         let delta = est.scan_result.as_secs_f64() - est.compute_now.as_secs_f64();
         // Relative-benefit guard: a view that barely beats recomputation
         // is all risk (forced rewrites forgo base-table indexes).
-        let required = -self.config.min_relative_benefit * est.compute_now.as_secs_f64();
+        let required = -MIN_RELATIVE_BENEFIT * est.compute_now.as_secs_f64();
         if delta > required {
             return Scored { score: 0.0, build: est.build, delta_secs: delta };
         }
@@ -281,7 +270,7 @@ impl CostModel {
         });
         // Better statistics are worth a (configured) fraction of the
         // query cost they inform — a deliberate heuristic, see module docs.
-        let delta = -self.config.histogram_benefit * compute_now.as_secs_f64();
+        let delta = -HISTOGRAM_BENEFIT * compute_now.as_secs_f64();
         let f_sub = profile.p_contained(&qm);
         let p_c = self.completion(profile, elapsed, build);
         Scored { score: p_c * f_sub * delta, build, delta_secs: delta }
@@ -317,6 +306,10 @@ mod tests {
     use specdb_query::{Join, Predicate};
     use specdb_tpch::{generate_into, TpchConfig};
 
+    /// Mean think time long enough that every build completes before GO
+    /// (`p_think_exceeds` ≈ 1), so scores are not discounted by completion.
+    const PATIENT: f64 = 1e9;
+
     fn db() -> Database {
         let mut db = Database::new(DatabaseConfig::with_buffer_pages(2048));
         generate_into(&mut db, &TpchConfig::new(2).build_aux(false)).unwrap();
@@ -345,9 +338,8 @@ mod tests {
     #[test]
     fn selective_materialization_is_beneficial() {
         let db = db();
-        let cm =
-            CostModel::new(CostModelConfig { use_completion_prob: false, ..Default::default() });
-        let p = UniformProfile { p: 0.9, think_mean_secs: 28.0 };
+        let cm = CostModel::default();
+        let p = UniformProfile { p: 0.9, think_mean_secs: PATIENT };
         let g = partial_with_selection();
         let m = Manipulation::Rewrite { graph: g.clone() };
         let s = cm.score(&m, &g, &db, &p, VirtualTime::ZERO);
@@ -358,22 +350,21 @@ mod tests {
     #[test]
     fn survival_probability_scales_score() {
         let db = db();
-        let cm =
-            CostModel::new(CostModelConfig { use_completion_prob: false, ..Default::default() });
+        let cm = CostModel::default();
         let g = partial_with_selection();
         let m = Manipulation::Rewrite { graph: g.clone() };
         let hi = cm.score(
             &m,
             &g,
             &db,
-            &UniformProfile { p: 0.9, think_mean_secs: 28.0 },
+            &UniformProfile { p: 0.9, think_mean_secs: PATIENT },
             VirtualTime::ZERO,
         );
         let lo = cm.score(
             &m,
             &g,
             &db,
-            &UniformProfile { p: 0.1, think_mean_secs: 28.0 },
+            &UniformProfile { p: 0.1, think_mean_secs: PATIENT },
             VirtualTime::ZERO,
         );
         assert!(hi.score < lo.score, "higher survival → more negative score");
@@ -381,7 +372,7 @@ mod tests {
 
     #[test]
     fn depth_multiplier_formula() {
-        let cm = CostModel::new(CostModelConfig { depth: 3, ..Default::default() });
+        let cm = CostModel::new(CostModelConfig { depth: 3 });
         assert!((cm.depth_multiplier(0.0) - 1.0).abs() < 1e-9);
         assert!((cm.depth_multiplier(1.0) - 3.0).abs() < 1e-9);
         assert!((cm.depth_multiplier(0.5) - 1.75).abs() < 1e-9);
@@ -394,19 +385,11 @@ mod tests {
         let db = db();
         let g = partial_with_selection();
         let m = Manipulation::Rewrite { graph: g.clone() };
-        let p = UniformProfile { p: 0.9, think_mean_secs: 28.0 };
-        let shallow = CostModel::new(CostModelConfig {
-            depth: 1,
-            use_completion_prob: false,
-            ..Default::default()
-        })
-        .score(&m, &g, &db, &p, VirtualTime::ZERO);
-        let deep = CostModel::new(CostModelConfig {
-            depth: 3,
-            use_completion_prob: false,
-            ..Default::default()
-        })
-        .score(&m, &g, &db, &p, VirtualTime::ZERO);
+        let p = UniformProfile { p: 0.9, think_mean_secs: PATIENT };
+        let shallow =
+            CostModel::new(CostModelConfig { depth: 1 }).score(&m, &g, &db, &p, VirtualTime::ZERO);
+        let deep =
+            CostModel::new(CostModelConfig { depth: 3 }).score(&m, &g, &db, &p, VirtualTime::ZERO);
         assert!(deep.score < shallow.score, "depth 3 should find more benefit");
     }
 
@@ -418,7 +401,7 @@ mod tests {
         // Think time of ~1 ms: the build almost never completes, so the
         // discounted benefit must be a tiny fraction of the raw benefit.
         let impatient = UniformProfile { p: 0.9, think_mean_secs: 0.0001 };
-        let patient = UniformProfile { p: 0.9, think_mean_secs: 1e9 };
+        let patient = UniformProfile { p: 0.9, think_mean_secs: PATIENT };
         let cm = CostModel::default();
         let discounted = cm.score(&m, &g, &db, &impatient, VirtualTime::ZERO);
         let raw = cm.score(&m, &g, &db, &patient, VirtualTime::ZERO);
@@ -434,9 +417,8 @@ mod tests {
     #[test]
     fn index_scores_negative_when_it_helps() {
         let db = db();
-        let cm =
-            CostModel::new(CostModelConfig { use_completion_prob: false, ..Default::default() });
-        let p = UniformProfile { p: 0.9, think_mean_secs: 28.0 };
+        let cm = CostModel::default();
+        let p = UniformProfile { p: 0.9, think_mean_secs: PATIENT };
         // Very selective predicate (near-key equality) on the biggest
         // table: the index pays. Lower-selectivity predicates correctly
         // score positive because unclustered fetches cost random I/O —
@@ -452,11 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_benefit_is_heuristic_fraction() {
+    fn histogram_scores_a_heuristic_fraction() {
         let db = db();
-        let cm =
-            CostModel::new(CostModelConfig { use_completion_prob: false, ..Default::default() });
-        let p = UniformProfile { p: 1.0, think_mean_secs: 28.0 };
+        let cm = CostModel::default();
+        let p = UniformProfile { p: 1.0, think_mean_secs: PATIENT };
         let g = partial_with_selection();
         let m =
             Manipulation::CreateHistogram { table: "customer".into(), column: "c_nation".into() };
@@ -481,9 +462,8 @@ mod tests {
     #[test]
     fn join_materialization_scored() {
         let db = db();
-        let cm =
-            CostModel::new(CostModelConfig { use_completion_prob: false, ..Default::default() });
-        let p = UniformProfile { p: 0.9, think_mean_secs: 28.0 };
+        let cm = CostModel::default();
+        let p = UniformProfile { p: 0.9, think_mean_secs: PATIENT };
         let mut g = QueryGraph::new();
         g.add_join(Join::new("orders", "o_custkey", "customer", "c_custkey"));
         g.add_selection(nation_sel());

@@ -26,9 +26,6 @@ pub struct SpeculatorConfig {
     pub space: SpaceConfig,
     /// Cost-model configuration.
     pub cost: CostModelConfig,
-    /// Minimum expected benefit (virtual seconds) before acting; filters
-    /// out noise-level wins that are not worth the system load.
-    pub min_benefit_secs: f64,
     /// Whole-query speculation: also score the profile's top-k predicted
     /// *completed* queries as candidates (`SPECDB_PREDICT`, default on).
     pub predict: bool,
@@ -42,20 +39,23 @@ impl Default for SpeculatorConfig {
         SpeculatorConfig {
             space: SpaceConfig::default(),
             cost: CostModelConfig::default(),
-            min_benefit_secs: 0.0,
             predict: predict_from_env(),
             predict_topk: 3,
         }
     }
 }
 
-/// Whole-query speculation toggle from `SPECDB_PREDICT`; unset, empty,
-/// and anything but `0`/`false` mean *on*.
+/// Whole-query speculation toggle from `SPECDB_PREDICT`: `0`, `off`,
+/// `false` and `no` (any case) mean *off*; unset or anything else, *on*.
 pub fn predict_from_env() -> bool {
-    match std::env::var("SPECDB_PREDICT") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false")),
-        Err(_) => true,
-    }
+    std::env::var("SPECDB_PREDICT").map_or(true, |v| parse_predict(&v))
+}
+
+/// Parse a `SPECDB_PREDICT` value; `false` only for the four off words.
+fn parse_predict(value: &str) -> bool {
+    !["0", "off", "false", "no"]
+        .iter()
+        .any(|off| value.trim().eq_ignore_ascii_case(off))
 }
 
 /// The speculator's choice for the current partial query.
@@ -124,7 +124,6 @@ impl Decision {
 pub struct Speculator {
     space: ManipulationSpace,
     cost_model: CostModel,
-    min_benefit: f64,
     predict: bool,
     predict_topk: usize,
 }
@@ -141,7 +140,6 @@ impl Speculator {
         Speculator {
             space: ManipulationSpace::new(config.space),
             cost_model: CostModel::new(config.cost),
-            min_benefit: config.min_benefit_secs.max(0.0),
             predict: config.predict,
             predict_topk: config.predict_topk,
         }
@@ -202,14 +200,6 @@ impl Speculator {
                     };
                 }
             }
-        }
-        if best.score > -self.min_benefit {
-            best = Decision {
-                manipulation: Manipulation::Null,
-                score: 0.0,
-                build: VirtualTime::ZERO,
-                delta_secs: 0.0,
-            };
         }
         // Speculative prefetch: the chosen manipulation is about to run
         // against its base tables, so warm their segments through the
@@ -309,15 +299,21 @@ mod tests {
     #[test]
     fn idles_when_user_is_too_fast() {
         let db = db();
-        let spec = Speculator::default();
-        // Mean think time of 1 ms: completion probability ≈ 0, and with
-        // min_benefit filtering the speculator stays idle.
-        let spec_filtered =
-            Speculator::new(SpeculatorConfig { min_benefit_secs: 0.05, ..Default::default() });
+        // Mean think time of 1 ms: no build can complete before GO, so
+        // every candidate falls under the completion floor and scores 0.
         let impatient = UniformProfile { p: 0.9, think_mean_secs: 0.001 };
-        let d = spec_filtered.decide(&partial(), &db, &impatient, VirtualTime::ZERO);
+        let d = Speculator::default().decide(&partial(), &db, &impatient, VirtualTime::ZERO);
         assert!(d.is_idle(), "score {}", d.score);
-        let _ = spec;
+    }
+
+    #[test]
+    fn parse_predict_accepts_the_four_off_words() {
+        for off in ["0", "off", "OFF", "false", "False", "no", "No", " no "] {
+            assert!(!parse_predict(off), "{off:?} must turn prediction off");
+        }
+        for on in ["", "1", "on", "true", "yes", "nope"] {
+            assert!(parse_predict(on), "{on:?} must leave prediction on");
+        }
     }
 
     #[test]
@@ -352,26 +348,12 @@ mod tests {
     }
 
     #[test]
-    fn decision_respects_min_benefit_threshold() {
-        let db = db();
-        let generous = Speculator::new(SpeculatorConfig::default());
-        let strict = Speculator::new(SpeculatorConfig {
-            min_benefit_secs: 1e9, // absurd threshold: nothing qualifies
-            ..Default::default()
-        });
-        let d1 = generous.decide(&partial(), &db, &confident(), VirtualTime::ZERO);
-        let d2 = strict.decide(&partial(), &db, &confident(), VirtualTime::ZERO);
-        assert!(!d1.is_idle());
-        assert!(d2.is_idle());
-    }
-
-    #[test]
     fn join_candidate_chosen_for_join_heavy_partial() {
         // With survival certain and deep persistence, the join
         // materialization (bigger saving) should win over the selection.
         let db = db();
         let spec = Speculator::new(SpeculatorConfig {
-            cost: CostModelConfig { depth: 3, use_completion_prob: false, ..Default::default() },
+            cost: CostModelConfig { depth: 3 },
             ..Default::default()
         });
         let profile = UniformProfile { p: 1.0, think_mean_secs: 1e6 };

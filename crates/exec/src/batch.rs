@@ -613,7 +613,6 @@ struct ScanShared {
     filters: Vec<BoundPred>,
     keep: Option<Vec<usize>>,
     seg_cache: Arc<SegCache>,
-    small_file: bool,
     cancel: CancelToken,
 }
 
@@ -665,7 +664,7 @@ fn scan_morsel<R>(
                 continue;
             }
         }
-        let seg = shared.seg_cache.get_or_decode(*pid, page, shared.small_file)?;
+        let seg = shared.seg_cache.get_or_decode(*pid, page)?;
         if zones_exclude(seg.zones(), &shared.filters) {
             stats.pages_skipped += 1;
             continue;
@@ -723,7 +722,6 @@ fn parallel_fused_scan<R: Send + 'static>(
         filters: filters.to_vec(),
         keep: keep.map(|k| k.to_vec()),
         seg_cache: ctx.pool.seg_cache(),
-        small_file: ctx.pool.seg_cacheable_size(heap.file),
         cancel: ctx.cancel.clone(),
     });
     let threads = effective_workers(ctx.threads);
@@ -792,7 +790,7 @@ fn read_page_zoned(
             return Ok(None);
         }
     }
-    let seg = cache.get_or_decode(pid, &page, ctx.pool.seg_cacheable_size(heap.file))?;
+    let seg = cache.get_or_decode(pid, &page)?;
     if zones_exclude(seg.zones(), filters) {
         ctx.batch_stats.pages_skipped += 1;
         return Ok(None);
@@ -1865,8 +1863,6 @@ mod tests {
             &["emp.id", "emp.dept", "emp.age"],
             vec![BoundPred { idx: 1, op: CompareOp::Eq, value: Value::Int(7) }],
         );
-        let heap = cat.table("emp").unwrap().heap;
-        pool.mark_hot(heap.file);
         // Warm the segment cache, then check batches share its columns.
         let mut ctx = ExecCtx::new(&mut pool);
         run_collect_batched(&plan, &cat, &mut ctx).unwrap();
@@ -1929,12 +1925,11 @@ mod tests {
     fn repeat_scan_hits_segment_cache_without_changing_accounting() {
         let (mut pool, cat) = fixture();
         let heap = cat.table("dept").unwrap().heap;
-        pool.mark_hot(heap.file);
         let plan = scan("dept", &["dept.id", "dept.name"], vec![]);
         let mut ctx = ExecCtx::new(&mut pool);
         let first = run_collect_batched(&plan, &cat, &mut ctx).unwrap();
         let resident = pool.seg_resident();
-        assert!(resident > 0, "hot file should populate the segment cache");
+        assert!(resident > 0, "a scan should populate the segment cache");
         let snap = pool.snapshot();
         let mut ctx = ExecCtx::new(&mut pool);
         let second = run_collect_batched(&plan, &cat, &mut ctx).unwrap();

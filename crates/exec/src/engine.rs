@@ -14,9 +14,7 @@ use crate::estimate::Estimator;
 use crate::optimizer::{self, qualify};
 use crate::plan::Plan;
 use crate::plan_cache::{query_key, PlanCache, PlanCacheStats};
-use crate::rewrite::{
-    rewrite_candidates_with, rewrite_greedy_with, MatchMode, ViewDef, ViewRegistry,
-};
+use crate::rewrite::{rewrite_candidates, rewrite_greedy, MatchMode, ViewDef, ViewRegistry};
 use crate::run;
 use parking_lot::Mutex;
 use specdb_catalog::{Catalog, ColumnDef, Schema, TableStats};
@@ -109,11 +107,6 @@ impl DatabaseConfig {
             exec_mode: ExecMode::Columnar,
             threads: threads_from_env(),
         }
-    }
-
-    /// Config with a pool sized in bytes.
-    pub fn with_buffer_bytes(bytes: usize) -> Self {
-        Self::with_buffer_pages((bytes / PAGE_SIZE).max(1))
     }
 
     /// Replace the disk model.
@@ -360,19 +353,18 @@ impl Database {
         const PREFETCH_CAP_PAGES: usize = 512;
         let cache = self.pool.seg_cache();
         let version = cache.version();
-        let mut work: Vec<(specdb_storage::PageId, std::sync::Arc<specdb_storage::Page>, bool)> =
+        let mut work: Vec<(specdb_storage::PageId, std::sync::Arc<specdb_storage::Page>)> =
             Vec::new();
         'tables: for name in tables {
             let Some(t) = self.catalog.table(name) else { continue };
             let heap = t.heap;
-            let small = self.pool.seg_cacheable_size(heap.file);
             for page_no in 0..heap.pages(&self.pool) {
                 let pid = specdb_storage::PageId::new(heap.file, page_no);
                 if cache.contains(pid) {
                     continue;
                 }
                 let Some(page) = self.pool.peek_page(pid) else { continue };
-                work.push((pid, page, small));
+                work.push((pid, page));
                 if work.len() >= PREFETCH_CAP_PAGES {
                     break 'tables;
                 }
@@ -383,8 +375,8 @@ impl Database {
         }
         let enqueued = work.len() as u64;
         crate::parallel::WorkerPool::global().spawn(move || {
-            for (pid, page, small) in work {
-                cache.prefetch(pid, &page, small, version, kind);
+            for (pid, page) in work {
+                cache.prefetch(pid, &page, version, kind);
             }
         });
         enqueued
@@ -400,33 +392,6 @@ impl Database {
     /// The executor pipeline plans currently run on.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Pin `table`'s heap in the decoded segment cache (the
-    /// memory-resident fast path), regardless of its size. Batch-path
-    /// scans of a pinned table skip per-tuple decoding once warm; I/O
-    /// accounting is unchanged. Materialized views are pinned
-    /// automatically by [`Database::materialize`].
-    pub fn cache_table_segments(&mut self, table: &str) -> ExecResult<()> {
-        let heap = self
-            .catalog
-            .table(table)
-            .ok_or_else(|| ExecError::UnknownTable(table.into()))?
-            .heap;
-        self.pool.mark_hot(heap.file);
-        Ok(())
-    }
-
-    /// Undo [`Database::cache_table_segments`], dropping the table's
-    /// decoded segments.
-    pub fn uncache_table_segments(&mut self, table: &str) -> ExecResult<()> {
-        let heap = self
-            .catalog
-            .table(table)
-            .ok_or_else(|| ExecError::UnknownTable(table.into()))?
-            .heap;
-        self.pool.unmark_hot(heap.file);
-        Ok(())
     }
 
     /// Current DDL epoch: advances on every catalog-shape change
@@ -628,11 +593,6 @@ impl Database {
         self.staged.contains_key(table)
     }
 
-    /// Currently staged tables.
-    pub fn staged_tables(&self) -> Vec<String> {
-        self.staged.keys().cloned().collect()
-    }
-
     /// Staged tables no longer present in `graph` (GC candidates,
     /// symmetric to [`Database::unsupported_views`]).
     pub fn unsupported_staged(&self, graph: &specdb_query::QueryGraph) -> Vec<String> {
@@ -815,7 +775,7 @@ impl Database {
             return Ok((query.clone(), Vec::new()));
         }
         match self.view_mode {
-            ViewMode::Forced => Ok(rewrite_greedy_with(query, &self.views, self.match_mode)),
+            ViewMode::Forced => Ok(rewrite_greedy(query, &self.views, self.match_mode)),
             ViewMode::CostBased => {
                 // Conservative view matching: a rewriting must beat the
                 // original plan's estimate by a clear margin before the
@@ -825,7 +785,7 @@ impl Database {
                 // penalty analysis).
                 const SWITCH_MARGIN: f64 = 0.95;
                 let mut candidates =
-                    rewrite_candidates_with(query, &self.views, self.match_mode).into_iter();
+                    rewrite_candidates(query, &self.views, self.match_mode).into_iter();
                 let (orig_q, orig_used) =
                     candidates.next().expect("candidates always include the original");
                 let orig_t =
@@ -899,7 +859,7 @@ impl Database {
         // Choose the cheapest build plan (views may help the build even
         // in Forced mode — the paper reuses completed materializations).
         let (chosen, _) = match self.view_mode {
-            ViewMode::Forced => rewrite_greedy_with(&query, &self.views, self.match_mode),
+            ViewMode::Forced => rewrite_greedy(&query, &self.views, self.match_mode),
             ViewMode::CostBased => self.choose_rewrite(&query)?,
         };
         let plan = optimizer::plan_query(&self.catalog, &self.pool, &self.disk, &chosen)?;
@@ -943,10 +903,6 @@ impl Database {
         let name = format!("mv_{}", specdb_query::short_digest_of_key(&graph_key));
         let stats = TableStats::analyze(&mut self.pool, heap, schema.arity())?;
         self.catalog.register(&name, schema, heap, stats, true);
-        // Materialized speculation results are exactly the hot re-read
-        // case the decoded segment cache exists for: pin them so the
-        // final query's re-execution skips the page-decode path.
-        self.pool.mark_hot(heap.file);
         self.views
             .register_with_key(graph_key, ViewDef { name: name.clone(), graph: graph.clone() });
         self.bump_ddl_epoch();
@@ -974,7 +930,7 @@ impl Database {
     pub fn unsupported_views(&self, graph: &QueryGraph) -> Vec<String> {
         let supported: std::collections::HashSet<&str> = self
             .views
-            .supported_by_with(graph, self.match_mode)
+            .supported_by(graph, self.match_mode)
             .map(|v| v.name.as_str())
             .collect();
         self.views
@@ -1532,26 +1488,33 @@ mod tests {
         let mut sub = QueryGraph::new();
         sub.add_selection(Selection::new("employee", Predicate::new("age", CompareOp::Lt, 30)));
         let mat = db.materialize(&sub, CancelToken::new()).unwrap();
-        let file = db.catalog().table(&mat.table).unwrap().heap.file;
-        assert!(db.pool().is_hot(file), "materialize must pin the result heap");
-        // A query over the view populates the decoded segment cache.
+        let heap = db.catalog().table(&mat.table).unwrap().heap;
+        let view_pages: Vec<specdb_storage::PageId> = (0..heap.pages(db.pool()))
+            .map(|n| specdb_storage::PageId::new(heap.file, n))
+            .collect();
+        assert!(!view_pages.is_empty());
+        let resident = |db: &Database| {
+            let cache = db.pool().seg_cache();
+            view_pages.iter().filter(|&&pid| cache.contains(pid)).count()
+        };
+        // A query over the view decodes its pages into the cache.
         db.execute_discard(&age_query(30)).unwrap();
-        assert!(db.pool().seg_resident() > 0);
+        assert_eq!(resident(&db), view_pages.len(), "every view page is cached after a read");
         db.drop_materialized(&mat.table);
-        assert!(!db.pool().is_hot(file), "drop must release the pin");
+        assert_eq!(resident(&db), 0, "dropping the view drops its decoded pages");
     }
 
     #[test]
-    fn cache_table_segments_round_trip() {
+    fn table_segments_are_cached_within_the_budget_only() {
         let mut db = emp_db();
-        db.cache_table_segments("employee").unwrap();
-        let file = db.catalog().table("employee").unwrap().heap.file;
-        assert!(db.pool().is_hot(file));
+        db.pool.set_seg_budget(0);
         db.execute_discard(&age_query(60)).unwrap();
-        assert!(db.pool().seg_resident() > 0);
-        db.uncache_table_segments("employee").unwrap();
-        assert!(!db.pool().is_hot(file));
-        assert!(db.cache_table_segments("ghost").is_err());
+        assert_eq!(db.pool().seg_resident(), 0, "a scan over the budget caches nothing");
+        db.pool.set_seg_budget(BufferPool::SEG_BUDGET_BYTES / PAGE_SIZE);
+        db.execute_discard(&age_query(60)).unwrap();
+        assert!(db.pool().seg_resident() > 0, "a scan under the budget caches its pages");
+        db.pool.set_seg_budget(0);
+        assert_eq!(db.pool().seg_resident(), 0, "shrinking the budget evicts");
     }
 
     #[test]

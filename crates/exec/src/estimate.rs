@@ -597,7 +597,7 @@ mod tests {
         for page_no in 0..pages {
             let pid = PageId::new(heap.file, page_no);
             let page = pool.peek_page(pid).unwrap();
-            cache.get_or_decode(pid, &page, pool.seg_cacheable_size(heap.file)).unwrap();
+            cache.get_or_decode(pid, &page).unwrap();
         }
         // id is sorted 0..2000, so only the first page can hold id < 100.
         assert_eq!(e.zone_skippable_pages("t", &filters), pages - 1);

@@ -18,7 +18,6 @@
 
 use crate::optimizer::qualify;
 use specdb_query::{canonical_key, Join, Query, QueryGraph, Selection};
-use specdb_storage::Value;
 use std::collections::BTreeMap;
 
 /// A registered materialized view.
@@ -97,21 +96,16 @@ impl ViewRegistry {
         self.by_key.is_empty()
     }
 
-    /// Views applicable to a query graph: the view's graph must be a
-    /// sub-graph, and every join edge of the query between two replaced
-    /// relations must itself be part of the view (otherwise the rewrite
-    /// would need a self-join on the view, which the conjunctive planner
-    /// does not express).
-    pub fn applicable<'a>(&'a self, graph: &'a QueryGraph) -> impl Iterator<Item = &'a ViewDef> {
-        self.applicable_with(graph, MatchMode::Exact)
-    }
-
-    /// Views applicable under a [`MatchMode`]. With
+    /// Views applicable to a query graph under a [`MatchMode`]: the
+    /// view's graph must be a sub-graph, and every join edge of the query
+    /// between two replaced relations must itself be part of the view
+    /// (otherwise the rewrite would need a self-join on the view, which
+    /// the conjunctive planner does not express). With
     /// [`MatchMode::Subsume`], a view whose selections are *implied* by
     /// the query's (e.g. the view kept `age < 30`, the query asks
     /// `age < 20`) also qualifies; [`apply_view`] then keeps the query's
     /// stronger predicates as residual filters over the view.
-    pub fn applicable_with<'a>(
+    pub fn applicable<'a>(
         &'a self,
         graph: &'a QueryGraph,
         mode: MatchMode,
@@ -127,17 +121,13 @@ impl ViewRegistry {
         })
     }
 
-    /// Views whose defining graph is contained in `graph` — used by the
-    /// paper's garbage-collection heuristic ("the result of a
-    /// manipulation persists as long as the current partial query
-    /// indicates it will be useful").
-    pub fn supported_by<'a>(&'a self, graph: &'a QueryGraph) -> impl Iterator<Item = &'a ViewDef> {
-        self.supported_by_with(graph, MatchMode::Exact)
-    }
-
-    /// GC support under a [`MatchMode`] (with subsumption, a view stays
-    /// alive while the partial query's predicates still imply its own).
-    pub fn supported_by_with<'a>(
+    /// Views whose defining graph is contained in `graph` under a
+    /// [`MatchMode`] — used by the paper's garbage-collection heuristic
+    /// ("the result of a manipulation persists as long as the current
+    /// partial query indicates it will be useful"). With subsumption, a
+    /// view stays alive while the partial query's predicates still imply
+    /// its own.
+    pub fn supported_by<'a>(
         &'a self,
         graph: &'a QueryGraph,
         mode: MatchMode,
@@ -248,16 +238,11 @@ pub fn apply_view(query: &Query, view: &ViewDef) -> Query {
     Query { graph, projections, agg }
 }
 
-/// Greedily rewrite with the largest applicable views until none apply.
-/// This is the paper's *query rewriting*: materialized sub-queries are
-/// always replaced. Returns the rewritten query and the names of the
-/// views used (empty when nothing applied).
-pub fn rewrite_greedy(query: &Query, registry: &ViewRegistry) -> (Query, Vec<String>) {
-    rewrite_greedy_with(query, registry, MatchMode::Exact)
-}
-
-/// [`rewrite_greedy`] under an explicit [`MatchMode`].
-pub fn rewrite_greedy_with(
+/// Greedily rewrite with the largest applicable views (under `mode`)
+/// until none apply. This is the paper's *query rewriting*:
+/// materialized sub-queries are always replaced. Returns the rewritten
+/// query and the names of the views used (empty when nothing applied).
+pub fn rewrite_greedy(
     query: &Query,
     registry: &ViewRegistry,
     mode: MatchMode,
@@ -265,10 +250,7 @@ pub fn rewrite_greedy_with(
     let mut current = query.clone();
     let mut used = Vec::new();
     loop {
-        let best = registry
-            .applicable_with(&current.graph, mode)
-            .max_by_key(|v| v.weight())
-            .cloned();
+        let best = registry.applicable(&current.graph, mode).max_by_key(|v| v.weight()).cloned();
         match best {
             Some(v) => {
                 current = apply_view(&current, &v);
@@ -280,33 +262,22 @@ pub fn rewrite_greedy_with(
     (current, used)
 }
 
-/// Candidate rewritings for cost-based selection: the original, each
-/// single applicable view, and the greedy full rewrite.
-pub fn rewrite_candidates(query: &Query, registry: &ViewRegistry) -> Vec<(Query, Vec<String>)> {
-    rewrite_candidates_with(query, registry, MatchMode::Exact)
-}
-
-/// [`rewrite_candidates`] under an explicit [`MatchMode`].
-pub fn rewrite_candidates_with(
+/// Candidate rewritings for cost-based selection under `mode`: the
+/// original, each single applicable view, and the greedy full rewrite.
+pub fn rewrite_candidates(
     query: &Query,
     registry: &ViewRegistry,
     mode: MatchMode,
 ) -> Vec<(Query, Vec<String>)> {
     let mut out = vec![(query.clone(), Vec::new())];
-    for v in registry.applicable_with(&query.graph, mode) {
+    for v in registry.applicable(&query.graph, mode) {
         out.push((apply_view(query, v), vec![v.name.clone()]));
     }
-    let (greedy, used) = rewrite_greedy_with(query, registry, mode);
+    let (greedy, used) = rewrite_greedy(query, registry, mode);
     if used.len() > 1 {
         out.push((greedy, used));
     }
     out
-}
-
-/// Helper: make a `Predicate` value printable in tests.
-#[doc(hidden)]
-pub fn _debug_value(v: &Value) -> String {
-    format!("{v}")
 }
 
 #[cfg(test)]
@@ -367,12 +338,12 @@ mod tests {
         let mut reg = ViewRegistry::new();
         reg.register(view_sigma_r());
         let q = figure2_query();
-        assert_eq!(reg.applicable(&q.graph).count(), 1);
+        assert_eq!(reg.applicable(&q.graph, MatchMode::Exact).count(), 1);
         // A view with a different constant is not contained.
         let mut g = QueryGraph::new();
         g.add_selection(sel("R", "c", CompareOp::Gt, 99));
         reg.register(ViewDef { name: "mv_other".into(), graph: g });
-        assert_eq!(reg.applicable(&q.graph).count(), 1);
+        assert_eq!(reg.applicable(&q.graph, MatchMode::Exact).count(), 1);
     }
 
     #[test]
@@ -421,7 +392,7 @@ mod tests {
         let mut reg = ViewRegistry::new();
         reg.register(view_sigma_r());
         reg.register(view_rs_join());
-        let (rewritten, used) = rewrite_greedy(&figure2_query(), &reg);
+        let (rewritten, used) = rewrite_greedy(&figure2_query(), &reg, MatchMode::Exact);
         assert_eq!(used, vec!["mv_rs".to_string()]);
         assert!(rewritten.graph.has_relation("mv_rs"));
         // After the join view applies, the selection view's R is gone, so
@@ -441,14 +412,14 @@ mod tests {
         vg.add_join(Join::new("R", "a", "S", "a"));
         let mut reg = ViewRegistry::new();
         reg.register(ViewDef { name: "mv_partial".into(), graph: vg });
-        assert_eq!(reg.applicable(&q.graph).count(), 0);
+        assert_eq!(reg.applicable(&q.graph, MatchMode::Exact).count(), 0);
     }
 
     #[test]
     fn rewrite_candidates_include_original() {
         let mut reg = ViewRegistry::new();
         reg.register(view_sigma_r());
-        let cands = rewrite_candidates(&figure2_query(), &reg);
+        let cands = rewrite_candidates(&figure2_query(), &reg, MatchMode::Exact);
         assert_eq!(cands.len(), 2);
         assert!(cands[0].1.is_empty());
         assert_eq!(cands[1].1, vec!["mv_sigr".to_string()]);
@@ -461,11 +432,11 @@ mod tests {
         reg.register(view_sigma_r()); // σ(R.c > 10)
         let mut g = QueryGraph::new();
         g.add_selection(sel("R", "c", CompareOp::Gt, 50));
-        assert_eq!(reg.applicable_with(&g, MatchMode::Exact).count(), 0);
-        assert_eq!(reg.applicable_with(&g, MatchMode::Subsume).count(), 1);
+        assert_eq!(reg.applicable(&g, MatchMode::Exact).count(), 0);
+        assert_eq!(reg.applicable(&g, MatchMode::Subsume).count(), 1);
         // The rewritten query keeps the stronger predicate as a residual
         // over the view's qualified column.
-        let (rewritten, used) = rewrite_greedy_with(&Query::star(g), &reg, MatchMode::Subsume);
+        let (rewritten, used) = rewrite_greedy(&Query::star(g), &reg, MatchMode::Subsume);
         assert_eq!(used.len(), 1);
         assert!(rewritten.graph.has_relation("mv_sigr"));
         let residuals: Vec<_> = rewritten.graph.selections().collect();
@@ -485,8 +456,8 @@ mod tests {
         reg.register(ViewDef { name: "mv_strong".into(), graph: vg });
         let mut g = QueryGraph::new();
         g.add_selection(sel("R", "c", CompareOp::Gt, 10));
-        assert_eq!(reg.applicable_with(&g, MatchMode::Exact).count(), 0);
-        assert_eq!(reg.applicable_with(&g, MatchMode::Subsume).count(), 0);
+        assert_eq!(reg.applicable(&g, MatchMode::Exact).count(), 0);
+        assert_eq!(reg.applicable(&g, MatchMode::Subsume).count(), 0);
     }
 
     #[test]
@@ -497,7 +468,7 @@ mod tests {
         let mut g = QueryGraph::new();
         g.add_join(Join::new("R", "z", "S", "z"));
         g.add_selection(sel("R", "c", CompareOp::Gt, 99));
-        assert_eq!(reg.applicable_with(&g, MatchMode::Subsume).count(), 0);
+        assert_eq!(reg.applicable(&g, MatchMode::Subsume).count(), 0);
     }
 
     #[test]
@@ -506,8 +477,8 @@ mod tests {
         reg.register(view_sigma_r()); // σ(R.c > 10)
         let mut g = QueryGraph::new();
         g.add_selection(sel("R", "c", CompareOp::Gt, 60));
-        assert_eq!(reg.supported_by_with(&g, MatchMode::Exact).count(), 0);
-        assert_eq!(reg.supported_by_with(&g, MatchMode::Subsume).count(), 1);
+        assert_eq!(reg.supported_by(&g, MatchMode::Exact).count(), 0);
+        assert_eq!(reg.supported_by(&g, MatchMode::Subsume).count(), 1);
     }
 
     #[test]
@@ -515,10 +486,10 @@ mod tests {
         let mut reg = ViewRegistry::new();
         reg.register(view_sigma_r());
         let q = figure2_query();
-        assert_eq!(reg.supported_by(&q.graph).count(), 1);
+        assert_eq!(reg.supported_by(&q.graph, MatchMode::Exact).count(), 1);
         // Partial query loses the predicate: the view is no longer supported.
         let mut g2 = q.graph.clone();
         g2.remove_selection(&sel("R", "c", CompareOp::Gt, 10));
-        assert_eq!(reg.supported_by(&g2).count(), 0);
+        assert_eq!(reg.supported_by(&g2, MatchMode::Exact).count(), 0);
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::registry::SessionId;
 use parking_lot::Mutex;
+use serde::Serialize;
 use specdb_exec::CancelToken;
 use specdb_obs::{Observer, SpanKind};
 use std::collections::BTreeMap;
@@ -35,45 +36,17 @@ use std::collections::BTreeMap;
 pub struct GovernorConfig {
     /// Global outstanding-build budget across every session. The
     /// default of 2 keeps speculative builds from monopolizing the
-    /// shared morsel worker pool; `SPECDB_GOVERNOR_BUDGET` overrides.
+    /// shared morsel worker pool.
     pub max_outstanding: usize,
     /// Allow a strictly stronger candidate to cancel the weakest
-    /// in-flight build when the budget is full
-    /// (`SPECDB_GOVERNOR_PREEMPT`, default on).
+    /// in-flight build when the budget is full (default on).
     pub preempt: bool,
-    /// Candidates below this benefit rate (benefit-seconds per
-    /// build-second) are denied outright even when slots are free
-    /// (`SPECDB_GOVERNOR_MIN_RATE`, default 0: any positive benefit
-    /// qualifies).
-    pub min_benefit_rate: f64,
 }
 
 impl Default for GovernorConfig {
     fn default() -> Self {
-        GovernorConfig { max_outstanding: 2, preempt: true, min_benefit_rate: 0.0 }
+        GovernorConfig { max_outstanding: 2, preempt: true }
     }
-}
-
-impl GovernorConfig {
-    /// Configuration from `SPECDB_GOVERNOR_*` environment variables,
-    /// falling back to the defaults.
-    pub fn from_env() -> Self {
-        let mut cfg = GovernorConfig::default();
-        if let Some(n) = env_parse::<usize>("SPECDB_GOVERNOR_BUDGET") {
-            cfg.max_outstanding = n.max(1);
-        }
-        if let Some(n) = env_parse::<u8>("SPECDB_GOVERNOR_PREEMPT") {
-            cfg.preempt = n != 0;
-        }
-        if let Some(r) = env_parse::<f64>("SPECDB_GOVERNOR_MIN_RATE") {
-            cfg.min_benefit_rate = r.max(0.0);
-        }
-        cfg
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// The governor's verdict on a candidate build.
@@ -85,8 +58,8 @@ pub enum Admission {
     /// in-flight build, which has been cancelled (its session id is
     /// returned); the new build takes its slot.
     Preempt(SessionId),
-    /// No slot, no preemptable victim (or the candidate fell below the
-    /// minimum benefit rate): do not build.
+    /// No slot, no preemptable victim (or the candidate has no positive
+    /// benefit): do not build.
     Deny,
 }
 
@@ -107,8 +80,9 @@ struct State {
     preempted: u64,
 }
 
-/// Counters describing the governor's admission history.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Counters describing the governor's admission history; also the
+/// `STATS` reply's `governor` object.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct GovernorStats {
     /// Builds admitted (including those admitted by preemption).
     pub admitted: u64,
@@ -125,11 +99,7 @@ pub struct GovernorStats {
 /// ```
 /// use specdb_serve::{Admission, Governor, GovernorConfig};
 ///
-/// let gov = Governor::new(GovernorConfig {
-///     max_outstanding: 1,
-///     preempt: true,
-///     min_benefit_rate: 0.0,
-/// });
+/// let gov = Governor::new(GovernorConfig { max_outstanding: 1, preempt: true });
 /// // Session 1's build takes the only slot.
 /// assert_eq!(gov.admit(1, 2.0, "materialize{a}"), Admission::Admit);
 /// // A weaker candidate from session 2 is denied...
@@ -203,7 +173,7 @@ impl Governor {
     ) -> Admission {
         // One-outstanding-per-session still holds inside the fleet rule:
         // a session must resolve its own build before proposing another.
-        if priority <= self.cfg.min_benefit_rate || st.outstanding.contains_key(&session) {
+        if priority <= 0.0 || st.outstanding.contains_key(&session) {
             return Admission::Deny;
         }
         if st.outstanding.len() < self.cfg.max_outstanding {
@@ -305,7 +275,7 @@ mod tests {
     use super::*;
 
     fn gov(max: usize, preempt: bool) -> Governor {
-        Governor::new(GovernorConfig { max_outstanding: max, preempt, min_benefit_rate: 0.0 })
+        Governor::new(GovernorConfig { max_outstanding: max, preempt })
     }
 
     #[test]
@@ -351,17 +321,6 @@ mod tests {
         let g = gov(4, true);
         assert_eq!(g.admit(1, 1.0, "a"), Admission::Admit);
         assert_eq!(g.admit(1, 5.0, "b"), Admission::Deny, "own slot must be freed first");
-    }
-
-    #[test]
-    fn min_benefit_rate_filters() {
-        let g = Governor::new(GovernorConfig {
-            max_outstanding: 4,
-            preempt: true,
-            min_benefit_rate: 0.5,
-        });
-        assert_eq!(g.admit(1, 0.4, "a"), Admission::Deny);
-        assert_eq!(g.admit(1, 0.6, "a"), Admission::Admit);
     }
 
     #[test]

@@ -218,33 +218,9 @@ pub struct StatsResponse {
     /// Sessions currently connected.
     pub sessions: u64,
     /// Governor admission counters.
-    pub governor: GovernorSummary,
+    pub governor: GovernorStats,
     /// Shared artifact-cache counters.
     pub cache: CacheSummary,
-}
-
-/// Governor counters in wire form.
-#[derive(Debug, Serialize)]
-pub struct GovernorSummary {
-    /// Builds admitted.
-    pub admitted: u64,
-    /// Candidates denied.
-    pub denied: u64,
-    /// Builds preempted.
-    pub preempted: u64,
-    /// Builds currently in flight.
-    pub outstanding: u64,
-}
-
-impl From<GovernorStats> for GovernorSummary {
-    fn from(s: GovernorStats) -> Self {
-        GovernorSummary {
-            admitted: s.admitted,
-            denied: s.denied,
-            preempted: s.preempted,
-            outstanding: s.outstanding,
-        }
-    }
 }
 
 /// Artifact-cache counters in wire form.

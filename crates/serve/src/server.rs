@@ -204,7 +204,7 @@ fn dispatch(
                         ok: true,
                         session: stats,
                         sessions: fleet.sessions,
-                        governor: fleet.governor.into(),
+                        governor: fleet.governor,
                         cache: fleet.cache.into(),
                     })
                 }

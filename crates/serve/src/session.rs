@@ -486,7 +486,7 @@ mod tests {
 
     #[test]
     fn an_idle_sessions_finished_build_leaves_the_fleet_free() {
-        let budget = GovernorConfig { max_outstanding: 1, preempt: false, ..Default::default() };
+        let budget = GovernorConfig { max_outstanding: 1, preempt: false };
         let manager = SessionManager::new(db(), SpeculatorConfig::default(), budget);
         // Edit, then wait out any build without calling the session again.
         let edit = |s: &Arc<Mutex<ServeSession>>, op: EditOp| {

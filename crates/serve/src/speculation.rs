@@ -152,16 +152,6 @@ impl SessionOutcome {
         ratio(self.cancelled, self.issued)
     }
 
-    /// Mean completed-manipulation duration.
-    pub fn mean_manipulation_time(&self) -> VirtualTime {
-        if self.manipulation_times.is_empty() {
-            VirtualTime::ZERO
-        } else {
-            self.manipulation_times.iter().copied().sum::<VirtualTime>()
-                / self.manipulation_times.len() as u64
-        }
-    }
-
     /// Fraction of completed materializations a final query actually
     /// read (the paper's bets that paid off).
     pub fn hit_rate(&self) -> f64 {

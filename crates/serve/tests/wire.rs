@@ -3,7 +3,7 @@
 //! held back by TCP acknowledgement timers.
 
 use serde_json::{parse, Value};
-use specdb_core::SpeculatorConfig;
+use specdb_core::{SpaceConfig, SpeculatorConfig};
 use specdb_exec::{CancelToken, Database, DatabaseConfig};
 use specdb_query::{CompareOp, Predicate, QueryGraph, Selection};
 use specdb_serve::{parse_request, serve, GovernorConfig, Request, ServeConfig, SessionManager};
@@ -30,7 +30,11 @@ fn db() -> Database {
 /// A speculator that never builds, so both runs see the same database
 /// at every GO whatever the wall-clock timing.
 fn idle_speculator() -> SpeculatorConfig {
-    SpeculatorConfig { min_benefit_secs: f64::INFINITY, ..Default::default() }
+    SpeculatorConfig {
+        space: SpaceConfig { materializations: false, ..Default::default() },
+        predict: false,
+        ..Default::default()
+    }
 }
 
 /// One line-protocol connection; every request is sent in one write.
@@ -138,6 +142,10 @@ fn sequential_round_trips_do_not_wait_on_delayed_acks() {
         client.send("STATS");
     }
     let took = start.elapsed();
+    let stats = client.send("STATS");
+    let Value::Object(governor) = field(&stats, "governor") else { panic!("{stats:?}") };
+    let keys: Vec<&str> = governor.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["admitted", "denied", "preempted", "outstanding"], "wire key order");
     client.send("QUIT");
     handle.shutdown();
     assert!(took < Duration::from_secs(1), "50 STATS round trips took {took:?}");

@@ -48,8 +48,8 @@
 //! benefit rate, one job never shares the server, and the cross-session
 //! hooks never fire (`tests/determinism.rs` pins this).
 //!
-//! Beyond the live server's conventions the replay offers wait-at-GO,
-//! back-to-back pipelining and load-aware suspension ([`ReplayConfig`]).
+//! Beyond the live server's conventions the replay offers wait-at-GO and
+//! back-to-back pipelining ([`ReplayConfig`]).
 //!
 //! **Approximations.** A job's service demand is measured by executing it
 //! atomically against the shared engine at its issue (build) or GO
@@ -87,12 +87,6 @@ pub struct ReplayConfig {
     /// experience it. `false` reproduces the paper's conservative
     /// prototype behaviour.
     pub wait_at_go: bool,
-    /// Load-aware speculation (paper Section 7): do not issue a
-    /// manipulation while at least this many jobs — in-flight builds
-    /// plus running final queries — are on the replay's virtual server.
-    /// `None` reproduces the paper's prototype, which speculates
-    /// regardless of load.
-    pub suspend_when_busy: Option<usize>,
     /// Evict the buffer pool before the replay (the paper replays every
     /// trace "with a cold buffer pool"). Disable for the §6.1
     /// memory-resident experiment, which measures warm, CPU-only runs.
@@ -130,7 +124,6 @@ impl Default for ReplayConfig {
             speculator: SpeculatorConfig::default(),
             profile: ProfileKind::default(),
             wait_at_go: false,
-            suspend_when_busy: None,
             cold_start: true,
             pipeline: false,
         }
@@ -141,8 +134,7 @@ impl Default for ReplayConfig {
 /// plus the fleet governor's policy.
 #[derive(Debug, Clone, Default)]
 pub struct MultiSessionConfig {
-    /// Per-session replay knobs (profile, wait-at-GO, pipelining,
-    /// load-aware suspension, …).
+    /// Per-session replay knobs (profile, wait-at-GO, pipelining, …).
     pub replay: ReplayConfig,
     /// Fleet-wide admission policy.
     pub governor: GovernorConfig,
@@ -210,11 +202,9 @@ impl MultiSessionOutcome {
     }
 }
 
-/// The governor of a lone [`replay_trace`] session: one slot, no
-/// preemption, no minimum rate — the paper's one outstanding
-/// manipulation. Fixed; never read from `SPECDB_GOVERNOR_*`.
-const ONE_SLOT: GovernorConfig =
-    GovernorConfig { max_outstanding: 1, preempt: false, min_benefit_rate: 0.0 };
+/// The governor of a lone [`replay_trace`] session: one slot and no
+/// preemption — the paper's one outstanding manipulation.
+const ONE_SLOT: GovernorConfig = GovernorConfig { max_outstanding: 1, preempt: false };
 
 /// Replay one trace against the database (cold buffer at start, unless
 /// `config.cold_start` is off): the one-session case of
@@ -502,7 +492,7 @@ fn replay_sessions(
                 sessions[si].abort(db, si, CancelReason::Edit, now, &mut server);
             }
             if config.speculative && !sessions[si].core.has_pending() {
-                try_issue(db, &mut sessions, si, now, config, &mut server)?;
+                try_issue(db, &mut sessions, si, now, &mut server)?;
             }
         }
         let s = &mut sessions[si];
@@ -560,15 +550,8 @@ fn try_issue(
     sessions: &mut [SessionState],
     si: usize,
     at: VirtualTime,
-    config: &ReplayConfig,
     server: &mut Server,
 ) -> ExecResult<()> {
-    // Load-aware suspension (paper §7): leave the server alone while it
-    // is already busy enough. Checked before the decision, so a
-    // suspended session costs no decide.
-    if config.suspend_when_busy.is_some_and(|busy| server.jobs.len() >= busy) {
-        return Ok(());
-    }
     let s = &mut sessions[si];
     let Some(issue) = s.core.propose(db, at) else { return Ok(()) };
     // Execute now to learn the true duration and effects; the effects
@@ -604,7 +587,7 @@ fn drain_completions(
     while let Some(at) = sessions[si].drained_at.take() {
         sessions[si].core.commit(at);
         if config.pipeline {
-            try_issue(db, sessions, si, at, config, server)?;
+            try_issue(db, sessions, si, at, server)?;
         }
     }
     Ok(())
@@ -1034,7 +1017,7 @@ mod tests {
             let mut db = base.clone();
             let cfg = MultiSessionConfig {
                 replay: ReplayConfig::speculative(),
-                governor: GovernorConfig { max_outstanding: budget, preempt, ..Default::default() },
+                governor: GovernorConfig { max_outstanding: budget, preempt },
             };
             replay_multi_session(&mut db, &traces, &cfg).unwrap()
         };
@@ -1063,7 +1046,7 @@ mod tests {
             let mut db = base.clone();
             let cfg = MultiSessionConfig {
                 replay: ReplayConfig::speculative(),
-                governor: GovernorConfig { max_outstanding: 1, preempt, ..Default::default() },
+                governor: GovernorConfig { max_outstanding: 1, preempt },
             };
             replay_multi_session(&mut db, &traces, &cfg).unwrap()
         };
@@ -1099,29 +1082,6 @@ mod tests {
             multi_total > solo_total,
             "identical concurrent traces must contend: {multi_total} vs solo {solo_total}"
         );
-    }
-
-    #[test]
-    fn load_aware_suspension_reduces_issued_manipulations() {
-        let base = build_base_db(&DatasetSpec::tiny()).unwrap();
-        let traces: Vec<Trace> = (0..3).map(|s| small_trace(8, 21 + s * 31)).collect();
-        let free = contended_config(true);
-        let strict = ReplayConfig { suspend_when_busy: Some(1), ..contended_config(true) };
-        let a = replay_multi(&mut base.clone(), &traces, &free).unwrap();
-        let b = replay_multi(&mut base.clone(), &traces, &strict).unwrap();
-        let issued = |o: &MultiSessionOutcome| o.per_session.iter().map(|u| u.issued).sum::<u64>();
-        assert!(
-            issued(&b) <= issued(&a),
-            "suspension must not issue more: {} vs {}",
-            issued(&b),
-            issued(&a)
-        );
-        // Answers unchanged either way.
-        for (x, y) in a.per_session.iter().zip(&b.per_session) {
-            for (qa, qb) in x.queries.iter().zip(&y.queries) {
-                assert_eq!(qa.rows, qb.rows);
-            }
-        }
     }
 
     #[test]

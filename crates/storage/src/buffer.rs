@@ -121,10 +121,10 @@ pub struct BufferPool {
     spill_model: bool,
     observer: Observer,
     metrics: PoolMetrics,
-    /// Decoded segment cache: pages of small or hot files kept in
-    /// columnar form ([`ColumnSegment`]) so batch scans skip per-tuple
-    /// decoding and share column vectors zero-copy. Purely a wall-clock
-    /// fast path — every access still goes through
+    /// Decoded segment cache: pages kept in columnar form
+    /// ([`ColumnSegment`]) while they fit its byte budget, so batch scans
+    /// skip per-tuple decoding and share column vectors zero-copy. Purely
+    /// a wall-clock fast path — every access still goes through
     /// [`BufferPool::read_page`] accounting, so virtual-time I/O charges
     /// are identical whether or not a segment is cached. `Arc`-shared so
     /// morsel-scan workers can consult and populate it concurrently
@@ -192,11 +192,6 @@ impl BufferPool {
     /// The observer currently attached to this pool.
     pub fn observer(&self) -> &Observer {
         &self.observer
-    }
-
-    /// Create a pool sized in bytes (rounded down to whole pages).
-    pub fn with_bytes(bytes: usize) -> Self {
-        Self::new((bytes / PAGE_SIZE).max(1))
     }
 
     /// Pool capacity in pages.
@@ -333,62 +328,30 @@ impl BufferPool {
         self.metrics.mem_bytes.add(bytes);
     }
 
-    /// Number of pages a file may have auto-cached in decoded form before
-    /// the segment cache stops growing (hot files are exempt).
-    const SEG_SMALL_PAGES: u32 = 256;
-
-    /// Resident bytes the segment cache may auto-cache from
-    /// files that are not hot. Once full it stops admitting pages.
+    /// Resident bytes the segment cache may hold. A decoded page is
+    /// admitted while it fits; once full the cache stops admitting pages.
     pub const SEG_BUDGET_BYTES: usize = 64 << 20;
 
     /// Read a page through the pool and return it as a columnar
-    /// [`ColumnSegment`], serving repeat reads of small or hot files from
-    /// the decoded segment cache. The underlying
-    /// [`BufferPool::read_page`] is always performed first, so hit/miss
-    /// accounting, frame installs, and evictions are bit-identical to the
-    /// undecoded path — the cache only skips the per-tuple decode work on
-    /// repeat access (the dominant wall-clock cost of memory-resident
-    /// scans).
+    /// [`ColumnSegment`], serving repeat reads from the decoded segment
+    /// cache. The underlying [`BufferPool::read_page`] is always
+    /// performed first, so hit/miss accounting, frame installs, and
+    /// evictions are bit-identical to the undecoded path — the cache only
+    /// skips the per-tuple decode work on repeat access (the dominant
+    /// wall-clock cost of memory-resident scans).
     pub fn read_page_columnar(
         &mut self,
         pid: PageId,
         kind: AccessKind,
     ) -> StorageResult<Arc<ColumnSegment>> {
         let page = self.read_page(pid, kind)?;
-        let small = self.file_len(pid.file) <= Self::SEG_SMALL_PAGES;
-        self.seg_cache.get_or_decode(pid, &page, small)
-    }
-
-    /// Whether `file` is small enough for the segment cache to auto-
-    /// cache its pages (hot files are cached regardless). Scan
-    /// coordinators pass this to workers calling
-    /// [`SegCache::get_or_decode`] directly.
-    pub fn seg_cacheable_size(&self, file: FileId) -> bool {
-        self.file_len(file) <= Self::SEG_SMALL_PAGES
+        self.seg_cache.get_or_decode(pid, &page)
     }
 
     /// A shareable handle to the decoded segment cache, for morsel-scan
     /// workers that decode pages off-thread.
     pub fn seg_cache(&self) -> Arc<SegCache> {
         Arc::clone(&self.seg_cache)
-    }
-
-    /// Pin `file` into the decoded segment cache: its pages are cached on
-    /// first decoded read regardless of file size or cache budget, and
-    /// stay cached until the file is written or freed. Used for
-    /// materialized speculation results and explicitly cached tables.
-    pub fn mark_hot(&mut self, file: FileId) {
-        self.seg_cache.mark_hot(file);
-    }
-
-    /// Remove `file` from the hot set and drop its decoded pages.
-    pub fn unmark_hot(&mut self, file: FileId) {
-        self.seg_cache.unmark_hot(file);
-    }
-
-    /// True if `file` is pinned into the decoded segment cache.
-    pub fn is_hot(&self, file: FileId) -> bool {
-        self.seg_cache.is_hot(file)
     }
 
     /// Number of decoded pages currently held by the segment cache.
@@ -401,7 +364,7 @@ impl BufferPool {
         self.seg_cache.resident_bytes()
     }
 
-    /// Replace the auto-caching budget, denominated in pages for caller
+    /// Replace the segment cache's budget, denominated in pages for caller
     /// convenience (the cache itself budgets the equivalent bytes of
     /// decoded segments; default [`BufferPool::SEG_BUDGET_BYTES`]).
     pub fn set_seg_budget(&mut self, pages: usize) {
@@ -479,11 +442,6 @@ impl BufferPool {
         self.hand = 0;
     }
 
-    /// Bytes of data stored on the virtual disk.
-    pub fn disk_bytes(&self) -> usize {
-        self.disk.len() * PAGE_SIZE
-    }
-
     fn install(&mut self, pid: PageId, page: Arc<Page>) -> StorageResult<()> {
         if self.frames.len() < self.capacity {
             self.frames.push(Frame { pid, page, pin: 0, referenced: true });
@@ -551,7 +509,6 @@ mod tests {
         pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         let mut copy = pool.clone();
         assert_eq!(copy.seg_resident(), 1);
-        copy.unmark_hot(f); // no-op on hot set, but exercises the copy
         copy.set_seg_budget(0);
         assert_eq!(copy.seg_resident(), 0);
         assert_eq!(pool.seg_resident(), 1, "clone eviction must not leak into the original");
@@ -787,28 +744,26 @@ mod tests {
         assert_eq!(pool.seg_resident(), 0);
         let t = pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         assert_eq!(t.tuple(0), Tuple::new(vec![crate::tuple::Value::Int(2)]));
-        // Freeing the file drops its decoded pages and hot mark.
-        pool.mark_hot(f);
+        // Freeing the file drops its decoded pages.
         pool.free_file(f);
         assert_eq!(pool.seg_resident(), 0);
-        assert!(!pool.is_hot(f));
     }
 
     #[test]
-    fn hot_files_bypass_budget_and_unmark_drops() {
+    fn seg_budget_admits_under_it_and_shrinking_evicts() {
         let mut pool = BufferPool::new(8);
-        pool.set_seg_budget(0); // auto-caching off
+        pool.set_seg_budget(0);
         let f = pool.create_file();
         let mut page = Page::new();
         page.insert(&Tuple::new(vec![crate::tuple::Value::Int(1)]).encode()).unwrap();
         pool.put_page(PageId::new(f, 0), page).unwrap();
         pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
-        assert_eq!(pool.seg_resident(), 0, "budget 0 blocks auto-caching");
-        pool.mark_hot(f);
+        assert_eq!(pool.seg_resident(), 0, "a page over the budget is refused");
+        pool.set_seg_budget(1);
         pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
-        assert_eq!(pool.seg_resident(), 1, "hot files cache regardless of budget");
-        pool.unmark_hot(f);
-        assert_eq!(pool.seg_resident(), 0);
+        assert_eq!(pool.seg_resident(), 1, "a page under the budget is admitted");
+        pool.set_seg_budget(0);
+        assert_eq!(pool.seg_resident(), 0, "shrinking the budget evicts");
     }
 
     #[test]
@@ -829,27 +784,21 @@ mod tests {
         assert_eq!(pool.seg_resident(), 3);
         assert_eq!(evictions(), 0, "populating the cache evicts nothing");
 
-        // Shrinking the budget drops all non-hot segments (the
-        // set_seg_budget retain path).
+        // Shrinking the budget drops every segment.
         pool.set_seg_budget(0);
         assert_eq!(pool.seg_resident(), 0);
         assert_eq!(evictions(), 3);
+        pool.set_seg_budget(BufferPool::SEG_BUDGET_BYTES / PAGE_SIZE);
 
         // Stale-invalidation on overwrite.
-        pool.mark_hot(f);
         pool.read_page_columnar(PageId::new(f, 0), AccessKind::Sequential).unwrap();
         let mut page = Page::new();
         page.insert(&Tuple::new(vec![Value::Int(9)]).encode()).unwrap();
         pool.put_page(PageId::new(f, 0), page).unwrap();
         assert_eq!(evictions(), 4);
 
-        // Unmarking a hot file drops its cached pages.
-        pool.read_page_columnar(PageId::new(f, 1), AccessKind::Sequential).unwrap();
-        pool.unmark_hot(f);
-        assert_eq!(evictions(), 5);
-
         // Freeing a file drops whatever it still has cached.
-        pool.mark_hot(f);
+        pool.read_page_columnar(PageId::new(f, 1), AccessKind::Sequential).unwrap();
         pool.read_page_columnar(PageId::new(f, 2), AccessKind::Sequential).unwrap();
         pool.free_file(f);
         assert_eq!(pool.seg_resident(), 0);

@@ -47,7 +47,7 @@ impl HeapFile {
     /// Read one page as a columnar segment through the decoded segment
     /// cache (sequential access) — the batch executor's scan primitive.
     /// I/O accounting is identical to [`HeapFile::read_page`]; repeat
-    /// reads of small or hot files skip per-tuple decoding entirely (see
+    /// reads skip per-tuple decoding while the page stays cached (see
     /// [`BufferPool::read_page_columnar`]).
     pub fn read_page_columnar(
         &self,

@@ -8,8 +8,9 @@
 //! handle, every scan worker holds another.
 //!
 //! The cache budgets by **resident bytes** of the decoded columns (see
-//! [`ColumnSegment::bytes`]) rather than entry count. It also retains two
-//! lightweight side structures:
+//! [`ColumnSegment::bytes`]) rather than entry count, and the budget is
+//! its only admission rule: a decoded page is cached when it fits. It
+//! also retains two lightweight side structures:
 //!
 //! - **Zone maps** ([`crate::column::ZoneMap`]) survive segment
 //!   eviction: they are a few dozen bytes per page, and a retained zone
@@ -39,7 +40,7 @@ use crate::error::StorageResult;
 use crate::page::{FileId, Page, PageId};
 use parking_lot::Mutex;
 use specdb_obs::{Counter, Gauge, Histogram};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Why a page was speculatively warmed. Useful-prefetch accounting is
@@ -92,10 +93,7 @@ struct SegCacheInner {
     /// Pages inserted by speculative prefetch and not yet re-read,
     /// tagged with the kind of speculation that warmed them.
     prefetched: HashMap<PageId, PrefetchKind>,
-    /// Files pinned into the cache regardless of size or budget
-    /// (materialized speculation results, explicitly cached tables).
-    hot: HashSet<FileId>,
-    /// Max resident bytes auto-cached for files not marked hot.
+    /// Max resident bytes; a decoded page is admitted only if it fits.
     budget_bytes: usize,
     /// Resident bytes across all cached segments.
     resident_bytes: usize,
@@ -136,6 +134,10 @@ impl SegCacheInner {
         }
     }
 
+    fn fits(&self, seg: &ColumnSegment) -> bool {
+        self.resident_bytes + seg.bytes() <= self.budget_bytes
+    }
+
     fn put_zones(&mut self, pid: PageId, seg: &ColumnSegment, confirmed: bool) {
         match self.zones.get_mut(&pid) {
             Some(e) => e.confirmed |= confirmed,
@@ -153,8 +155,8 @@ pub struct SegCache {
 }
 
 impl SegCache {
-    /// Create a cache that may auto-cache up to `budget_bytes` of
-    /// segments from non-hot files.
+    /// Create a cache that holds up to `budget_bytes` of decoded
+    /// segments.
     pub fn new(budget_bytes: usize) -> Self {
         SegCache { inner: Mutex::new(SegCacheInner { budget_bytes, ..SegCacheInner::default() }) }
     }
@@ -166,21 +168,13 @@ impl SegCache {
         inner.metrics.resident_bytes.set(inner.resident_bytes as f64);
     }
 
-    /// Look up the decoded form of `pid`, decoding (and caching, when
-    /// eligible) on miss. `small_file` is the caller's judgement that
-    /// the owning file is small enough to auto-cache — the pool knows
-    /// file lengths; the cache does not.
+    /// Look up the decoded form of `pid`, decoding on miss and caching
+    /// the result when it fits the byte budget.
     ///
     /// The decode itself runs outside the lock so concurrent workers
     /// never serialize on CPU work; a racing double-decode inserts one
     /// winner and both callers get a correct segment.
-    pub fn get_or_decode(
-        &self,
-        pid: PageId,
-        page: &Page,
-        small_file: bool,
-    ) -> StorageResult<Arc<ColumnSegment>> {
-        let cache_hot;
+    pub fn get_or_decode(&self, pid: PageId, page: &Page) -> StorageResult<Arc<ColumnSegment>> {
         let metrics;
         {
             let mut inner = self.inner.lock();
@@ -201,7 +195,6 @@ impl SegCache {
                 return Ok(seg);
             }
             inner.metrics.miss.incr();
-            cache_hot = inner.hot.contains(&pid.file);
             metrics = inner.metrics.clone();
         }
         let t0 = std::time::Instant::now();
@@ -209,8 +202,7 @@ impl SegCache {
         metrics.decode_us.record(t0.elapsed().as_micros() as f64);
         let mut inner = self.inner.lock();
         inner.put_zones(pid, &seg, true);
-        let fits = inner.resident_bytes + seg.bytes() <= inner.budget_bytes;
-        if cache_hot || inner.hot.contains(&pid.file) || (small_file && fits) {
+        if inner.fits(&seg) {
             if let Some(existing) = inner.map.get(&pid) {
                 return Ok(Arc::clone(existing));
             }
@@ -227,22 +219,13 @@ impl SegCache {
     /// manipulation or a whole-query prediction is warming the page, so
     /// a later useful hit is attributed to the right counter. Returns
     /// `true` if the page was newly warmed.
-    pub fn prefetch(
-        &self,
-        pid: PageId,
-        page: &Page,
-        small_file: bool,
-        version: u64,
-        kind: PrefetchKind,
-    ) -> bool {
-        let cache_hot;
+    pub fn prefetch(&self, pid: PageId, page: &Page, version: u64, kind: PrefetchKind) -> bool {
         let metrics;
         {
             let inner = self.inner.lock();
             if inner.version != version || inner.map.contains_key(&pid) {
                 return false;
             }
-            cache_hot = inner.hot.contains(&pid.file);
             metrics = inner.metrics.clone();
         }
         metrics.prefetch_issued.incr();
@@ -257,8 +240,7 @@ impl SegCache {
             return false;
         }
         inner.put_zones(pid, &seg, false);
-        let fits = inner.resident_bytes + seg.bytes() <= inner.budget_bytes;
-        if cache_hot || inner.hot.contains(&pid.file) || (small_file && fits) {
+        if inner.fits(&seg) {
             inner.insert(pid, &seg);
             inner.prefetched.insert(pid, kind);
             return true;
@@ -306,32 +288,12 @@ impl SegCache {
         }
     }
 
-    /// Pin `file`: cache its pages on first decode regardless of size
-    /// or budget.
-    pub(crate) fn mark_hot(&self, file: FileId) {
-        self.inner.lock().hot.insert(file);
-    }
-
-    /// Unpin `file` and drop its cached pages (zone maps are kept — the
-    /// pages themselves are unchanged).
-    pub(crate) fn unmark_hot(&self, file: FileId) {
-        let mut inner = self.inner.lock();
-        inner.hot.remove(&file);
-        inner.evict_where(|pid| pid.file != file);
-    }
-
-    /// True if `file` is pinned into the cache.
-    pub(crate) fn is_hot(&self, file: FileId) -> bool {
-        self.inner.lock().hot.contains(&file)
-    }
-
-    /// Forget `file` entirely (it was freed): unpin it and drop its
-    /// pages *and* zone maps, counting each segment as an eviction.
+    /// Forget `file` entirely (it was freed): drop its pages *and* zone
+    /// maps, counting each segment as an eviction.
     /// `FileId`s are reused, so nothing may survive.
     pub(crate) fn drop_file(&self, file: FileId) {
         let mut inner = self.inner.lock();
         inner.version += 1;
-        inner.hot.remove(&file);
         inner.zones.retain(|pid, _| pid.file != file);
         inner.evict_where(|pid| pid.file != file);
     }
@@ -346,18 +308,17 @@ impl SegCache {
         self.inner.lock().resident_bytes
     }
 
-    /// Replace the auto-caching byte budget; shrinking below the
-    /// resident size drops every non-hot segment.
+    /// Replace the byte budget; shrinking below the resident size drops
+    /// every segment.
     pub(crate) fn set_budget(&self, bytes: usize) {
         let mut inner = self.inner.lock();
         inner.budget_bytes = bytes;
         if inner.resident_bytes > bytes {
-            let hot = inner.hot.clone();
-            inner.evict_where(|pid| hot.contains(&pid.file));
+            inner.evict_where(|_| false);
         }
     }
 
-    /// An independent copy with the same contents, hot set, budget and
+    /// An independent copy with the same contents, budget and
     /// metric handles. Cloning a [`crate::buffer::BufferPool`] must
     /// *not* share cache state: two clones can allocate the same fresh
     /// `FileId` for different relations, and a shared cache would serve
@@ -375,7 +336,6 @@ impl SegCache {
                     })
                     .collect(),
                 prefetched: inner.prefetched.clone(),
-                hot: inner.hot.clone(),
                 budget_bytes: inner.budget_bytes,
                 resident_bytes: inner.resident_bytes,
                 version: inner.version,
@@ -392,7 +352,6 @@ impl std::fmt::Debug for SegCache {
             .field("resident", &inner.map.len())
             .field("resident_bytes", &inner.resident_bytes)
             .field("zones", &inner.zones.len())
-            .field("hot_files", &inner.hot.len())
             .field("budget_bytes", &inner.budget_bytes)
             .finish()
     }
@@ -431,7 +390,7 @@ mod tests {
                 s.spawn(move || {
                     for (i, page) in pages.iter().enumerate() {
                         let pid = PageId::new(f, i as u32);
-                        let seg = cache.get_or_decode(pid, page, true).unwrap();
+                        let seg = cache.get_or_decode(pid, page).unwrap();
                         assert_eq!(seg.rows(), 1);
                         assert_eq!(seg.col(0)[0], Value::Int(i as i64));
                     }
@@ -447,7 +406,7 @@ mod tests {
         let cache = SegCache::new(64 * crate::page::PAGE_SIZE);
         let f = FileId(3);
         let pid = PageId::new(f, 0);
-        cache.get_or_decode(pid, &one_row_page(1), true).unwrap();
+        cache.get_or_decode(pid, &one_row_page(1)).unwrap();
         let copy = cache.deep_clone();
         assert_eq!(copy.resident(), 1);
         copy.invalidate(pid);
@@ -456,17 +415,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_and_hot_rules_match_pool_semantics() {
+    fn budget_alone_decides_admission() {
         let cache = SegCache::new(0);
-        let f = FileId(1);
+        let pid = PageId::new(FileId(1), 0);
         let page = one_row_page(7);
-        cache.get_or_decode(PageId::new(f, 0), &page, true).unwrap();
-        assert_eq!(cache.resident(), 0, "budget 0 blocks auto-caching");
-        cache.mark_hot(f);
-        cache.get_or_decode(PageId::new(f, 0), &page, true).unwrap();
-        assert_eq!(cache.resident(), 1, "hot files bypass the budget");
-        cache.unmark_hot(f);
-        assert_eq!(cache.resident(), 0);
+        cache.get_or_decode(pid, &page).unwrap();
+        assert_eq!(cache.resident(), 0, "budget 0 admits nothing");
+        let v = cache.version();
+        assert!(!cache.prefetch(pid, &page, v, PrefetchKind::Manipulation), "nor a prefetch");
+        cache.set_budget(usize::MAX);
+        cache.get_or_decode(pid, &page).unwrap();
+        assert_eq!(cache.resident(), 1, "a page that fits is admitted");
+        cache.set_budget(0);
+        assert_eq!(cache.resident(), 0, "shrinking the budget evicts");
     }
 
     #[test]
@@ -477,7 +438,7 @@ mod tests {
         // Budget for exactly two segments: the third must be refused.
         let cache = SegCache::new(2 * one);
         for i in 0..3 {
-            cache.get_or_decode(PageId::new(FileId(1), i), &page, true).unwrap();
+            cache.get_or_decode(PageId::new(FileId(1), i), &page).unwrap();
         }
         assert_eq!(cache.resident(), 2, "third segment exceeds the byte budget");
         assert_eq!(cache.resident_bytes(), 2 * one);
@@ -492,7 +453,7 @@ mod tests {
         let cache = SegCache::new(usize::MAX);
         let f = FileId(2);
         let pid = PageId::new(f, 0);
-        cache.get_or_decode(pid, &wide_page(50), true).unwrap();
+        cache.get_or_decode(pid, &wide_page(50)).unwrap();
         assert!(cache.zone_maps(pid).is_some());
         cache.set_budget(0); // evict everything
         assert_eq!(cache.resident(), 0);
@@ -510,13 +471,13 @@ mod tests {
         let pid = PageId::new(FileId(4), 0);
         let page = wide_page(20);
         let v = cache.version();
-        assert!(cache.prefetch(pid, &page, true, v, PrefetchKind::Manipulation));
+        assert!(cache.prefetch(pid, &page, v, PrefetchKind::Manipulation));
         assert!(cache.contains(pid));
-        assert!(!cache.prefetch(pid, &page, true, v, PrefetchKind::Prediction), "already resident");
+        assert!(!cache.prefetch(pid, &page, v, PrefetchKind::Prediction), "already resident");
         // Prefetch-only zones are unconfirmed: estimators must not see
         // them until a regular read lands.
         assert!(cache.confirmed_zone_maps(pid).is_none());
-        cache.get_or_decode(pid, &page, true).unwrap();
+        cache.get_or_decode(pid, &page).unwrap();
         assert!(cache.confirmed_zone_maps(pid).is_some());
     }
 
@@ -528,7 +489,7 @@ mod tests {
         // A write lands between page capture and the prefetch decode.
         cache.invalidate(pid);
         assert!(
-            !cache.prefetch(pid, &wide_page(20), true, v, PrefetchKind::Manipulation),
+            !cache.prefetch(pid, &wide_page(20), v, PrefetchKind::Manipulation),
             "stale version must be fenced"
         );
         assert!(!cache.contains(pid));
