@@ -231,24 +231,39 @@ pub fn write_artifact(file: &str, scratch: bool, body: &str) {
 }
 
 /// Where an artifact's numbers came from, as a one-line JSON object:
-/// the checkout's `git rev-parse HEAD` (`"none"` outside a git
-/// checkout), the host's available parallelism and the build profile.
+/// the checkout's commit (see [`commit_label`]), the host's available
+/// parallelism and the build profile.
 fn provenance_json(repo: &std::path::Path) -> String {
-    let commit = std::process::Command::new("git")
-        .arg("-C")
-        .arg(repo)
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "none".into());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(repo)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let head = git(&["rev-parse", "HEAD"]);
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    let commit = commit_label(head.as_deref(), status.as_deref());
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     format!(
         "{{ \"commit\": \"{commit}\", \"host_cores\": {host_cores}, \"profile\": \"{profile}\" }}"
     )
+}
+
+/// The provenance commit: `git rev-parse HEAD` output (`"none"` outside
+/// a git checkout), suffixed `-dirty` when `git status --porcelain
+/// --untracked-files=no` lists a changed tracked file — the artifact then
+/// came from code that commit does not hold.
+fn commit_label(head: Option<&str>, status: Option<&str>) -> String {
+    match head.map(str::trim) {
+        None => "none".into(),
+        Some(head) if status.is_some_and(|s| !s.trim().is_empty()) => format!("{head}-dirty"),
+        Some(head) => head.into(),
+    }
 }
 
 #[cfg(test)]
@@ -264,6 +279,14 @@ mod tests {
             line.contains("\"profile\": \"debug\"") || line.contains("\"profile\": \"release\"")
         );
         assert!(!line.contains('\n'), "one line, so CI can strip it: {line}");
+    }
+
+    #[test]
+    fn commit_label_marks_a_dirty_tree() {
+        assert_eq!(commit_label(Some("abc123\n"), Some("")), "abc123");
+        assert_eq!(commit_label(Some("abc123\n"), Some(" M src/lib.rs\n")), "abc123-dirty");
+        assert_eq!(commit_label(Some("abc123"), None), "abc123", "status unknown: not marked");
+        assert_eq!(commit_label(None, Some(" M src/lib.rs\n")), "none");
     }
 
     #[test]

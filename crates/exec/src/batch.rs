@@ -43,24 +43,24 @@
 //! order. The differential suite `tests/batch_exec.rs` holds both
 //! executor paths to this contract.
 
-use crate::context::{CancelToken, ExecCtx};
+use crate::context::{BatchStats, CancelToken, ExecCtx};
 use crate::error::{ExecError, ExecResult};
 use crate::parallel::{
     check_abort, effective_workers, morsel_size, stream_ordered, MorselTask, MIN_MORSEL_PAGES,
 };
 use crate::plan::{BoundPred, Plan, PlanNode};
-use crate::run::{as_ref_bound, Acc, Groups};
+use crate::run::{as_ref_bound, charge_spill, rids_by_page, spill_fraction, Acc, Groups};
 use specdb_catalog::{Catalog, DataType, Schema};
 use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
 use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    value_hash, AccessKind, ColumnSegment, ColumnVec, HeapFile, Page, PageId, SegCache,
-    StorageResult, Tuple, Value, ValueMap, ZoneMap,
+    value_hash, AccessKind, ColumnSegment, ColumnVec, Page, PageId, SegCache, StorageResult, Tuple,
+    Value, ValueMap, ZoneMap,
 };
 use std::cmp::Ordering;
 use std::ops::Bound;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Default maximum number of logical rows per [`ColumnBatch`].
@@ -592,22 +592,33 @@ fn apply_filters(t: &Tuple, filters: &[BoundPred]) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Morsel-parallel scans
+// The fused scan loop
 // ---------------------------------------------------------------------
 //
-// A parallel scan runs in two phases. Phase A (coordinator, serial):
-// walk the heap pages in order through `BufferPool::read_page`, so every
-// hit, miss, eviction and CPU charge lands in exactly the serial order —
-// virtual-time accounting never sees the thread count — and capture the
-// `Arc<Page>` images as work items. Phase B (workers): decode each page
-// via the shared `SegCache`, evaluate filters, build the batch, and
-// apply an operator-specific `ScanMap`. The ordered merge then feeds the
-// mapped results back to the coordinator in page order, so batch
-// boundaries, emit order, and per-group accumulation order are all
-// bit-identical to the serial loop.
+// Every sequential-scan consumer (scan, projected scan, hash-join probe,
+// scan→aggregate fusion) runs through one driver, `fused_scan`. The
+// coordinator walks the heap pages in order through
+// `BufferPool::read_page` and charges each page's CPU, so every hit,
+// miss, eviction and CPU charge lands in the same order at any thread
+// count — virtual-time accounting never sees the thread count. Each read
+// page then goes through `scan_morsel`: zone maps, decode via the shared
+// `SegCache`, filters, the page's batch, and an operator-specific
+// `ScanMap` that pushes its results into a sink. The driver runs in one
+// of two modes:
+//
+// * inline (one thread, or a scan shorter than one minimum morsel): each
+//   page is mapped as soon as it is read, and the sink is the consumer
+//   itself, so no page or result is buffered;
+// * pooled: all pages are read first (phase A), then morsels of pages
+//   run on the worker pool (phase B) and the ordered merge feeds each
+//   morsel's buffered results to the consumer in page order.
+//
+// Both modes map the same pages in the same order, so batch boundaries,
+// emit order, per-group accumulation order and batch stats are
+// bit-identical at any thread count.
 
-/// Per-scan state shared by every morsel task (captured once behind an
-/// `Arc`; workers only need the decoded-segment cache, never the pool).
+/// Per-scan state every morsel reads (shared behind an `Arc` in pooled
+/// mode; workers only need the decoded-segment cache, never the pool).
 struct ScanShared {
     schema: Schema,
     filters: Vec<BoundPred>,
@@ -627,29 +638,36 @@ struct MorselStats {
     pages_skipped: u64,
 }
 
-/// One morsel's output: per-batch mapped results in page order plus the
-/// stat deltas.
-struct MorselOut<R> {
-    results: Vec<R>,
-    stats: MorselStats,
+impl MorselStats {
+    fn merge_into(self, s: &mut BatchStats) {
+        s.rows_scanned += self.rows_scanned;
+        s.rows_selected += self.rows_selected;
+        s.cols_scanned += self.cols_scanned;
+        s.batches += self.batches;
+        s.pages_skipped += self.pages_skipped;
+    }
 }
 
-/// Worker-side transform applied to each live page batch (post filter
-/// and projection). Returns the values to hand the coordinator, which
-/// re-emits them in page order.
-type ScanMap<R> = Arc<dyn Fn(ColumnBatch, &mut MorselStats) -> ExecResult<Vec<R>> + Send + Sync>;
+/// Where a scan map delivers its results: the consumer itself on the
+/// inline path, the morsel's result buffer on a worker.
+type Sink<'s, R> = &'s mut dyn FnMut(R) -> ExecResult<()>;
 
-/// Decode, filter and map one morsel of pre-read pages on a worker
-/// thread. Mirrors the serial fused-scan loop body exactly, minus the
-/// accounting the coordinator already performed in phase A.
+/// Operator-specific transform applied to each live page batch (post
+/// filter and projection), pushing its results into the sink.
+type ScanMap<R> =
+    dyn Fn(ColumnBatch, &mut MorselStats, Sink<'_, R>) -> ExecResult<()> + Send + Sync;
+
+/// Decode, filter and map a run of pages the coordinator already read
+/// and charged: zone-map skipping, the filters' selection vector, the
+/// projected batch, then `map` into `sink`.
 fn scan_morsel<R>(
     shared: &ScanShared,
     pages: &[(PageId, Arc<Page>)],
     abort: &AtomicBool,
-    map: &dyn Fn(ColumnBatch, &mut MorselStats) -> ExecResult<Vec<R>>,
-) -> ExecResult<MorselOut<R>> {
-    let mut results = Vec::new();
-    let mut stats = MorselStats::default();
+    map: &ScanMap<R>,
+    stats: &mut MorselStats,
+    sink: Sink<'_, R>,
+) -> ExecResult<()> {
     for (pid, page) in pages {
         check_abort(abort)?;
         shared.cancel.check()?;
@@ -679,12 +697,12 @@ fn scan_morsel<R>(
         if let Some(sel) = sel {
             batch = batch.with_sel(sel);
         }
-        results.extend(map(batch, &mut stats)?);
+        map(batch, stats, &mut *sink)?;
     }
-    Ok(MorselOut { results, stats })
+    Ok(())
 }
 
-/// Gate for the morsel path: enabled by the context's thread count and
+/// Gate for the pooled mode: enabled by the context's thread count and
 /// worth dispatching. Results are identical either way, so this is pure
 /// wall-clock policy: a scan shorter than one minimum-size morsel pays
 /// more in dispatch overhead (boxing, channel hops, ordered-merge
@@ -695,120 +713,99 @@ fn use_parallel(ctx: &ExecCtx<'_>, pages: u32) -> bool {
     ctx.threads > 1 && pages as usize >= MIN_MORSEL_PAGES
 }
 
-/// The parallel counterpart of the fused scan loop: phase-A serial page
-/// walk for accounting, worker decode/filter/map, ordered re-emit.
-fn parallel_fused_scan<R: Send + 'static>(
-    heap: HeapFile,
-    schema: Schema,
+/// The fused scan→filter(→project)→map loop over `table`, the one driver
+/// of every sequential scan: each page's cached column vectors are
+/// forwarded zero-copy, filters evaluate into selection vectors and
+/// projection (`keep`) is column selection; `map` turns each live page
+/// batch into results for `emit`, in page order.
+///
+/// Accounting matches the row path exactly: one sequential page access
+/// and `charge_cpu(page tuples)` per page, whether or not the decoded
+/// segment cache serves the columns or zone maps skip the page.
+fn fused_scan<R: Send + 'static>(
+    table: &str,
     filters: &[BoundPred],
     keep: Option<&[usize]>,
+    catalog: &Catalog,
     ctx: &mut ExecCtx<'_>,
-    map: ScanMap<R>,
-    emit: &mut dyn FnMut(R) -> ExecResult<()>,
+    map: Arc<ScanMap<R>>,
+    emit: Sink<'_, R>,
 ) -> ExecResult<()> {
+    let t = catalog.table(table).ok_or_else(|| ExecError::UnknownTable(table.into()))?;
+    let heap = t.heap;
+    let shared = ScanShared {
+        schema: t.schema.clone(),
+        filters: filters.to_vec(),
+        keep: keep.map(<[usize]>::to_vec),
+        seg_cache: ctx.pool.seg_cache(),
+        cancel: ctx.cancel.clone(),
+    };
     let pages = heap.pages(ctx.pool);
-    let mut work: Vec<(PageId, Arc<Page>)> = Vec::with_capacity(pages as usize);
+    let pooled = use_parallel(ctx, pages);
+    let mut stats = MorselStats::default();
+    let mut work: Vec<(PageId, Arc<Page>)> =
+        Vec::with_capacity(if pooled { pages as usize } else { 1 });
+    let no_abort = AtomicBool::new(false);
     for page_no in 0..pages {
         ctx.cancel.check()?;
         let pid = PageId::new(heap.file, page_no);
         let page = ctx.pool.read_page(pid, AccessKind::Sequential)?;
-        // Same per-page CPU charge as the serial loop (`live_count` is
-        // exactly the row count `decode_page` will produce).
+        // `live_count` is exactly the row count decoding will produce.
         ctx.pool.charge_cpu(page.live_count() as u64);
         work.push((pid, page));
+        if !pooled {
+            scan_morsel(&shared, &work, &no_abort, &*map, &mut stats, &mut *emit)?;
+            work.clear();
+        }
     }
-    let shared = Arc::new(ScanShared {
-        schema,
-        filters: filters.to_vec(),
-        keep: keep.map(|k| k.to_vec()),
-        seg_cache: ctx.pool.seg_cache(),
-        cancel: ctx.cancel.clone(),
-    });
-    let threads = effective_workers(ctx.threads);
-    let chunk = morsel_size(work.len(), threads);
-    // Morsel spans are wall-clock lanes parented on the coordinator's
-    // current (operator) span; workers never touch the span stack.
-    let tracer = ctx.pool.observer().tracer().clone();
-    let span_parent = tracer.current();
-    let virt_now = ctx.pool.observer().now_micros();
-    let tasks: Vec<MorselTask<MorselOut<R>>> = work
-        .chunks(chunk)
-        .map(|pages| {
-            let pages = pages.to_vec();
-            let shared = Arc::clone(&shared);
-            let map = Arc::clone(&map);
-            let tracer = tracer.clone();
-            let task: MorselTask<MorselOut<R>> = Box::new(move |abort| {
-                let span = tracer.begin_at(span_parent, SpanKind::Morsel, "scan_morsel", virt_now);
-                let out = scan_morsel(&shared, &pages, abort, map.as_ref());
-                if let Ok(m) = &out {
-                    let (n_pages, rows) = (pages.len(), m.stats.rows_scanned);
+    if pooled {
+        let shared = Arc::new(shared);
+        let threads = effective_workers(ctx.threads);
+        let chunk = morsel_size(work.len(), threads);
+        // Morsel spans are wall-clock lanes parented on the coordinator's
+        // current (operator) span; workers never touch the span stack.
+        let tracer = ctx.pool.observer().tracer().clone();
+        let span_parent = tracer.current();
+        let virt_now = ctx.pool.observer().now_micros();
+        let tasks: Vec<MorselTask<(Vec<R>, MorselStats)>> = work
+            .chunks(chunk)
+            .map(|pages| {
+                let pages = pages.to_vec();
+                let (shared, map, tracer) = (Arc::clone(&shared), Arc::clone(&map), tracer.clone());
+                let task: MorselTask<(Vec<R>, MorselStats)> = Box::new(move |abort| {
+                    let span =
+                        tracer.begin_at(span_parent, SpanKind::Morsel, "scan_morsel", virt_now);
+                    let (mut results, mut stats) = (Vec::new(), MorselStats::default());
+                    scan_morsel(&shared, &pages, abort, &*map, &mut stats, &mut |r| {
+                        results.push(r);
+                        Ok(())
+                    })?;
                     span.finish_with(virt_now, |a| {
-                        a.push(("pages", n_pages.into()));
-                        a.push(("rows", rows.into()));
+                        a.push(("pages", pages.len().into()));
+                        a.push(("rows", stats.rows_scanned.into()));
                     });
-                }
-                out
-            });
-            task
-        })
-        .collect();
-    let stats = &mut ctx.batch_stats;
-    stream_ordered(threads, tasks, &mut |m: MorselOut<R>| {
-        stats.rows_scanned += m.stats.rows_scanned;
-        stats.rows_selected += m.stats.rows_selected;
-        stats.cols_scanned += m.stats.cols_scanned;
-        stats.batches += m.stats.batches;
-        stats.pages_skipped += m.stats.pages_skipped;
-        for r in m.results {
-            emit(r)?;
-        }
-        Ok(())
-    })
-}
-
-/// Serial-loop twin of [`scan_morsel`]'s per-page front half: read one
-/// heap page with sequential accounting, consult zone maps (side-cache
-/// first, decoded segment second) and return `None` when no row can
-/// pass `filters`. A skipped page is charged exactly like a scanned one
-/// — the page access and `charge_cpu(live rows)` — so resource demand
-/// is identical to a full scan; only decode and filter work is elided.
-fn read_page_zoned(
-    heap: HeapFile,
-    page_no: u32,
-    filters: &[BoundPred],
-    ctx: &mut ExecCtx<'_>,
-) -> ExecResult<Option<Arc<ColumnSegment>>> {
-    let pid = PageId::new(heap.file, page_no);
-    let page = ctx.pool.read_page(pid, AccessKind::Sequential)?;
-    ctx.pool.charge_cpu(page.live_count() as u64);
-    ctx.batch_stats.rows_scanned += page.live_count() as u64;
-    let cache = ctx.pool.seg_cache();
-    if let Some(zones) = cache.zone_maps(pid) {
-        if zones_exclude(&zones, filters) {
-            ctx.batch_stats.pages_skipped += 1;
-            return Ok(None);
-        }
+                    Ok((results, stats))
+                });
+                task
+            })
+            .collect();
+        let batch_stats = &mut ctx.batch_stats;
+        stream_ordered(threads, tasks, &mut |(results, m)| {
+            m.merge_into(batch_stats);
+            results.into_iter().try_for_each(&mut *emit)
+        })?;
     }
-    let seg = cache.get_or_decode(pid, &page)?;
-    if zones_exclude(seg.zones(), filters) {
-        ctx.batch_stats.pages_skipped += 1;
-        return Ok(None);
-    }
-    Ok(Some(seg))
+    stats.merge_into(&mut ctx.batch_stats);
+    ctx.batch_stats.fused_scans += 1;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
 // Operators
 // ---------------------------------------------------------------------
 
-/// The fused scan→filter(→project) loop: one pass over the heap pages
-/// forwards each page's cached column vectors zero-copy, with filters
-/// evaluated into selection vectors and projection as column selection.
-///
-/// Accounting matches the row path exactly: one sequential page access
-/// and `charge_cpu(page tuples)` per page, whether or not the decoded
-/// segment cache serves the columns or zone maps skip the page.
+/// A sequential scan, optionally projected: each live page batch is
+/// re-chunked to at most `batch_size` rows.
 fn fused_seq_scan(
     table: &str,
     filters: &[BoundPred],
@@ -817,46 +814,13 @@ fn fused_seq_scan(
     ctx: &mut ExecCtx<'_>,
     out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    let t = catalog.table(table).ok_or_else(|| ExecError::UnknownTable(table.into()))?;
-    let heap = t.heap;
-    let schema = t.schema.clone();
-    if use_parallel(ctx, heap.pages(ctx.pool)) {
-        // Workers chunk each page batch exactly as the serial loop
-        // would, so the coordinator re-emits an identical batch stream.
-        let cap = ctx.batch_size;
-        let map: ScanMap<ColumnBatch> = Arc::new(move |batch, stats| {
-            stats.cols_scanned += batch.width() as u64;
-            let mut chunks = Vec::new();
-            stats.batches += batch.emit_chunked(cap, &mut |b| {
-                chunks.push(b);
-                Ok(())
-            })?;
-            Ok(chunks)
-        });
-        parallel_fused_scan(heap, schema, filters, keep, ctx, map, &mut |b| out(b))?;
-        ctx.batch_stats.fused_scans += 1;
-        return Ok(());
-    }
-    let mut batches = 0u64;
-    for page_no in 0..heap.pages(ctx.pool) {
-        ctx.cancel.check()?;
-        let Some(seg) = read_page_zoned(heap, page_no, filters, ctx)? else { continue };
-        let sel = eval_filters(&seg, filters, &schema);
-        let live = sel.as_ref().map_or(seg.rows(), |s| s.len());
-        ctx.batch_stats.rows_selected += live as u64;
-        if live == 0 {
-            continue;
-        }
-        let mut batch = ColumnBatch::from_segment_keep(&seg, keep);
-        if let Some(sel) = sel {
-            batch = batch.with_sel(sel);
-        }
-        ctx.batch_stats.cols_scanned += batch.width() as u64;
-        batches += batch.emit_chunked(ctx.batch_size, out)?;
-    }
-    ctx.batch_stats.batches += batches;
-    ctx.batch_stats.fused_scans += 1;
-    Ok(())
+    let cap = ctx.batch_size;
+    let map: Arc<ScanMap<ColumnBatch>> = Arc::new(move |batch, stats, sink| {
+        stats.cols_scanned += batch.width() as u64;
+        stats.batches += batch.emit_chunked(cap, sink)?;
+        Ok(())
+    });
+    fused_scan(table, filters, keep, catalog, ctx, map, out)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -879,19 +843,8 @@ fn index_scan_batched(
     ctx.cancel.check()?;
     let rids = index.lookup(ctx.pool, as_ref_bound(lo), as_ref_bound(hi))?;
     ctx.pool.charge_cpu(rids.len() as u64);
-    // Same page grouping as the row path: sorted rids, one random page
-    // access serving all slots of a page.
-    let mut by_page: Vec<(PageId, Vec<u16>)> = Vec::new();
-    let mut sorted = rids;
-    sorted.sort();
-    for rid in sorted {
-        match by_page.last_mut() {
-            Some((pid, slots)) if *pid == rid.page => slots.push(rid.slot),
-            _ => by_page.push((rid.page, vec![rid.slot])),
-        }
-    }
     let mut em = Emitter::new(width, ctx.batch_size, out);
-    for (pid, slots) in by_page {
+    for (pid, slots) in rids_by_page(rids) {
         ctx.cancel.check()?;
         let page = ctx.pool.read_page(pid, AccessKind::Random)?;
         ctx.pool.charge_cpu(slots.len() as u64);
@@ -911,9 +864,9 @@ fn index_scan_batched(
 
 /// Hash-join build storage: the build rows column-major in arrival
 /// order (row id = arrival position) plus key → row-id buckets, split
-/// into one or more partitions by key hash. A serial build uses a single
-/// partition (and never hashes); a parallel build uses one partition per
-/// worker. Buckets and partitions both hash with
+/// into one or more partitions by key hash. A build over an inline input
+/// uses a single partition (and never hashes); one over a pooled scan
+/// uses one partition per worker. Buckets and partitions both hash with
 /// [`specdb_storage::tuple::ValueHasher`], whose fixed constants make the
 /// partition layout the same in every run. A key lives in exactly one
 /// partition and every bucket lists its row ids in arrival order, so
@@ -970,121 +923,59 @@ impl JoinTable {
     }
 }
 
-/// Build-side pre-digest of one chunk's non-NULL-key rows: key hashes
-/// and keys, the rows' values column-major, and their total encoded
-/// length (for the build-bytes memory charge).
-struct BuildDigest {
-    keys: Vec<(u64, Value)>,
-    cols: Vec<Vec<Value>>,
-    bytes: u64,
-}
-
 /// Consume the join's left input into a [`JoinTable`], returning it with
-/// the total encoded bytes of the stored rows.
+/// the total encoded bytes of the stored rows. Rows arrive through
+/// [`run_batched`] in the same order at any thread count; a single
+/// partition fills its buckets as they arrive. When the left input is a
+/// pooled scan, the keys are kept instead and split into one partition
+/// per worker, each task walking every key in order and keeping only its
+/// hash class, so each bucket lists row ids in arrival order.
 fn build_join_table(
     left: &Plan,
     lkey: usize,
     catalog: &Catalog,
     ctx: &mut ExecCtx<'_>,
 ) -> ExecResult<(JoinTable, u64)> {
-    if ctx.threads > 1 {
-        if let PlanNode::SeqScan { table, filters } = &left.node {
+    let parts_n = match &left.node {
+        PlanNode::SeqScan { table, .. } => {
             let t = catalog.table(table).ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
             if use_parallel(ctx, t.heap.pages(ctx.pool)) {
-                let heap = t.heap;
-                let schema = t.schema.clone();
-                return build_join_table_parallel(heap, schema, filters, lkey, ctx);
+                effective_workers(ctx.threads)
+            } else {
+                1
             }
         }
-    }
+        _ => 1,
+    };
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); left.cols.len()];
     let mut buckets = Buckets::default();
+    let mut keys: Vec<(u64, Value)> = Vec::new();
     let mut bytes = 0u64;
     run_batched(left, catalog, ctx, &mut |b: ColumnBatch| {
         for row in 0..b.len() {
             let key = b.value(row, lkey);
-            if !key.is_null() {
-                bytes += b.row_encoded_len(row) as u64;
+            if key.is_null() {
+                continue;
+            }
+            bytes += b.row_encoded_len(row) as u64;
+            if parts_n == 1 {
                 buckets.entry(key.clone()).or_default().push(cols[0].len() as u32);
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push(b.value(row, c).clone());
-                }
+            } else {
+                keys.push((value_hash(key), key.clone()));
+            }
+            for (c, col) in cols.iter_mut().enumerate() {
+                col.push(b.value(row, c).clone());
             }
         }
         Ok(())
     })?;
-    let cols = cols.into_iter().map(Arc::new).collect();
-    Ok((JoinTable { cols, parts: vec![buckets] }, bytes))
-}
-
-/// The partitioned parallel build. Phase 1: a morsel scan pre-digests
-/// each chunk (key hashes, keys, column-major values, encoded length) on
-/// the workers; the ordered merge keeps digests in the serial build's
-/// arrival order, and the coordinator moves their values into the build
-/// columns. Phase 2: one task per partition walks every key in order,
-/// keeping only its hash class, so each bucket lists global row ids in
-/// the serial insertion order.
-fn build_join_table_parallel(
-    heap: HeapFile,
-    schema: Schema,
-    filters: &[BoundPred],
-    lkey: usize,
-    ctx: &mut ExecCtx<'_>,
-) -> ExecResult<(JoinTable, u64)> {
-    let cap = ctx.batch_size;
-    let width = schema.arity();
-    let map: ScanMap<BuildDigest> = Arc::new(move |batch, stats| {
-        // Chunk exactly as the serial build's fused scan feeding the
-        // insert loop would, so `batches`/`cols_scanned` stay identical.
-        stats.cols_scanned += batch.width() as u64;
-        let mut chunks = Vec::new();
-        stats.batches += batch.emit_chunked(cap, &mut |b| {
-            let mut d = BuildDigest { keys: Vec::new(), cols: vec![Vec::new(); width], bytes: 0 };
-            for row in 0..b.len() {
-                let key = b.value(row, lkey);
-                if !key.is_null() {
-                    d.keys.push((value_hash(key), key.clone()));
-                    for (c, col) in d.cols.iter_mut().enumerate() {
-                        col.push(b.value(row, c).clone());
-                    }
-                    d.bytes += b.row_encoded_len(row) as u64;
-                }
-            }
-            chunks.push(d);
-            Ok(())
-        })?;
-        Ok(chunks)
-    });
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
-    let mut keys: Vec<(u64, Value)> = Vec::new();
-    let mut bytes = 0u64;
-    parallel_fused_scan(heap, schema, filters, None, ctx, map, &mut |mut d| {
-        for (col, vals) in cols.iter_mut().zip(&mut d.cols) {
-            col.append(vals);
-        }
-        keys.append(&mut d.keys);
-        bytes += d.bytes;
-        Ok(())
-    })?;
-    ctx.batch_stats.fused_scans += 1;
     let cols: Vec<ColumnVec> = cols.into_iter().map(Arc::new).collect();
-    let parts_n = effective_workers(ctx.threads);
+    if parts_n == 1 {
+        return Ok((JoinTable { cols, parts: vec![buckets] }, bytes));
+    }
     let tracer = ctx.pool.observer().tracer().clone();
     let span_parent = tracer.current();
     let virt_now = ctx.pool.observer().now_micros();
-    if parts_n == 1 {
-        // One partition owns every hash class, so the keys can be
-        // consumed in place — the per-key clone below exists only
-        // because concurrent partition tasks read the same keys.
-        let span = tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
-        let rows = keys.len();
-        let mut buckets = Buckets::default();
-        for (id, (_, key)) in keys.into_iter().enumerate() {
-            buckets.entry(key).or_default().push(id as u32);
-        }
-        span.finish_with(virt_now, |a| a.push(("rows", rows.into())));
-        return Ok((JoinTable { cols, parts: vec![buckets] }, bytes));
-    }
     let keys = Arc::new(keys);
     let tasks: Vec<MorselTask<Buckets>> = (0..parts_n)
         .map(|p| {
@@ -1131,86 +1022,37 @@ fn hash_join_batched(
     let (table, build_bytes) = build_join_table(left, lkey, catalog, ctx)?;
     ctx.pool.charge_cpu(table.row_count());
     ctx.pool.charge_mem(build_bytes);
-    // Same hybrid-hash spill model as the row path (see crate::run).
-    let pool_bytes = ctx.pool.capacity() as u64 * specdb_storage::PAGE_SIZE as u64;
-    let spill_fraction = if ctx.pool.spill_model() && build_bytes > pool_bytes {
-        1.0 - pool_bytes as f64 / build_bytes as f64
-    } else {
-        0.0
-    };
-    // Probe bytes only price the spill, so they are summed only then.
-    let count_bytes = spill_fraction > 0.0;
-    let mut probe_bytes: u64 = 0;
-    let mut batches = 0u64;
-    let cap = ctx.batch_size;
+    // Same hybrid-hash spill model as the row path. Probe bytes only
+    // price the spill, so they are summed only then (on any thread: sums
+    // commute).
+    let spill = spill_fraction(ctx.pool, build_bytes as f64);
+    let probe_bytes = (spill > 0.0).then(|| Arc::new(AtomicU64::new(0)));
+    let (table, residual, cap) = (Arc::new(table), residual.to_vec(), ctx.batch_size);
+    let counter = probe_bytes.clone();
     // Probe phase: probe rows arrive in scan order, so match output
     // order is identical to the row path (bucket insertion order), and
     // every probe batch's matches are emitted as its own run of batches.
-    // A sequential-scan probe side fuses into the probe loop: keys and
+    // A sequential-scan probe side fuses into the scan loop: keys and
     // residual columns are read straight from the segment's columns.
-    if let PlanNode::SeqScan { table: rtable, filters: rfilters } = &right.node {
-        let rt = catalog.table(rtable).ok_or_else(|| ExecError::UnknownTable(rtable.into()))?;
-        let heap = rt.heap;
-        let rschema = rt.schema.clone();
-        if use_parallel(ctx, heap.pages(ctx.pool)) {
-            // Workers probe the shared build table against their pages
-            // and emit the output batches; the coordinator forwards them
-            // in page order, so the batch stream equals the serial
-            // probe's. (Workers skip all-filtered pages; the serial loop
-            // probes them as empty batches — a no-op either way.)
-            let table = Arc::new(table);
-            let residual = residual.to_vec();
-            let map: ScanMap<(Vec<ColumnBatch>, u64)> = Arc::new(move |batch, stats| {
-                let mut bytes = 0u64;
-                let mut joined = Vec::new();
-                stats.batches += probe_columnar(
-                    &batch,
-                    rkey,
-                    &residual,
-                    &table,
-                    count_bytes.then_some(&mut bytes),
-                    cap,
-                    &mut |b| {
-                        joined.push(b);
-                        Ok(())
-                    },
-                )?;
-                Ok(vec![(joined, bytes)])
-            });
-            let mut forward = |(joined, bytes): (Vec<ColumnBatch>, u64)| {
-                probe_bytes += bytes;
-                joined.into_iter().try_for_each(&mut *out)
-            };
-            parallel_fused_scan(heap, rschema, rfilters, None, ctx, map, &mut forward)?;
-        } else {
-            for page_no in 0..heap.pages(ctx.pool) {
-                ctx.cancel.check()?;
-                let Some(seg) = read_page_zoned(heap, page_no, rfilters, ctx)? else { continue };
-                let sel = eval_filters(&seg, rfilters, &rschema);
-                let live = sel.as_ref().map_or(seg.rows(), |s| s.len());
-                ctx.batch_stats.rows_selected += live as u64;
-                let batch = match sel {
-                    Some(sel) => ColumnBatch::from_segment(&seg).with_sel(sel),
-                    None => ColumnBatch::from_segment(&seg),
-                };
-                let bytes = count_bytes.then_some(&mut probe_bytes);
-                batches += probe_columnar(&batch, rkey, residual, &table, bytes, cap, out)?;
-            }
-        }
-        ctx.batch_stats.fused_scans += 1;
+    let probe = move |b: &ColumnBatch, sink: Sink<'_, ColumnBatch>| {
+        probe_columnar(b, rkey, &residual, &table, counter.as_deref(), cap, sink)
+    };
+    if let PlanNode::SeqScan { table: rtable, filters } = &right.node {
+        let map: Arc<ScanMap<ColumnBatch>> = Arc::new(move |batch, stats, sink| {
+            stats.batches += probe(&batch, sink)?;
+            Ok(())
+        });
+        fused_scan(rtable, filters, None, catalog, ctx, map, out)?;
     } else {
+        let mut batches = 0u64;
         run_batched(right, catalog, ctx, &mut |b: ColumnBatch| {
-            let bytes = count_bytes.then_some(&mut probe_bytes);
-            batches += probe_columnar(&b, rkey, residual, &table, bytes, cap, out)?;
+            batches += probe(&b, &mut *out)?;
             Ok(())
         })?;
+        ctx.batch_stats.batches += batches;
     }
-    ctx.batch_stats.batches += batches;
-    if spill_fraction > 0.0 {
-        let page = specdb_storage::PAGE_SIZE as f64;
-        let pages = (spill_fraction * (build_bytes + probe_bytes) as f64 / page).ceil() as u64;
-        ctx.pool.charge_io(pages, pages);
-    }
+    let probe_bytes = probe_bytes.map_or(0, |b| b.load(AtomicOrdering::Relaxed));
+    charge_spill(ctx.pool, spill, build_bytes + probe_bytes);
     Ok(())
 }
 
@@ -1224,12 +1066,13 @@ fn probe_columnar(
     rkey: usize,
     residual: &[(usize, usize)],
     table: &JoinTable,
-    probe_bytes: Option<&mut u64>,
+    probe_bytes: Option<&AtomicU64>,
     cap: usize,
     out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<u64> {
     if let Some(bytes) = probe_bytes {
-        *bytes += (0..b.len()).map(|row| b.row_encoded_len(row) as u64).sum::<u64>();
+        let sum = (0..b.len()).map(|row| b.row_encoded_len(row) as u64).sum::<u64>();
+        bytes.fetch_add(sum, AtomicOrdering::Relaxed);
     }
     let mut ids: Vec<u32> = Vec::new();
     let mut prows: Vec<u32> = Vec::new();
@@ -1380,7 +1223,7 @@ fn aggregate_batched(
     let mut input_rows: u64 = 0;
     // Accumulators read straight from column vectors: group keys gather
     // only the grouping columns, aggregates only their input column.
-    let mut feed = |groups: &mut Groups, b: &ColumnBatch| {
+    let mut feed = |b: ColumnBatch| -> ExecResult<()> {
         for row in 0..b.len() {
             input_rows += 1;
             let key: Vec<Value> = group.iter().map(|&c| b.value(row, c).clone()).collect();
@@ -1391,46 +1234,16 @@ fn aggregate_batched(
                 acc.feed(pos.map(|c| b.value(row, c)));
             }
         }
+        Ok(())
     };
     // Scan→aggregate fusion: a sequential-scan input feeds the
     // accumulators each page's selected rows directly — nothing is
     // gathered except the grouping and aggregate columns.
     if let PlanNode::SeqScan { table, filters } = &input.node {
-        let t = catalog.table(table).ok_or_else(|| ExecError::UnknownTable(table.into()))?;
-        let heap = t.heap;
-        let schema = t.schema.clone();
-        if use_parallel(ctx, heap.pages(ctx.pool)) {
-            // Workers produce each page's filtered batch; the coordinator
-            // feeds the (order-insensitive, but kept in page order anyway)
-            // accumulators serially.
-            let map: ScanMap<ColumnBatch> = Arc::new(|batch, _stats| Ok(vec![batch]));
-            parallel_fused_scan(heap, schema, filters, None, ctx, map, &mut |b| {
-                feed(&mut groups, &b);
-                Ok(())
-            })?;
-        } else {
-            for page_no in 0..heap.pages(ctx.pool) {
-                ctx.cancel.check()?;
-                let Some(seg) = read_page_zoned(heap, page_no, filters, ctx)? else { continue };
-                let sel = eval_filters(&seg, filters, &schema);
-                let live = sel.as_ref().map_or(seg.rows(), |s| s.len());
-                ctx.batch_stats.rows_selected += live as u64;
-                if live == 0 {
-                    continue;
-                }
-                let batch = match sel {
-                    Some(sel) => ColumnBatch::from_segment(&seg).with_sel(sel),
-                    None => ColumnBatch::from_segment(&seg),
-                };
-                feed(&mut groups, &batch);
-            }
-        }
-        ctx.batch_stats.fused_scans += 1;
+        let map: Arc<ScanMap<ColumnBatch>> = Arc::new(|batch, _stats, sink| sink(batch));
+        fused_scan(table, filters, None, catalog, ctx, map, &mut feed)?;
     } else {
-        run_batched(input, catalog, ctx, &mut |b: ColumnBatch| {
-            feed(&mut groups, &b);
-            Ok(())
-        })?;
+        run_batched(input, catalog, ctx, &mut feed)?;
     }
     ctx.pool.charge_cpu(input_rows);
     // Same SQL convention as the row path: global aggregate over an
@@ -1455,7 +1268,7 @@ mod tests {
     use crate::context::CancelToken;
     use crate::run;
     use specdb_catalog::{ColumnDef, Schema, TableStats};
-    use specdb_storage::BufferPool;
+    use specdb_storage::{BufferPool, HeapFile};
 
     fn fixture() -> (BufferPool, Catalog) {
         let mut pool = BufferPool::new(512);
@@ -1601,43 +1414,13 @@ mod tests {
     #[test]
     fn morsel_hash_join_matches_serial() {
         // emp as the build side makes the build itself big enough to
-        // take the partitioned parallel path; dept as the probe side
-        // stays serial (single page), covering the mixed case too.
-        let join = Plan {
-            cols: vec![
-                "emp.id".into(),
-                "emp.dept".into(),
-                "emp.age".into(),
-                "dept.id".into(),
-                "dept.name".into(),
-            ],
-            node: PlanNode::HashJoin {
-                left: Box::new(scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![])),
-                right: Box::new(scan("dept", &["dept.id", "dept.name"], vec![])),
-                lkey: 1,
-                rkey: 0,
-                residual: vec![],
-            },
-        };
-        assert_parallel_agrees(&join);
-        // And the reverse orientation: parallel probe over emp.
-        let join = Plan {
-            cols: vec![
-                "dept.id".into(),
-                "dept.name".into(),
-                "emp.id".into(),
-                "emp.dept".into(),
-                "emp.age".into(),
-            ],
-            node: PlanNode::HashJoin {
-                left: Box::new(scan("dept", &["dept.id", "dept.name"], vec![])),
-                right: Box::new(scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![])),
-                lkey: 0,
-                rkey: 1,
-                residual: vec![],
-            },
-        };
-        assert_parallel_agrees(&join);
+        // take the partitioned path; dept as the probe side stays inline
+        // (single page), covering the mixed case too.
+        let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
+        let dept = || scan("dept", &["dept.id", "dept.name"], vec![]);
+        assert_parallel_agrees(&hash_join(emp(), dept(), 1, 0, vec![]));
+        // And the reverse orientation: a pooled probe over emp.
+        assert_parallel_agrees(&hash_join(dept(), emp(), 0, 1, vec![]));
     }
 
     fn hash_join(
@@ -1711,7 +1494,7 @@ mod tests {
         let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
         let (pool, cat) = fixture();
         let pages = cat.table("proj").unwrap().heap.pages(&pool) as usize;
-        assert!(pages >= MIN_MORSEL_PAGES, "proj must take the parallel build and probe");
+        assert!(pages >= MIN_MORSEL_PAGES, "proj must take the pooled build and probe");
         let p2 = || scan("proj", &["p2.id", "p2.lead", "p2.dept"], vec![]);
         // NULL keys on the build side, then on the probe side; a residual
         // never passes on a NULL, not even NULL = NULL in the self-join.
@@ -1771,6 +1554,80 @@ mod tests {
     }
 
     #[test]
+    fn operator_spans_do_not_depend_on_thread_count() {
+        let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
+        let dept = || scan("dept", &["dept.id", "dept.name"], vec![]);
+        let operator_spans = |plan: &Plan, threads: usize| {
+            let (mut pool, cat) = fixture();
+            let tracer = specdb_obs::Tracer::enabled();
+            pool.set_observer(specdb_obs::Observer::disabled().with_tracer(tracer.clone()));
+            let mut ctx = ExecCtx::new(&mut pool);
+            ctx.threads = threads;
+            run_collect_batched(plan, &cat, &mut ctx).unwrap();
+            let spans = tracer.spans();
+            let name = |id| spans.iter().find(|s| Some(s.id) == id).map(|s| s.name);
+            let count = |s: &specdb_obs::SpanRecord, key| s.attr(key).and_then(|v| v.as_u64());
+            spans
+                .iter()
+                .filter(|s| s.kind == SpanKind::Operator)
+                .map(|s| (s.name, name(s.parent), count(s, "rows"), count(s, "batches")))
+                .collect::<Vec<_>>()
+        };
+        // emp ⋈ dept builds on the multi-page emp scan (pooled at four
+        // threads); dept ⋈ emp probes it.
+        for plan in [hash_join(emp(), dept(), 1, 0, vec![]), hash_join(dept(), emp(), 0, 1, vec![])]
+        {
+            let serial = operator_spans(&plan, 1);
+            // The probe scan fuses into the join; the build scan is its
+            // own operator at every thread count.
+            assert_eq!(serial.len(), 2, "build scan and join: {serial:?}");
+            assert_eq!(serial, operator_spans(&plan, 4));
+        }
+    }
+
+    #[test]
+    fn consumer_errors_surface_after_exactly_k_batches() {
+        let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
+        let proj = || scan("proj", &["proj.id", "proj.lead", "proj.dept"], vec![]);
+        for threads in [1, 4] {
+            let (mut pool, cat) = fixture();
+            // A scan, then joins whose build and probe sides both span
+            // many pages (proj.lead = emp.id), in both orientations.
+            for plan in [
+                emp(),
+                hash_join(emp(), proj(), 0, 1, vec![]),
+                hash_join(proj(), emp(), 1, 0, vec![]),
+            ] {
+                let mut deliver = |stop: usize| {
+                    let mut ctx = ExecCtx::new(&mut pool);
+                    ctx.threads = threads;
+                    ctx.batch_size = 64;
+                    let mut delivered = 0;
+                    let result = run_batched(&plan, &cat, &mut ctx, &mut |_| {
+                        if delivered == stop {
+                            return Err(ExecError::UnknownTable("consumer".into()));
+                        }
+                        delivered += 1;
+                        Ok(())
+                    });
+                    (result, delivered)
+                };
+                let (result, total) = deliver(usize::MAX);
+                result.unwrap();
+                assert!(total > 30, "{total} batches");
+                for k in 0..total {
+                    let (result, delivered) = deliver(k);
+                    assert!(
+                        matches!(result, Err(ExecError::UnknownTable(_))),
+                        "threads {threads}, k {k}: {result:?}"
+                    );
+                    assert_eq!(delivered, k, "threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fused_scan_matches_row_path() {
         let plan = scan(
             "emp",
@@ -1796,24 +1653,7 @@ mod tests {
 
     #[test]
     fn hash_join_and_aggregate_match_row_path() {
-        let left = scan("dept", &["dept.id", "dept.name"], vec![]);
-        let right = scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
-        let join = Plan {
-            cols: vec![
-                "dept.id".into(),
-                "dept.name".into(),
-                "emp.id".into(),
-                "emp.dept".into(),
-                "emp.age".into(),
-            ],
-            node: PlanNode::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                lkey: 0,
-                rkey: 1,
-                residual: vec![],
-            },
-        };
+        let join = dept_emp();
         assert_paths_agree(&join);
         let agg = Plan {
             cols: vec!["dept.name".into(), "count".into(), "avg_age".into()],

@@ -295,12 +295,7 @@ impl<'a> Estimator<'a> {
                 // both inputs pays one extra write+read pass.
                 let width = 2.0 + 12.0 * plan.cols.len() as f64;
                 let build_bytes = l.rows * width;
-                let pool_bytes = (self.pool.capacity() * specdb_storage::PAGE_SIZE) as f64;
-                let spill_fraction = if self.pool.spill_model() && build_bytes > pool_bytes {
-                    1.0 - pool_bytes / build_bytes
-                } else {
-                    0.0
-                };
+                let spill_fraction = crate::run::spill_fraction(self.pool, build_bytes);
                 let spill_pages =
                     spill_fraction * (l.rows + r.rows) * width / specdb_storage::PAGE_SIZE as f64;
                 let mut est = CostEstimate {

@@ -1,19 +1,20 @@
 //! Morsel-driven parallel execution: the worker pool and the ordered
 //! fan-out driver.
 //!
-//! The columnar executor splits large table scans into fixed-size
-//! *morsels* (runs of heap pages) and dispatches them to a process-wide
-//! worker pool. Two properties make the parallel path safe to enable
-//! anywhere the serial path runs:
+//! The columnar executor's one scan loop (`batch::fused_scan`) maps each
+//! page inline at one thread; above that it splits large table scans
+//! into fixed-size *morsels* (runs of heap pages) and dispatches them to
+//! a process-wide worker pool. Two properties make the pooled mode safe
+//! to enable anywhere the inline mode runs:
 //!
 //! 1. **Deterministic merge.** `stream_ordered` delivers morsel
 //!    results to the coordinator strictly in submission order, whatever
 //!    order workers finish in, buffering at most one scheduling window
-//!    of out-of-order results. Combined with the coordinator performing
-//!    all virtual-time accounting serially (see
-//!    [`crate::batch`]'s phase-A page walk), results and
+//!    of out-of-order results. Combined with the coordinator reading
+//!    and charging every page in order before any morsel runs (see the
+//!    fused scan loop in [`crate::batch`]), results and
 //!    [`specdb_storage::ResourceDemand`] are bit-identical to the
-//!    serial executor at any thread count.
+//!    inline mode at any thread count.
 //! 2. **No stragglers.** The driver never returns while a submitted
 //!    morsel is still running: on error or cancellation it raises an
 //!    abort flag (checked by workers at page granularity) and drains

@@ -12,7 +12,9 @@ use crate::error::{ExecError, ExecResult};
 use crate::plan::{BoundPred, Plan, PlanNode};
 use specdb_catalog::Catalog;
 use specdb_query::AggFunc;
-use specdb_storage::{AccessKind, PageId, Tuple, Value, ValueBuildHasher, ValueMap};
+use specdb_storage::{
+    AccessKind, BufferPool, PageId, Tuple, TupleId, Value, ValueBuildHasher, ValueMap,
+};
 use std::collections::HashMap;
 use std::ops::Bound;
 
@@ -222,18 +224,7 @@ fn index_scan(
     ctx.cancel.check()?;
     let rids = index.lookup(ctx.pool, as_ref_bound(lo), as_ref_bound(hi))?;
     ctx.pool.charge_cpu(rids.len() as u64);
-    // Fetch rids grouped by page to avoid pathological re-reads; within
-    // one page all slots are served by a single (random) page access.
-    let mut by_page: Vec<(PageId, Vec<u16>)> = Vec::new();
-    let mut sorted = rids;
-    sorted.sort();
-    for rid in sorted {
-        match by_page.last_mut() {
-            Some((pid, slots)) if *pid == rid.page => slots.push(rid.slot),
-            _ => by_page.push((rid.page, vec![rid.slot])),
-        }
-    }
-    for (pid, slots) in by_page {
+    for (pid, slots) in rids_by_page(rids) {
         ctx.cancel.check()?;
         let page = ctx.pool.read_page(pid, AccessKind::Random)?;
         ctx.pool.charge_cpu(slots.len() as u64);
@@ -247,6 +238,45 @@ fn index_scan(
         }
     }
     Ok(())
+}
+
+/// Sort `rids` and group their slots by page, so one (random) page
+/// access serves every slot of a page instead of re-reading it per rid.
+pub(crate) fn rids_by_page(mut rids: Vec<TupleId>) -> Vec<(PageId, Vec<u16>)> {
+    rids.sort();
+    let mut by_page: Vec<(PageId, Vec<u16>)> = Vec::new();
+    for rid in rids {
+        match by_page.last_mut() {
+            Some((pid, slots)) if *pid == rid.page => slots.push(rid.slot),
+            _ => by_page.push((rid.page, vec![rid.slot])),
+        }
+    }
+    by_page
+}
+
+/// Hybrid hash-join spill model: when the build side exceeds the buffer
+/// pool, the overflow fraction `f = 1 − pool/build` of *both* inputs is
+/// partitioned to scratch files and read back. Zero when the build fits
+/// or the pool does not model spilling. Both executors and the estimator
+/// price the spill with this one formula (`f64` comparison is exact for
+/// byte counts below 2⁵³).
+pub(crate) fn spill_fraction(pool: &BufferPool, build_bytes: f64) -> f64 {
+    let pool_bytes = (pool.capacity() * specdb_storage::PAGE_SIZE) as f64;
+    if pool.spill_model() && build_bytes > pool_bytes {
+        1.0 - pool_bytes / build_bytes
+    } else {
+        0.0
+    }
+}
+
+/// Charge the spilled `fraction` of `bytes` (build plus probe input) as
+/// one write and one read pass over scratch pages. The in-memory
+/// execution is unaffected; only the virtual clock pays the I/O.
+pub(crate) fn charge_spill(pool: &mut BufferPool, fraction: f64, bytes: u64) {
+    if fraction > 0.0 {
+        let pages = (fraction * bytes as f64 / specdb_storage::PAGE_SIZE as f64).ceil() as u64;
+        pool.charge_io(pages, pages);
+    }
 }
 
 pub(crate) fn as_ref_bound(b: &Bound<Value>) -> Bound<&Value> {
@@ -284,16 +314,7 @@ fn hash_join(
     // its footprint so the cost model and metrics see it. The disk model
     // assigns no time to memory, so virtual durations are unchanged.
     ctx.pool.charge_mem(build_bytes);
-    // Hybrid hash-join spill model: when the build side exceeds the
-    // buffer pool, the overflow fraction `f = 1 − pool/build` of *both*
-    // inputs is partitioned to scratch files and read back. The
-    // in-memory execution is unaffected; the virtual clock pays the I/O.
-    let pool_bytes = ctx.pool.capacity() as u64 * specdb_storage::PAGE_SIZE as u64;
-    let spill_fraction = if ctx.pool.spill_model() && build_bytes > pool_bytes {
-        1.0 - pool_bytes as f64 / build_bytes as f64
-    } else {
-        0.0
-    };
+    let spill = spill_fraction(ctx.pool, build_bytes as f64);
     let mut probe_bytes: u64 = 0;
     // Probe phase.
     let lwidth = left.cols.len();
@@ -316,11 +337,7 @@ fn hash_join(
         }
         Ok(())
     })?;
-    if spill_fraction > 0.0 {
-        let page = specdb_storage::PAGE_SIZE as f64;
-        let pages = (spill_fraction * (build_bytes + probe_bytes) as f64 / page).ceil() as u64;
-        ctx.pool.charge_io(pages, pages);
-    }
+    charge_spill(ctx.pool, spill, build_bytes + probe_bytes);
     Ok(())
 }
 

@@ -721,6 +721,23 @@ mod tests {
     }
 
     #[test]
+    fn pre_materialized_views_survive_every_replay() {
+        // Figure 6's Views arms: the DBMS's own views are not the
+        // speculator's to collect, whatever the session's final query.
+        let mut base = build_base_db(&DatasetSpec::tiny()).unwrap();
+        assert!(crate::dataset::materialize_subset_joins_up_to(&mut base, 2).unwrap() > 0);
+        let views: Vec<String> = base.views().iter().map(|v| v.name.clone()).collect();
+        let trace = small_trace(12, 9);
+        for config in [ReplayConfig::normal(), ReplayConfig::speculative()] {
+            let mut db = base.clone();
+            replay_trace(&mut db, &trace, &config).unwrap();
+            for name in &views {
+                assert!(db.views().iter().any(|v| &v.name == name), "{name} was dropped");
+            }
+        }
+    }
+
+    #[test]
     fn wait_at_go_policy_waits_and_counts() {
         use specdb_query::{CompareOp, EditOp, Predicate, Selection};
         use specdb_trace::TimedEdit;
