@@ -256,12 +256,22 @@ fn provenance_json(repo: &std::path::Path) -> String {
 
 /// The provenance commit: `git rev-parse HEAD` output (`"none"` outside
 /// a git checkout), suffixed `-dirty` when `git status --porcelain
-/// --untracked-files=no` lists a changed tracked file — the artifact then
-/// came from code that commit does not hold.
+/// --untracked-files=no` lists a changed tracked file other than a
+/// root-level `BENCH_*.json` — the artifact then came from code that
+/// commit does not hold. The artifacts are left out because every bench
+/// run rewrites its own: a regenerated artifact says nothing about the
+/// code the next one is built from.
 fn commit_label(head: Option<&str>, status: Option<&str>) -> String {
+    let is_artifact =
+        |path: &str| path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/');
+    let dirty = status.is_some_and(|s| {
+        s.lines()
+            .filter(|l| !l.trim().is_empty())
+            .any(|l| !is_artifact(l.get(3..).unwrap_or("")))
+    });
     match head.map(str::trim) {
         None => "none".into(),
-        Some(head) if status.is_some_and(|s| !s.trim().is_empty()) => format!("{head}-dirty"),
+        Some(head) if dirty => format!("{head}-dirty"),
         Some(head) => head.into(),
     }
 }
@@ -287,6 +297,12 @@ mod tests {
         assert_eq!(commit_label(Some("abc123\n"), Some(" M src/lib.rs\n")), "abc123-dirty");
         assert_eq!(commit_label(Some("abc123"), None), "abc123", "status unknown: not marked");
         assert_eq!(commit_label(None, Some(" M src/lib.rs\n")), "none");
+        let artifacts = " M BENCH_executor.json\n M BENCH_multi_session.json\n";
+        assert_eq!(commit_label(Some("abc123"), Some(artifacts)), "abc123", "artifacts only");
+        let both = " M BENCH_executor.json\nM  crates/exec/src/batch.rs\n";
+        assert_eq!(commit_label(Some("abc123"), Some(both)), "abc123-dirty");
+        let nested = " M crates/bench/BENCH_x.json\n";
+        assert_eq!(commit_label(Some("abc123"), Some(nested)), "abc123-dirty", "not an artifact");
     }
 
     #[test]

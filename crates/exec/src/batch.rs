@@ -55,8 +55,8 @@ use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
 use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    value_hash, AccessKind, ColumnSegment, ColumnVec, Page, PageId, SegCache, StorageResult, Tuple,
-    Value, ValueMap, ZoneMap,
+    AccessKind, ColumnSegment, ColumnVec, Page, PageId, SegCache, StorageResult, Tuple, Value,
+    ValueMap, ZoneMap,
 };
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -863,30 +863,18 @@ fn index_scan_batched(
 }
 
 /// Hash-join build storage: the build rows column-major in arrival
-/// order (row id = arrival position) plus key → row-id buckets, split
-/// into one or more partitions by key hash. A build over an inline input
-/// uses a single partition (and never hashes); one over a pooled scan
-/// uses one partition per worker. Buckets and partitions both hash with
-/// [`specdb_storage::tuple::ValueHasher`], whose fixed constants make the
-/// partition layout the same in every run. A key lives in exactly one
-/// partition and every bucket lists its row ids in arrival order, so
-/// probe output order is identical at any partition count. Probe output
-/// references the columns by gather index instead of copying them.
+/// order (row id = arrival position) plus key → row-id buckets. Buckets
+/// hash with [`specdb_storage::tuple::ValueHasher`], whose fixed
+/// constants make the layout the same in every run, and every bucket
+/// lists its row ids in arrival order, so probe output order is the row
+/// path's. Probe output references the columns by gather index instead
+/// of copying them.
 struct JoinTable {
     cols: Vec<ColumnVec>,
-    parts: Vec<Buckets>,
+    buckets: ValueMap<Vec<u32>>,
 }
 
-type Buckets = ValueMap<Vec<u32>>;
-
 impl JoinTable {
-    fn part_of(&self, key: &Value) -> &Buckets {
-        match self.parts.len() {
-            1 => &self.parts[0],
-            n => &self.parts[(value_hash(key) % n as u64) as usize],
-        }
-    }
-
     fn row_count(&self) -> u64 {
         self.cols.first().map_or(0, |c| c.len() as u64)
     }
@@ -925,31 +913,16 @@ impl JoinTable {
 
 /// Consume the join's left input into a [`JoinTable`], returning it with
 /// the total encoded bytes of the stored rows. Rows arrive through
-/// [`run_batched`] in the same order at any thread count; a single
-/// partition fills its buckets as they arrive. When the left input is a
-/// pooled scan, the keys are kept instead and split into one partition
-/// per worker, each task walking every key in order and keeping only its
-/// hash class, so each bucket lists row ids in arrival order.
+/// [`run_batched`] in the same order at any thread count, and the buckets
+/// fill as they arrive.
 fn build_join_table(
     left: &Plan,
     lkey: usize,
     catalog: &Catalog,
     ctx: &mut ExecCtx<'_>,
 ) -> ExecResult<(JoinTable, u64)> {
-    let parts_n = match &left.node {
-        PlanNode::SeqScan { table, .. } => {
-            let t = catalog.table(table).ok_or_else(|| ExecError::UnknownTable(table.clone()))?;
-            if use_parallel(ctx, t.heap.pages(ctx.pool)) {
-                effective_workers(ctx.threads)
-            } else {
-                1
-            }
-        }
-        _ => 1,
-    };
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); left.cols.len()];
-    let mut buckets = Buckets::default();
-    let mut keys: Vec<(u64, Value)> = Vec::new();
+    let mut buckets = ValueMap::<Vec<u32>>::default();
     let mut bytes = 0u64;
     run_batched(left, catalog, ctx, &mut |b: ColumnBatch| {
         for row in 0..b.len() {
@@ -958,52 +931,15 @@ fn build_join_table(
                 continue;
             }
             bytes += b.row_encoded_len(row) as u64;
-            if parts_n == 1 {
-                buckets.entry(key.clone()).or_default().push(cols[0].len() as u32);
-            } else {
-                keys.push((value_hash(key), key.clone()));
-            }
+            buckets.entry(key.clone()).or_default().push(cols[0].len() as u32);
             for (c, col) in cols.iter_mut().enumerate() {
                 col.push(b.value(row, c).clone());
             }
         }
         Ok(())
     })?;
-    let cols: Vec<ColumnVec> = cols.into_iter().map(Arc::new).collect();
-    if parts_n == 1 {
-        return Ok((JoinTable { cols, parts: vec![buckets] }, bytes));
-    }
-    let tracer = ctx.pool.observer().tracer().clone();
-    let span_parent = tracer.current();
-    let virt_now = ctx.pool.observer().now_micros();
-    let keys = Arc::new(keys);
-    let tasks: Vec<MorselTask<Buckets>> = (0..parts_n)
-        .map(|p| {
-            let keys = Arc::clone(&keys);
-            let tracer = tracer.clone();
-            let task: MorselTask<Buckets> = Box::new(move |_abort| {
-                let span =
-                    tracer.begin_at(span_parent, SpanKind::Morsel, "join_partition", virt_now);
-                let mut buckets = Buckets::default();
-                let mut rows = 0usize;
-                for (id, (h, key)) in keys.iter().enumerate() {
-                    if (*h % parts_n as u64) as usize == p {
-                        buckets.entry(key.clone()).or_default().push(id as u32);
-                        rows += 1;
-                    }
-                }
-                span.finish_with(virt_now, |a| a.push(("rows", rows.into())));
-                Ok(buckets)
-            });
-            task
-        })
-        .collect();
-    let mut parts = Vec::with_capacity(parts_n);
-    stream_ordered(parts_n, tasks, &mut |p| {
-        parts.push(p);
-        Ok(())
-    })?;
-    Ok((JoinTable { cols, parts }, bytes))
+    let cols = cols.into_iter().map(Arc::new).collect();
+    Ok((JoinTable { cols, buckets }, bytes))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1081,7 +1017,7 @@ fn probe_columnar(
         if key.is_null() {
             continue;
         }
-        let Some(matches) = table.part_of(key).get(key) else { continue };
+        let Some(matches) = table.buckets.get(key) else { continue };
         let p = b.phys(row) as u32;
         for &id in matches {
             let pass = residual.iter().all(|&(lc, rc)| {
@@ -1413,9 +1349,9 @@ mod tests {
 
     #[test]
     fn morsel_hash_join_matches_serial() {
-        // emp as the build side makes the build itself big enough to
-        // take the partitioned path; dept as the probe side stays inline
-        // (single page), covering the mixed case too.
+        // emp as the build side makes the build input a pooled scan;
+        // dept as the probe side stays inline (single page), covering
+        // the mixed case too.
         let emp = || scan("emp", &["emp.id", "emp.dept", "emp.age"], vec![]);
         let dept = || scan("dept", &["dept.id", "dept.name"], vec![]);
         assert_parallel_agrees(&hash_join(emp(), dept(), 1, 0, vec![]));

@@ -120,8 +120,8 @@ impl std::hash::Hash for Value {
     }
 }
 
-/// A deterministic fast hasher for [`Value`] keys (hash-join buckets
-/// and partitions, aggregate groups, index probe memos).
+/// A deterministic fast hasher for [`Value`] keys (hash-join buckets,
+/// aggregate groups, index probe memos).
 ///
 /// Each written word is folded in FxHash style (rotate, xor, multiply),
 /// and [`std::hash::Hasher::finish`] applies murmur3's `fmix64`

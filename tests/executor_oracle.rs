@@ -428,7 +428,7 @@ proptest! {
 // ---------- hash-join keys that mix Int and Float ----------
 //
 // `Int(3)` and `Float(3.0)` compare equal, so they must hash equal in
-// the join's bucket map and in its partition hash; a hasher that saw
+// the join's bucket map; a hasher that saw
 // the type instead of the number would drop those matches.
 
 /// mix(k, pad): `k` is `Int(v)` or `Float(v)` by a coin flip per row,
@@ -487,9 +487,8 @@ fn mixed_int_float_join_keys_agree_across_paths() {
     let oracle = row_db.execute(&query).unwrap();
     assert!(oracle.plan.contains("HashJoin"), "plan:\n{}", oracle.plan);
     assert_eq!(oracle.row_count, expected);
-    // Four threads build a partitioned join table (both inputs span
-    // more than a morsel's worth of pages), so the partition hash is
-    // exercised too.
+    // At four threads both inputs span more than a morsel's worth of
+    // pages, so the build and the probe read pooled scans.
     for threads in [1, 4] {
         let mut db = base.clone();
         db.set_exec_mode(ExecMode::Columnar);
