@@ -77,23 +77,6 @@ impl Manipulation {
         matches!(self, Manipulation::Null)
     }
 
-    /// Base tables this manipulation will read when applied — the
-    /// relations worth warming in the segment cache before GO
-    /// ([`Database::prefetch_tables`]). Empty for `m∅`.
-    pub fn base_tables(&self) -> Vec<String> {
-        match self {
-            Manipulation::Null => Vec::new(),
-            Manipulation::DataStage { table, .. }
-            | Manipulation::CreateHistogram { table, .. }
-            | Manipulation::CreateIndex { table, .. } => vec![table.clone()],
-            Manipulation::Materialize { graph }
-            | Manipulation::Rewrite { graph }
-            | Manipulation::PredictQuery { graph } => {
-                graph.relations().map(str::to_string).collect()
-            }
-        }
-    }
-
     /// Does the current partial query still indicate this manipulation
     /// will pay off? Used both to cancel in-flight manipulations and to
     /// garbage-collect completed ones (paper Section 3.1 conventions).

@@ -201,21 +201,6 @@ impl Speculator {
                 }
             }
         }
-        // Speculative prefetch: the chosen manipulation is about to run
-        // against its base tables, so warm their segments through the
-        // background workers during the think-time window. Fire-and-
-        // forget and version-fenced — replay determinism cannot observe
-        // whether (or when) the warm-up lands; only wall-clock does.
-        let prefetched = if best.is_idle() {
-            0
-        } else {
-            let kind = if matches!(best.manipulation, Manipulation::PredictQuery { .. }) {
-                specdb_storage::PrefetchKind::Prediction
-            } else {
-                specdb_storage::PrefetchKind::Manipulation
-            };
-            db.prefetch_tables_kind(&best.manipulation.base_tables(), kind)
-        };
         span.finish_with(virt_now, |a| {
             a.push(("candidates", scored_n.into()));
             a.push(("predicted", predicted_n.into()));
@@ -223,9 +208,6 @@ impl Speculator {
             a.push(("score", best.score.into()));
             if !best.is_idle() {
                 a.push(("chosen", best.manipulation.to_string().into()));
-            }
-            if prefetched > 0 {
-                a.push(("prefetch_pages", prefetched.into()));
             }
         });
         best
@@ -328,23 +310,6 @@ mod tests {
         let s = p.selections().next().unwrap().clone();
         p2.remove_selection(&s);
         assert!(spec.should_cancel(&m, &p2));
-    }
-
-    #[test]
-    fn decision_prefetches_base_table_segments() {
-        let db = db();
-        let spec = Speculator::default();
-        assert_eq!(db.pool().seg_resident(), 0, "cache starts cold");
-        let d = spec.decide(&partial(), &db, &confident(), VirtualTime::ZERO);
-        assert!(!d.is_idle(), "fixture should speculate");
-        // The warm-up is fire-and-forget on the worker pool; poll for it.
-        for _ in 0..500 {
-            if db.pool().seg_resident() > 0 {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        panic!("prefetch never warmed the segment cache");
     }
 
     #[test]

@@ -323,65 +323,6 @@ impl Database {
         false
     }
 
-    /// Warm the segment cache for `tables`' heap pages through the
-    /// background worker pool — the speculator calls this when it picks
-    /// a manipulation, so a predicted query's segments are decoded
-    /// before GO. Purely a wall-clock optimisation: prefetch bypasses
-    /// page-read accounting ([`BufferPool::peek_page`]) and is
-    /// version-fenced against concurrent writes, so deterministic replay
-    /// is untouched whether or not (or how fast) the warm-up runs.
-    /// Returns the number of pages enqueued; `segcache.prefetch_issued`
-    /// and the kind-split `segcache.prefetch_useful.manip` /
-    /// `segcache.prefetch_useful.predict` counters record the outcome.
-    pub fn prefetch_tables(&self, tables: &[String]) -> u64 {
-        self.prefetch_tables_kind(tables, specdb_storage::PrefetchKind::Manipulation)
-    }
-
-    /// [`Database::prefetch_tables`] with an explicit [`PrefetchKind`]
-    /// label, so warm-ups issued for predicted completed queries are
-    /// accounted separately from one-step manipulation warm-ups.
-    ///
-    /// [`PrefetchKind`]: specdb_storage::PrefetchKind
-    pub fn prefetch_tables_kind(
-        &self,
-        tables: &[String],
-        kind: specdb_storage::PrefetchKind,
-    ) -> u64 {
-        /// Upper bound on pages enqueued per decision, so a huge
-        /// predicted scan cannot swamp the workers (or the cache) before
-        /// GO.
-        const PREFETCH_CAP_PAGES: usize = 512;
-        let cache = self.pool.seg_cache();
-        let version = cache.version();
-        let mut work: Vec<(specdb_storage::PageId, std::sync::Arc<specdb_storage::Page>)> =
-            Vec::new();
-        'tables: for name in tables {
-            let Some(t) = self.catalog.table(name) else { continue };
-            let heap = t.heap;
-            for page_no in 0..heap.pages(&self.pool) {
-                let pid = specdb_storage::PageId::new(heap.file, page_no);
-                if cache.contains(pid) {
-                    continue;
-                }
-                let Some(page) = self.pool.peek_page(pid) else { continue };
-                work.push((pid, page));
-                if work.len() >= PREFETCH_CAP_PAGES {
-                    break 'tables;
-                }
-            }
-        }
-        if work.is_empty() {
-            return 0;
-        }
-        let enqueued = work.len() as u64;
-        crate::parallel::WorkerPool::global().spawn(move || {
-            for (pid, page) in work {
-                cache.prefetch(pid, &page, version, kind);
-            }
-        });
-        enqueued
-    }
-
     /// Select the executor pipeline at runtime (see [`ExecMode`]). Safe
     /// at any point: both pipelines produce bit-identical results and
     /// accounting.

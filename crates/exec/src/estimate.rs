@@ -30,7 +30,7 @@
 use crate::plan::{BoundPred, Plan, PlanNode};
 use specdb_catalog::{Catalog, Histogram};
 use specdb_query::CompareOp;
-use specdb_storage::{BufferPool, DiskModel, PageId, ResourceDemand, Value, VirtualTime};
+use specdb_storage::{BufferPool, DiskModel, ResourceDemand, Value, VirtualTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -380,38 +380,6 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Pages of `table` whose retained zone maps already prove no row
-    /// can pass `filters` — the pages a fused scan will skip decoding
-    /// (`exec.pages_skipped`).
-    ///
-    /// Planning/observability metadata only: a skipped page still
-    /// charges its read and per-row CPU (zone skipping elides wall-clock
-    /// decode, not demand), so this deliberately does **not** feed the
-    /// demand numbers [`Estimator::estimate`] returns — those stay
-    /// faithful to what execution will charge. Only zones *confirmed* by
-    /// deterministic readers count ([`SegCache::confirmed_zone_maps`]);
-    /// asynchronous prefetch can never make two identical optimization
-    /// passes disagree.
-    ///
-    /// [`SegCache::confirmed_zone_maps`]: specdb_storage::SegCache::confirmed_zone_maps
-    pub fn zone_skippable_pages(&self, table: &str, filters: &[BoundPred]) -> u32 {
-        if filters.is_empty() {
-            return 0;
-        }
-        let Some(t) = self.catalog.table(table) else { return 0 };
-        let cache = self.pool.seg_cache();
-        let mut skippable = 0u32;
-        for page_no in 0..t.heap.pages(self.pool) {
-            let pid = PageId::new(t.heap.file, page_no);
-            if let Some(zones) = cache.confirmed_zone_maps(pid) {
-                if crate::batch::zones_exclude(&zones, filters) {
-                    skippable += 1;
-                }
-            }
-        }
-        skippable
-    }
-
     /// Join selectivity between two plan outputs on given key positions:
     /// resolve each key back to a stored column when the input is a scan,
     /// to use its distinct count; otherwise assume 1/10 of rows distinct.
@@ -576,28 +544,6 @@ mod tests {
         let e = Estimator::new(&cat, &pool);
         assert_eq!(e.table_size("nope"), (0.0, 0.0));
         assert_eq!(e.selectivity("nope", "x", CompareOp::Eq, &Value::Int(1)), 0.33);
-    }
-
-    #[test]
-    fn zone_skippable_pages_counts_confirmed_exclusions() {
-        let (pool, cat) = fixture();
-        let e = Estimator::new(&cat, &pool);
-        let filters = vec![BoundPred { idx: 0, op: CompareOp::Lt, value: Value::Int(100) }];
-        // Cold cache: no confirmed zones, so nothing is provably skippable.
-        assert_eq!(e.zone_skippable_pages("t", &filters), 0);
-        // Warm and confirm zones the way a scan would.
-        let heap = cat.table("t").unwrap().heap;
-        let cache = pool.seg_cache();
-        let pages = heap.pages(&pool);
-        for page_no in 0..pages {
-            let pid = PageId::new(heap.file, page_no);
-            let page = pool.peek_page(pid).unwrap();
-            cache.get_or_decode(pid, &page).unwrap();
-        }
-        // id is sorted 0..2000, so only the first page can hold id < 100.
-        assert_eq!(e.zone_skippable_pages("t", &filters), pages - 1);
-        assert_eq!(e.zone_skippable_pages("t", &[]), 0);
-        assert_eq!(e.zone_skippable_pages("nope", &filters), 0);
     }
 
     #[test]

@@ -24,8 +24,12 @@
 //! Workers are plain threads owning a job queue each (a vendored
 //! `crossbeam` channel); the pool grows on demand and is shared by every
 //! query, including speculative manipulations running through
-//! [`crate::engine::Database::materialize`]. Worker panics are caught,
-//! forwarded to the coordinator, and re-raised there after the drain.
+//! [`crate::engine::Database::materialize`]. The pool runs only morsels,
+//! and `stream_ordered` is its one submitter: every job is drained before
+//! the submitting call returns, so no pool work outlives the query that
+//! issued it. A one-thread query runs its morsels inline and starts no
+//! worker. Worker panics are caught, forwarded to the coordinator, and
+//! re-raised there after the drain.
 
 use crate::error::ExecResult;
 use crossbeam::channel;
@@ -33,7 +37,7 @@ use parking_lot::Mutex;
 use specdb_storage::StorageError;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A unit of work a worker runs: receives the driver's abort flag
@@ -48,18 +52,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// the process lifetime, each draining its own job queue.
 pub(crate) struct WorkerPool {
     senders: Mutex<Vec<channel::Sender<Job>>>,
-    /// Round-robin cursor for fire-and-forget [`WorkerPool::spawn`] jobs.
-    next_spawn: AtomicUsize,
 }
 
 impl WorkerPool {
     /// The shared pool instance.
     pub(crate) fn global() -> &'static WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(|| WorkerPool {
-            senders: Mutex::new(Vec::new()),
-            next_spawn: AtomicUsize::new(0),
-        })
+        POOL.get_or_init(|| WorkerPool { senders: Mutex::new(Vec::new()) })
     }
 
     /// Grow the pool to at least `n` workers.
@@ -84,16 +83,6 @@ impl WorkerPool {
     fn submit(&self, worker: usize, job: Job) {
         let senders = self.senders.lock();
         assert!(senders[worker % senders.len()].send(job).is_ok(), "morsel worker alive");
-    }
-
-    /// Fire-and-forget a background job on the pool (round-robin worker
-    /// choice). Used by speculative prefetch: the caller never waits for
-    /// — or observes — the job's completion, so it must only touch state
-    /// that tolerates racing with foreground queries (the segment cache).
-    pub(crate) fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.ensure(1);
-        let worker = self.next_spawn.fetch_add(1, Ordering::Relaxed);
-        self.submit(worker, Box::new(job));
     }
 }
 
@@ -378,23 +367,5 @@ mod tests {
         assert_eq!(morsel_size(64, 4), 8);
         assert_eq!(morsel_size(100_000, 4), 32, "capped so tasks stay cancellable");
         assert_eq!(morsel_size(10, 1), 8);
-    }
-
-    #[test]
-    fn spawned_jobs_run_in_the_background() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
-            let ran = Arc::clone(&ran);
-            WorkerPool::global().spawn(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        for _ in 0..500 {
-            if ran.load(Ordering::Relaxed) == 4 {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        panic!("spawned jobs never ran");
     }
 }

@@ -55,9 +55,6 @@ impl PoolMetrics {
             hit: m.counter("segcache.hit"),
             miss: m.counter("segcache.miss"),
             evict: m.counter("segcache.evictions"),
-            prefetch_issued: m.counter("segcache.prefetch_issued"),
-            prefetch_useful_manip: m.counter("segcache.prefetch_useful.manip"),
-            prefetch_useful_predict: m.counter("segcache.prefetch_useful.predict"),
             resident_bytes: m.gauge("segcache.resident_bytes"),
             decode_us: m.histogram("segcache.decode_us"),
         }
@@ -369,15 +366,6 @@ impl BufferPool {
     /// decoded segments; default [`BufferPool::SEG_BUDGET_BYTES`]).
     pub fn set_seg_budget(&mut self, pages: usize) {
         self.seg_cache.set_budget(pages * PAGE_SIZE);
-    }
-
-    /// Look at a page's current disk image **without** any buffer-pool
-    /// accounting: no frame install, no hit/miss counters, no eviction
-    /// pressure. This is the speculative-prefetch read path — prefetch
-    /// must not perturb the deterministic virtual-time replay, so it
-    /// never goes through [`BufferPool::read_page`].
-    pub fn peek_page(&self, pid: PageId) -> Option<Arc<Page>> {
-        self.disk.get(&pid).cloned()
     }
 
     /// Charge synthetic I/O that bypasses the page cache — used for

@@ -36,5 +36,5 @@ pub use disk::{DiskModel, ResourceDemand};
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, TupleId};
 pub use page::{FileId, Page, PageId, PAGE_SIZE};
-pub use segcache::{PrefetchKind, SegCache};
+pub use segcache::SegCache;
 pub use tuple::{value_hash, Tuple, Value, ValueBuildHasher, ValueMap};

@@ -9,18 +9,12 @@
 //!
 //! The cache budgets by **resident bytes** of the decoded columns (see
 //! [`ColumnSegment::bytes`]) rather than entry count, and the budget is
-//! its only admission rule: a decoded page is cached when it fits. It
-//! also retains two lightweight side structures:
-//!
-//! - **Zone maps** ([`crate::column::ZoneMap`]) survive segment
-//!   eviction: they are a few dozen bytes per page, and a retained zone
-//!   map lets a re-scan skip the page without re-decoding it.
-//! - **Prefetch marks** track pages warmed speculatively (see
-//!   [`SegCache::prefetch`]), remembering *why* each page was warmed
-//!   ([`PrefetchKind`]); a later regular lookup that hits a marked page
-//!   counts as `segcache.prefetch_useful.manip` or
-//!   `segcache.prefetch_useful.predict` depending on whether a one-step
-//!   manipulation or a whole-query prediction issued the warm-up.
+//! its only admission rule: a decoded page is cached when it fits. The
+//! cache has one fill path, [`SegCache::get_or_decode`] on a synchronous
+//! read. Beside the segments it retains **zone maps**
+//! ([`crate::column::ZoneMap`]), which survive segment eviction: they are
+//! a few dozen bytes per page, and a retained zone map lets a re-scan
+//! skip the page without re-decoding it.
 //!
 //! The cache is a wall-clock fast path only. Virtual-time I/O accounting
 //! happens in [`crate::buffer::BufferPool::read_page`] *before* any
@@ -29,11 +23,10 @@
 //! Under concurrent decodes the `segcache.hit`/`segcache.miss` counters
 //! may attribute a racing decode to two misses where a serial run would
 //! see a miss then a hit — the cached *contents* are identical either
-//! way because [`ColumnSegment::decode_page`] is deterministic.
-//! Speculative prefetch is asynchronous and guarded by a cache version:
-//! any page write or file drop bumps the version and in-flight prefetch
-//! results against the old version are discarded, so a stale page image
-//! can never enter the cache.
+//! way because [`ColumnSegment::decode_page`] is deterministic. A replay
+//! at one thread repeats the counters exactly. Every filler is a
+//! reader, and writes take `&mut BufferPool`, so no decode of a stale
+//! page image can race an invalidation.
 
 use crate::column::{ColumnSegment, ZoneMap};
 use crate::error::StorageResult;
@@ -43,18 +36,6 @@ use specdb_obs::{Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Why a page was speculatively warmed. Useful-prefetch accounting is
-/// split by kind so the observability layer can tell whether warm hits
-/// came from one-step manipulation builds or from whole-query
-/// prediction pre-execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchKind {
-    /// Warmed ahead of a one-step speculative manipulation build.
-    Manipulation,
-    /// Warmed ahead of a predicted completed query's pre-execution.
-    Prediction,
-}
-
 /// Metric handles bumped by the cache (no-ops until the pool's observer
 /// hookup, [`crate::buffer::BufferPool::set_observer`], installs them via
 /// [`SegCache::set_metrics`]).
@@ -63,25 +44,10 @@ pub(crate) struct SegMetrics {
     pub hit: Counter,
     pub miss: Counter,
     pub evict: Counter,
-    pub prefetch_issued: Counter,
-    pub prefetch_useful_manip: Counter,
-    pub prefetch_useful_predict: Counter,
     pub resident_bytes: Gauge,
     /// Wall-clock decode cost per page, microseconds. Observational
     /// only — never feeds virtual accounting.
     pub decode_us: Histogram,
-}
-
-/// A retained zone-map entry. `confirmed` means a synchronous
-/// (deterministic) code path — a regular scan or decode — has touched
-/// this page; entries populated only by asynchronous prefetch stay
-/// unconfirmed until then. Consumers that must stay deterministic
-/// across prefetch timing (the cost estimator) only read confirmed
-/// entries; scans may use either, since a zone-based skip decision is a
-/// pure function of page content.
-struct ZoneEntry {
-    zones: Arc<Vec<ZoneMap>>,
-    confirmed: bool,
 }
 
 #[derive(Default)]
@@ -89,17 +55,11 @@ struct SegCacheInner {
     map: HashMap<PageId, Arc<ColumnSegment>>,
     /// Zone maps by page, retained after segment eviction (dropped only
     /// when the page is overwritten or its file freed).
-    zones: HashMap<PageId, ZoneEntry>,
-    /// Pages inserted by speculative prefetch and not yet re-read,
-    /// tagged with the kind of speculation that warmed them.
-    prefetched: HashMap<PageId, PrefetchKind>,
+    zones: HashMap<PageId, Arc<Vec<ZoneMap>>>,
     /// Max resident bytes; a decoded page is admitted only if it fits.
     budget_bytes: usize,
     /// Resident bytes across all cached segments.
     resident_bytes: usize,
-    /// Bumped on every invalidation/file drop; in-flight prefetches
-    /// carry the version they observed and discard on mismatch.
-    version: u64,
     metrics: SegMetrics,
 }
 
@@ -115,7 +75,6 @@ impl SegCacheInner {
         match self.map.remove(&pid) {
             Some(seg) => {
                 self.resident_bytes -= seg.bytes();
-                self.prefetched.remove(&pid);
                 self.metrics.resident_bytes.set(self.resident_bytes as f64);
                 true
             }
@@ -136,15 +95,6 @@ impl SegCacheInner {
 
     fn fits(&self, seg: &ColumnSegment) -> bool {
         self.resident_bytes + seg.bytes() <= self.budget_bytes
-    }
-
-    fn put_zones(&mut self, pid: PageId, seg: &ColumnSegment, confirmed: bool) {
-        match self.zones.get_mut(&pid) {
-            Some(e) => e.confirmed |= confirmed,
-            None => {
-                self.zones.insert(pid, ZoneEntry { zones: seg.zones_arc(), confirmed });
-            }
-        }
     }
 }
 
@@ -177,22 +127,10 @@ impl SegCache {
     pub fn get_or_decode(&self, pid: PageId, page: &Page) -> StorageResult<Arc<ColumnSegment>> {
         let metrics;
         {
-            let mut inner = self.inner.lock();
+            let inner = self.inner.lock();
             if let Some(seg) = inner.map.get(&pid) {
-                let seg = Arc::clone(seg);
                 inner.metrics.hit.incr();
-                if let Some(kind) = inner.prefetched.remove(&pid) {
-                    match kind {
-                        PrefetchKind::Manipulation => inner.metrics.prefetch_useful_manip.incr(),
-                        PrefetchKind::Prediction => inner.metrics.prefetch_useful_predict.incr(),
-                    }
-                }
-                // A regular read confirms the page's zones for
-                // deterministic consumers.
-                if let Some(e) = inner.zones.get_mut(&pid) {
-                    e.confirmed = true;
-                }
-                return Ok(seg);
+                return Ok(Arc::clone(seg));
             }
             inner.metrics.miss.incr();
             metrics = inner.metrics.clone();
@@ -201,7 +139,7 @@ impl SegCache {
         let seg = Arc::new(ColumnSegment::decode_page(page)?);
         metrics.decode_us.record(t0.elapsed().as_micros() as f64);
         let mut inner = self.inner.lock();
-        inner.put_zones(pid, &seg, true);
+        inner.zones.entry(pid).or_insert_with(|| seg.zones_arc());
         if inner.fits(&seg) {
             if let Some(existing) = inner.map.get(&pid) {
                 return Ok(Arc::clone(existing));
@@ -211,77 +149,21 @@ impl SegCache {
         Ok(seg)
     }
 
-    /// Speculatively warm `pid`: decode and cache it ahead of a
-    /// predicted query, without touching hit/miss accounting. `version`
-    /// must be [`SegCache::version`] observed when the page image was
-    /// captured; if the cache has been invalidated since, the result is
-    /// discarded (the image may be stale). `kind` records whether a
-    /// manipulation or a whole-query prediction is warming the page, so
-    /// a later useful hit is attributed to the right counter. Returns
-    /// `true` if the page was newly warmed.
-    pub fn prefetch(&self, pid: PageId, page: &Page, version: u64, kind: PrefetchKind) -> bool {
-        let metrics;
-        {
-            let inner = self.inner.lock();
-            if inner.version != version || inner.map.contains_key(&pid) {
-                return false;
-            }
-            metrics = inner.metrics.clone();
-        }
-        metrics.prefetch_issued.incr();
-        let t0 = std::time::Instant::now();
-        let Ok(seg) = ColumnSegment::decode_page(page) else {
-            return false;
-        };
-        let seg = Arc::new(seg);
-        metrics.decode_us.record(t0.elapsed().as_micros() as f64);
-        let mut inner = self.inner.lock();
-        if inner.version != version || inner.map.contains_key(&pid) {
-            return false;
-        }
-        inner.put_zones(pid, &seg, false);
-        if inner.fits(&seg) {
-            inner.insert(pid, &seg);
-            inner.prefetched.insert(pid, kind);
-            return true;
-        }
-        false
-    }
-
     /// True if `pid`'s segment is currently resident.
     pub fn contains(&self, pid: PageId) -> bool {
         self.inner.lock().map.contains_key(&pid)
     }
 
-    /// Current invalidation version (pair with [`SegCache::prefetch`]).
-    pub fn version(&self) -> u64 {
-        self.inner.lock().version
-    }
-
     /// Retained zone maps for `pid`, if any — available even after the
-    /// segment itself was evicted. Calling this from a scan confirms
-    /// the entry (scans are deterministic readers).
+    /// segment itself was evicted.
     pub fn zone_maps(&self, pid: PageId) -> Option<Arc<Vec<ZoneMap>>> {
-        let mut inner = self.inner.lock();
-        inner.zones.get_mut(&pid).map(|e| {
-            e.confirmed = true;
-            Arc::clone(&e.zones)
-        })
-    }
-
-    /// Zone maps for `pid` only if a deterministic (non-prefetch) path
-    /// has touched the page — safe for cost estimation, which must not
-    /// vary with asynchronous prefetch timing.
-    pub fn confirmed_zone_maps(&self, pid: PageId) -> Option<Arc<Vec<ZoneMap>>> {
-        let inner = self.inner.lock();
-        inner.zones.get(&pid).filter(|e| e.confirmed).map(|e| Arc::clone(&e.zones))
+        self.inner.lock().zones.get(&pid).cloned()
     }
 
     /// Drop the cached decode of `pid` (its page image was overwritten).
-    /// Its zone maps go with it, and in-flight prefetches are fenced.
+    /// Its zone maps go with it.
     pub(crate) fn invalidate(&self, pid: PageId) {
         let mut inner = self.inner.lock();
-        inner.version += 1;
         inner.zones.remove(&pid);
         if inner.forget(pid) {
             inner.metrics.evict.incr();
@@ -293,7 +175,6 @@ impl SegCache {
     /// `FileId`s are reused, so nothing may survive.
     pub(crate) fn drop_file(&self, file: FileId) {
         let mut inner = self.inner.lock();
-        inner.version += 1;
         inner.zones.retain(|pid, _| pid.file != file);
         inner.evict_where(|pid| pid.file != file);
     }
@@ -328,17 +209,9 @@ impl SegCache {
         SegCache {
             inner: Mutex::new(SegCacheInner {
                 map: inner.map.clone(),
-                zones: inner
-                    .zones
-                    .iter()
-                    .map(|(pid, e)| {
-                        (*pid, ZoneEntry { zones: Arc::clone(&e.zones), confirmed: e.confirmed })
-                    })
-                    .collect(),
-                prefetched: inner.prefetched.clone(),
+                zones: inner.zones.clone(),
                 budget_bytes: inner.budget_bytes,
                 resident_bytes: inner.resident_bytes,
-                version: inner.version,
                 metrics: inner.metrics.clone(),
             }),
         }
@@ -421,8 +294,6 @@ mod tests {
         let page = one_row_page(7);
         cache.get_or_decode(pid, &page).unwrap();
         assert_eq!(cache.resident(), 0, "budget 0 admits nothing");
-        let v = cache.version();
-        assert!(!cache.prefetch(pid, &page, v, PrefetchKind::Manipulation), "nor a prefetch");
         cache.set_budget(usize::MAX);
         cache.get_or_decode(pid, &page).unwrap();
         assert_eq!(cache.resident(), 1, "a page that fits is admitted");
@@ -462,37 +333,6 @@ mod tests {
         assert_eq!(zones[0].max, Some(Value::Int(49)));
         // A write to the page drops them (content changed).
         cache.invalidate(pid);
-        assert!(cache.zone_maps(pid).is_none());
-    }
-
-    #[test]
-    fn prefetch_warms_and_marks_pages() {
-        let cache = SegCache::new(usize::MAX);
-        let pid = PageId::new(FileId(4), 0);
-        let page = wide_page(20);
-        let v = cache.version();
-        assert!(cache.prefetch(pid, &page, v, PrefetchKind::Manipulation));
-        assert!(cache.contains(pid));
-        assert!(!cache.prefetch(pid, &page, v, PrefetchKind::Prediction), "already resident");
-        // Prefetch-only zones are unconfirmed: estimators must not see
-        // them until a regular read lands.
-        assert!(cache.confirmed_zone_maps(pid).is_none());
-        cache.get_or_decode(pid, &page).unwrap();
-        assert!(cache.confirmed_zone_maps(pid).is_some());
-    }
-
-    #[test]
-    fn stale_prefetch_is_discarded() {
-        let cache = SegCache::new(usize::MAX);
-        let pid = PageId::new(FileId(5), 0);
-        let v = cache.version();
-        // A write lands between page capture and the prefetch decode.
-        cache.invalidate(pid);
-        assert!(
-            !cache.prefetch(pid, &wide_page(20), v, PrefetchKind::Manipulation),
-            "stale version must be fenced"
-        );
-        assert!(!cache.contains(pid));
         assert!(cache.zone_maps(pid).is_none());
     }
 }

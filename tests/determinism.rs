@@ -157,6 +157,31 @@ fn replay_identical_with_tracing_on_and_off() {
     }
 }
 
+/// The decoded-segment cache fills only on a synchronous read, so at one
+/// worker thread its hit, miss and eviction counters repeat exactly from
+/// run to run under the `solo_think` benchmark's configuration. (With
+/// pooled decodes two racing workers may each count a miss.)
+#[test]
+fn segcache_counters_repeat_at_one_thread() {
+    use specdb::obs::Observer;
+    let base = build_base_db(&DatasetSpec::tiny()).unwrap();
+    let trace = UserModel::default().generate("u", 1234);
+    let (_, cfg, mode) =
+        caller_configs().into_iter().find(|(name, ..)| *name == "solo_think").unwrap();
+    let run = || {
+        let mut db = base.clone();
+        db.set_threads(1);
+        db.set_match_mode(mode);
+        db.set_observer(Observer::enabled());
+        replay_trace(&mut db, &trace, &cfg).unwrap();
+        let snap = db.observer().metrics().snapshot();
+        ["segcache.hit", "segcache.miss", "segcache.evictions"].map(|c| snap.counter(c))
+    };
+    let first = run();
+    assert!(first[0] + first[1] > 0, "replay must read through the segment cache");
+    assert_eq!(first, run(), "segment-cache counters (hit, miss, evictions) diverged");
+}
+
 /// Whole-query prediction keeps the determinism contract: for each
 /// setting of the predictor knob a full speculative replay is
 /// bit-identical across repeat runs and worker-thread counts, and
