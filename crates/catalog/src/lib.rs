@@ -27,4 +27,4 @@ pub use index::{BatchProber, OrderedIndex};
 pub use registry::Catalog;
 pub use schema::{ColumnDef, DataType, Schema};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{Table, TableId};
+pub use table::Table;

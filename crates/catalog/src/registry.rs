@@ -4,7 +4,7 @@ use crate::histogram::Histogram;
 use crate::index::OrderedIndex;
 use crate::schema::Schema;
 use crate::stats::TableStats;
-use crate::table::{Table, TableId};
+use crate::table::Table;
 use specdb_storage::{BufferPool, HeapFile, StorageResult};
 use std::collections::HashMap;
 
@@ -15,10 +15,8 @@ type ColKey = (String, String);
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
-    by_id: HashMap<TableId, String>,
     indexes: HashMap<ColKey, OrderedIndex>,
     histograms: HashMap<ColKey, Histogram>,
-    next_id: u32,
 }
 
 impl Catalog {
@@ -27,34 +25,23 @@ impl Catalog {
         Self::default()
     }
 
-    /// Register a table backed by an existing heap file. Returns its id.
-    /// Replaces any previous table of the same name (the old table's
-    /// storage is *not* freed here; callers own that decision).
+    /// Register a table backed by an existing heap file. Replaces any
+    /// previous table of the same name (the old table's storage is *not*
+    /// freed here; callers own that decision).
     pub fn register(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
         heap: HeapFile,
         stats: TableStats,
-        is_materialized: bool,
-    ) -> TableId {
+    ) {
         let name = name.into();
-        let id = TableId(self.next_id);
-        self.next_id += 1;
-        self.by_id.insert(id, name.clone());
-        self.tables
-            .insert(name.clone(), Table { id, name, schema, heap, stats, is_materialized });
-        id
+        self.tables.insert(name.clone(), Table { name, schema, heap, stats });
     }
 
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
-    }
-
-    /// Look up a table by id.
-    pub fn table_by_id(&self, id: TableId) -> Option<&Table> {
-        self.by_id.get(&id).and_then(|n| self.tables.get(n))
     }
 
     /// All table names (unordered).
@@ -65,7 +52,6 @@ impl Catalog {
     /// Remove a table and its auxiliary structures, freeing storage.
     pub fn drop_table(&mut self, pool: &mut BufferPool, name: &str) -> Option<Table> {
         let table = self.tables.remove(name)?;
-        self.by_id.remove(&table.id);
         let keys: Vec<ColKey> = self.indexes.keys().filter(|(t, _)| t == name).cloned().collect();
         for k in keys {
             if let Some(idx) = self.indexes.remove(&k) {
@@ -93,11 +79,6 @@ impl Catalog {
     /// Index on `(table, column)`, if any.
     pub fn index(&self, table: &str, column: &str) -> Option<&OrderedIndex> {
         self.indexes.get(&(table.to_string(), column.to_string()))
-    }
-
-    /// True if any index exists on the table.
-    pub fn has_any_index(&self, table: &str) -> bool {
-        self.indexes.keys().any(|(t, _)| t == table)
     }
 
     /// Install a histogram on `(table, column)`.
@@ -160,15 +141,6 @@ impl Catalog {
     pub fn drop_histogram(&mut self, table: &str, column: &str) {
         self.histograms.remove(&(table.to_string(), column.to_string()));
     }
-
-    /// Names of materialized tables (speculation results), for GC sweeps.
-    pub fn materialized_names(&self) -> Vec<String> {
-        self.tables
-            .values()
-            .filter(|t| t.is_materialized)
-            .map(|t| t.name.clone())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +164,7 @@ mod tests {
             ColumnDef::new("id", DataType::Int),
             ColumnDef::new("grp", DataType::Int),
         ]);
-        cat.register("t", schema, heap, stats, false);
+        cat.register("t", schema, heap, stats);
         (pool, cat)
     }
 
@@ -201,16 +173,13 @@ mod tests {
         let (_, cat) = setup();
         let t = cat.table("t").unwrap();
         assert_eq!(t.stats.rows, 200);
-        assert_eq!(cat.table_by_id(t.id).unwrap().name, "t");
         assert!(cat.table("missing").is_none());
     }
 
     #[test]
     fn build_and_use_index() {
         let (mut pool, mut cat) = setup();
-        assert!(!cat.has_any_index("t"));
         cat.build_index(&mut pool, "t", "grp").unwrap();
-        assert!(cat.has_any_index("t"));
         let idx = cat.index("t", "grp").unwrap();
         let rids = idx.lookup_eq(&mut pool, &Value::Int(3)).unwrap();
         assert_eq!(rids.len(), 20);
@@ -235,19 +204,5 @@ mod tests {
         assert!(cat.table("t").is_none());
         assert!(cat.index("t", "grp").is_none());
         assert!(cat.histogram("t", "id").is_none());
-    }
-
-    #[test]
-    fn materialized_names_filter() {
-        let (mut pool, mut cat) = setup();
-        let heap = HeapFile::create(&mut pool);
-        cat.register(
-            "mv_1",
-            Schema::new(vec![ColumnDef::new("a", DataType::Int)]),
-            heap,
-            TableStats::empty(1),
-            true,
-        );
-        assert_eq!(cat.materialized_names(), vec!["mv_1".to_string()]);
     }
 }

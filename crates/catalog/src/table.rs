@@ -5,15 +5,9 @@ use crate::stats::TableStats;
 use serde::{Deserialize, Serialize};
 use specdb_storage::HeapFile;
 
-/// Stable identifier of a table within a catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TableId(pub u32);
-
 /// A table: name, schema, storage, statistics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
-    /// Stable id.
-    pub id: TableId,
     /// Unique name within the catalog.
     pub name: String,
     /// Column layout.
@@ -22,37 +16,4 @@ pub struct Table {
     pub heap: HeapFile,
     /// Statistics gathered at load time.
     pub stats: TableStats,
-    /// True for materialized results created by speculation (these are
-    /// subject to the paper's garbage-collection heuristic).
-    pub is_materialized: bool,
-}
-
-impl Table {
-    /// Rows per page, derived from stats (at least 1).
-    pub fn rows_per_page(&self) -> u64 {
-        self.stats.rows.checked_div(self.stats.pages).unwrap_or(1).max(1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::schema::{ColumnDef, DataType};
-    use specdb_storage::{BufferPool, FileId};
-
-    #[test]
-    fn rows_per_page_handles_empty() {
-        let mut pool = BufferPool::new(8);
-        let heap = HeapFile::create(&mut pool);
-        let t = Table {
-            id: TableId(0),
-            name: "t".into(),
-            schema: Schema::new(vec![ColumnDef::new("a", DataType::Int)]),
-            heap,
-            stats: TableStats::empty(1),
-            is_materialized: false,
-        };
-        assert_eq!(t.rows_per_page(), 1);
-        assert_eq!(t.heap.file, FileId(0));
-    }
 }

@@ -109,7 +109,7 @@ impl CostModel {
             Manipulation::DataStage { table, pages } => {
                 self.score_stage(table, *pages, db, profile, elapsed)
             }
-            Manipulation::Materialize { graph } | Manipulation::Rewrite { graph } => {
+            Manipulation::Rewrite { graph } => {
                 self.score_materialization(graph, db, profile, elapsed)
             }
             Manipulation::CreateIndex { table, column } => {

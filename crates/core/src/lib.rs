@@ -9,8 +9,11 @@
 //! infinite universe of possible final queries); and a **Learner** builds
 //! a per-user profile supplying the probability terms.
 //!
-//! * [`manipulation`] — the five operation types (null, histogram
-//!   creation, index creation, query materialization, query rewriting),
+//! * [`manipulation`] — the paper's operation types (null, histogram
+//!   creation, index creation, data staging, and one materialization
+//!   manipulation: whether it acts as the paper's query materialization
+//!   or query rewriting is the database's `ViewMode`), plus whole-query
+//!   prediction,
 //! * [`space`] — candidate enumeration over the current partial query,
 //! * [`cost_model`] — `Cost⊆(m) = f⊆(qm)·(cost(qm,m) − cost(qm,m∅))`,
 //!   with the depth-n extension and a completion-probability factor,

@@ -5,6 +5,13 @@
 //! unimplementable over the paper's closed DBMS; this engine pins buffer
 //! pages natively, so staging is fully supported here (off by default to
 //! mirror the paper's experiments; see `SpaceConfig::staging`).
+//!
+//! The paper's *query materialization* and *query rewriting* build the
+//! same thing, a materialized sub-query; they differ only in whether the
+//! optimizer may ignore the result at GO. That choice belongs to the
+//! database ([`specdb_exec::ViewMode`]: `CostBased` is materialization,
+//! `Forced`, the default, is rewriting), so one manipulation,
+//! [`Manipulation::Rewrite`], carries both.
 
 use specdb_exec::Database;
 use specdb_query::QueryGraph;
@@ -36,20 +43,16 @@ pub enum Manipulation {
         /// Attribute.
         column: String,
     },
-    /// Materialize a sub-query; the optimizer *may* use the result.
-    Materialize {
+    /// Materialize a sub-query. Whether GO must substitute the result
+    /// or may cost it against the original is the database's
+    /// [`specdb_exec::ViewMode`].
+    Rewrite {
         /// Sub-query to materialize (a sub-graph of the partial query).
         graph: QueryGraph,
     },
-    /// Materialize a sub-query; the result is *always* substituted into
-    /// containing final queries (the paper's experimental configuration).
-    Rewrite {
-        /// Sub-query to materialize.
-        graph: QueryGraph,
-    },
     /// Pre-execute a *predicted completed query* during think time
-    /// (whole-query speculation, ROADMAP item 2). Unlike the
-    /// materialization manipulations above, the graph is usually a
+    /// (whole-query speculation, ROADMAP item 2). Unlike
+    /// [`Manipulation::Rewrite`], the graph is usually a
     /// *superset* of the current partial query — the predictor's guess
     /// at what the user will eventually GO with. An exact hit serves
     /// the GO instantly; a near miss can still be salvaged through the
@@ -61,13 +64,11 @@ pub enum Manipulation {
 }
 
 impl Manipulation {
-    /// The materialized sub-query `qm`, when this manipulation is a
-    /// materialization of either flavour.
+    /// The materialized sub-query `qm`, when this manipulation
+    /// materializes one.
     pub fn graph(&self) -> Option<&QueryGraph> {
         match self {
-            Manipulation::Materialize { graph }
-            | Manipulation::Rewrite { graph }
-            | Manipulation::PredictQuery { graph } => Some(graph),
+            Manipulation::Rewrite { graph } | Manipulation::PredictQuery { graph } => Some(graph),
             _ => None,
         }
     }
@@ -91,9 +92,7 @@ impl Manipulation {
                         .joins_on(table)
                         .any(|j| j.other(table).map(|(c, _, _)| c == column).unwrap_or(false))
             }
-            Manipulation::Materialize { graph } | Manipulation::Rewrite { graph } => {
-                partial.contains(graph)
-            }
+            Manipulation::Rewrite { graph } => partial.contains(graph),
             // Containment is *reversed* for predictions: the build stays
             // plausible while the evolving partial stays inside the
             // predicted future. Extra partial selections never cancel —
@@ -113,9 +112,9 @@ impl Manipulation {
             Manipulation::DataStage { table, .. } => db.is_staged(table),
             Manipulation::CreateHistogram { table, column } => db.has_histogram(table, column),
             Manipulation::CreateIndex { table, column } => db.has_index(table, column),
-            Manipulation::Materialize { graph }
-            | Manipulation::Rewrite { graph }
-            | Manipulation::PredictQuery { graph } => db.has_view(graph),
+            Manipulation::Rewrite { graph } | Manipulation::PredictQuery { graph } => {
+                db.has_view(graph)
+            }
         }
     }
 
@@ -126,7 +125,6 @@ impl Manipulation {
             Manipulation::DataStage { .. } => "stage",
             Manipulation::CreateHistogram { .. } => "histogram",
             Manipulation::CreateIndex { .. } => "index",
-            Manipulation::Materialize { .. } => "materialize",
             Manipulation::Rewrite { .. } => "rewrite",
             Manipulation::PredictQuery { .. } => "predict",
         }
@@ -142,7 +140,6 @@ impl fmt::Display for Manipulation {
                 write!(f, "histogram({table}.{column})")
             }
             Manipulation::CreateIndex { table, column } => write!(f, "index({table}.{column})"),
-            Manipulation::Materialize { graph } => write!(f, "materialize{graph}"),
             Manipulation::Rewrite { graph } => write!(f, "rewrite{graph}"),
             Manipulation::PredictQuery { graph } => write!(f, "predict{graph}"),
         }
@@ -236,6 +233,6 @@ mod tests {
     #[test]
     fn kind_labels() {
         assert_eq!(Manipulation::Null.kind(), "null");
-        assert_eq!(Manipulation::Materialize { graph: QueryGraph::new() }.kind(), "materialize");
+        assert_eq!(Manipulation::Rewrite { graph: QueryGraph::new() }.kind(), "rewrite");
     }
 }

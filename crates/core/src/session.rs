@@ -80,9 +80,7 @@ fn apply_manipulation_inner(
         Manipulation::CreateIndex { table, column } => {
             Ok((db.create_index(table, column)?.elapsed, None))
         }
-        Manipulation::Materialize { graph }
-        | Manipulation::Rewrite { graph }
-        | Manipulation::PredictQuery { graph } => {
+        Manipulation::Rewrite { graph } | Manipulation::PredictQuery { graph } => {
             let out = db.materialize(graph, cancel)?;
             Ok((out.elapsed, Some(out.table)))
         }

@@ -115,12 +115,6 @@ impl ColumnBatch {
         ColumnBatch { cols: cols.into_iter().map(Col::plain).collect(), sel: None, rows }
     }
 
-    /// Batch over every column of a decoded page segment (see
-    /// `ColumnBatch::from_segment_keep` for the projecting scan path).
-    pub fn from_segment(seg: &ColumnSegment) -> Self {
-        ColumnBatch::new(seg.cols())
-    }
-
     /// Batch over only the `keep` columns of a segment (`None` keeps
     /// all), sharing the segment's column vectors with every batch over
     /// the page.
@@ -1227,7 +1221,6 @@ mod tests {
             ]),
             emp_heap,
             emp_stats,
-            false,
         );
         let dept_heap = HeapFile::create(&mut pool);
         let mut loader = BulkLoader::new();
@@ -1246,7 +1239,6 @@ mod tests {
             ]),
             dept_heap,
             dept_stats,
-            false,
         );
         // proj.lead (an emp id) is NULL on every fourth row and proj.dept
         // on every fifth: NULL join keys and NULL residual columns.
@@ -1269,7 +1261,6 @@ mod tests {
             ]),
             proj_heap,
             proj_stats,
-            false,
         );
         (pool, cat)
     }

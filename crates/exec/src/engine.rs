@@ -430,7 +430,7 @@ impl Database {
     pub fn create_table(&mut self, name: &str, schema: Schema) -> ExecResult<()> {
         let heap = HeapFile::create(&mut self.pool);
         let arity = schema.arity();
-        self.catalog.register(name, schema, heap, TableStats::empty(arity), false);
+        self.catalog.register(name, schema, heap, TableStats::empty(arity));
         self.bump_ddl_epoch();
         Ok(())
     }
@@ -466,8 +466,7 @@ impl Database {
         loader.finish(&mut self.pool, heap)?;
         let stats = TableStats::analyze(&mut self.pool, heap, schema.arity())?;
         // Re-register with fresh stats (same heap, same schema).
-        let is_mat = self.catalog.table(name).map(|t| t.is_materialized).unwrap_or(false);
-        self.catalog.register(name, schema, heap, stats, is_mat);
+        self.catalog.register(name, schema, heap, stats);
         self.bump_ddl_epoch();
         Ok(self.outcome_since(snap))
     }
@@ -843,7 +842,7 @@ impl Database {
         let pages = heap.pages(&self.pool) as u64;
         let name = format!("mv_{}", specdb_query::short_digest_of_key(&graph_key));
         let stats = TableStats::analyze(&mut self.pool, heap, schema.arity())?;
-        self.catalog.register(&name, schema, heap, stats, true);
+        self.catalog.register(&name, schema, heap, stats);
         self.views
             .register_with_key(graph_key, ViewDef { name: name.clone(), graph: graph.clone() });
         self.bump_ddl_epoch();

@@ -31,8 +31,6 @@ use crate::plan::{BoundPred, Plan, PlanNode};
 use specdb_catalog::{Catalog, Histogram};
 use specdb_query::CompareOp;
 use specdb_storage::{BufferPool, DiskModel, ResourceDemand, Value, VirtualTime};
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// Estimated output cardinality and resource demand of a plan.
@@ -96,41 +94,22 @@ impl CostEstimate {
 
 /// Statistics-driven estimator over a catalog snapshot.
 ///
-/// An instance lives for one optimization pass over one catalog state, so
-/// it memoizes per-(table, predicate) selectivities and per-subplan cost
-/// estimates without any invalidation scheme: the greedy join-order
-/// search and the access-path and join-method choices re-visit the same
-/// scan and join subplans many times.
+/// Every estimate is a pure function of the catalog and pool it borrows,
+/// recomputed on each call. It keeps no memo: rendering a string key per
+/// predicate and per subplan cost more than the arithmetic it saved.
 pub struct Estimator<'a> {
     catalog: &'a Catalog,
     pool: &'a BufferPool,
-    sel_memo: RefCell<HashMap<String, f64>>,
-    est_memo: RefCell<HashMap<String, CostEstimate>>,
 }
 
 impl<'a> Estimator<'a> {
     /// Construct over the current catalog and pool.
     pub fn new(catalog: &'a Catalog, pool: &'a BufferPool) -> Self {
-        Estimator {
-            catalog,
-            pool,
-            sel_memo: RefCell::new(HashMap::new()),
-            est_memo: RefCell::new(HashMap::new()),
-        }
+        Estimator { catalog, pool }
     }
 
-    /// Selectivity of `table.column op value` (memoized per instance).
+    /// Selectivity of `table.column op value`.
     pub fn selectivity(&self, table: &str, column: &str, op: CompareOp, value: &Value) -> f64 {
-        let key = format!("{table}|{column}|{}|{value}", op.sql());
-        if let Some(&s) = self.sel_memo.borrow().get(&key) {
-            return s;
-        }
-        let s = self.selectivity_uncached(table, column, op, value);
-        self.sel_memo.borrow_mut().insert(key, s);
-        s
-    }
-
-    fn selectivity_uncached(&self, table: &str, column: &str, op: CompareOp, value: &Value) -> f64 {
         let own = self.catalog.histogram(table, column);
         if let Some(s) = own.and_then(|h| histogram_selectivity(h, None, op, value)) {
             return s;
@@ -237,22 +216,8 @@ impl<'a> Estimator<'a> {
         (below_hi - below_lo).clamp(0.0, 1.0)
     }
 
-    /// Recursively estimate a plan (memoized per instance: the join-order
-    /// search estimates the same subplans repeatedly).
+    /// Recursively estimate a plan.
     pub fn estimate(&self, plan: &Plan) -> CostEstimate {
-        // Plan trees are pure data with a complete `Debug` rendering, so
-        // the rendering doubles as a structural memo key; `cols.len()`
-        // joins it because the hash-join width heuristic reads it.
-        let key = format!("{}|{:?}", plan.cols.len(), plan.node);
-        if let Some(&e) = self.est_memo.borrow().get(&key) {
-            return e;
-        }
-        let e = self.estimate_uncached(plan);
-        self.est_memo.borrow_mut().insert(key, e);
-        e
-    }
-
-    fn estimate_uncached(&self, plan: &Plan) -> CostEstimate {
         match &plan.node {
             PlanNode::SeqScan { table, filters } => {
                 let (rows, pages) = self.table_size(table);
@@ -289,7 +254,7 @@ impl<'a> Estimator<'a> {
             PlanNode::HashJoin { left, right, lkey, rkey, residual } => {
                 let l = self.estimate(left);
                 let r = self.estimate(right);
-                let sel = self.key_join_selectivity(left, *lkey, right, *rkey);
+                let sel = self.key_join_selectivity((left, *lkey, l.rows), (right, *rkey, r.rows));
                 let res_sel = 0.1f64.powi(residual.len() as i32).max(1e-9);
                 // Hybrid hash spill estimate: the overflow fraction of
                 // both inputs pays one extra write+read pass.
@@ -380,21 +345,22 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Join selectivity between two plan outputs on given key positions:
-    /// resolve each key back to a stored column when the input is a scan,
-    /// to use its distinct count; otherwise assume 1/10 of rows distinct.
-    fn key_join_selectivity(&self, left: &Plan, lkey: usize, right: &Plan, rkey: usize) -> f64 {
-        let d = |p: &Plan, key: usize| -> u64 {
+    /// Join selectivity between two plan inputs, each given as `(plan, key
+    /// position, estimated rows)`: resolve each key back to a stored column
+    /// when the input is a scan, to use its distinct count; otherwise
+    /// assume 1/10 of the input's estimated rows distinct.
+    fn key_join_selectivity(&self, left: (&Plan, usize, f64), right: (&Plan, usize, f64)) -> f64 {
+        let d = |(p, key, rows): (&Plan, usize, f64)| -> u64 {
             match &p.node {
                 PlanNode::SeqScan { table, .. } | PlanNode::IndexScan { table, .. } => self
                     .catalog
                     .table(table)
                     .map(|t| t.stats.columns.get(key).map(|c| c.distinct).unwrap_or(1))
                     .unwrap_or(1),
-                _ => (self.estimate(p).rows / 10.0).max(1.0) as u64,
+                _ => (rows / 10.0).max(1.0) as u64,
             }
         };
-        self.join_selectivity_from_distinct(d(left, lkey), d(right, rkey))
+        self.join_selectivity_from_distinct(d(left), d(right))
     }
 }
 
@@ -464,7 +430,7 @@ mod tests {
         loader.finish(pool, heap).unwrap();
         let stats = TableStats::analyze(pool, heap, cols.len()).unwrap();
         let schema = Schema::new(cols.iter().map(|c| ColumnDef::new(*c, DataType::Int)).collect());
-        cat.register(name, schema, heap, stats, name.starts_with("mv"));
+        cat.register(name, schema, heap, stats);
     }
 
     #[test]

@@ -445,7 +445,6 @@ mod tests {
             ]),
             orders,
             stats,
-            false,
         );
         let cust = HeapFile::create(&mut pool);
         let mut loader = BulkLoader::new();
@@ -462,7 +461,6 @@ mod tests {
             ]),
             cust,
             stats,
-            false,
         );
         (pool, cat)
     }
@@ -521,7 +519,6 @@ mod tests {
             ]),
             heap,
             stats,
-            false,
         );
         cat.build_index(&mut pool, "big", "id").unwrap();
         let disk = DiskModel::default();

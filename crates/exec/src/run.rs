@@ -449,7 +449,6 @@ mod tests {
             ]),
             emp_heap,
             emp_stats,
-            false,
         );
         let dept_heap = HeapFile::create(&mut pool);
         let mut loader = BulkLoader::new();
@@ -468,7 +467,6 @@ mod tests {
             ]),
             dept_heap,
             dept_stats,
-            false,
         );
         (pool, cat)
     }
@@ -708,7 +706,6 @@ mod tests {
             ]),
             heap,
             stats,
-            false,
         );
         let l = scan("big", &["l.id", "l.grp"], vec![]);
         let r = scan("big", &["r.id", "r.grp"], vec![]);
@@ -746,13 +743,7 @@ mod tests {
         loader.push(&Tuple::new(vec![Value::Int(1)])).unwrap();
         loader.finish(&mut pool, heap).unwrap();
         let stats = TableStats::analyze(&mut pool, heap, 1).unwrap();
-        cat.register(
-            "n",
-            Schema::new(vec![ColumnDef::new("k", DataType::Int)]),
-            heap,
-            stats,
-            false,
-        );
+        cat.register("n", Schema::new(vec![ColumnDef::new("k", DataType::Int)]), heap, stats);
         let l = scan("n", &["l.k"], vec![]);
         let r = scan("n", &["r.k"], vec![]);
         let join = Plan {

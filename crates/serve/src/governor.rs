@@ -101,9 +101,9 @@ pub struct GovernorStats {
 ///
 /// let gov = Governor::new(GovernorConfig { max_outstanding: 1, preempt: true });
 /// // Session 1's build takes the only slot.
-/// assert_eq!(gov.admit(1, 2.0, "materialize{a}"), Admission::Admit);
+/// assert_eq!(gov.admit(1, 2.0, "rewrite{a}"), Admission::Admit);
 /// // A weaker candidate from session 2 is denied...
-/// assert_eq!(gov.admit(2, 1.0, "materialize{b}"), Admission::Deny);
+/// assert_eq!(gov.admit(2, 1.0, "rewrite{b}"), Admission::Deny);
 /// // ...but a stronger one from session 3 preempts session 1.
 /// assert_eq!(gov.admit(3, 5.0, "predict{c}"), Admission::Preempt(1));
 /// gov.finish(3);
@@ -308,8 +308,8 @@ mod tests {
         let g = gov(2, true);
         // Two in-flight builds at exactly the same priority: the victim
         // must be the lower session id regardless of insertion order.
-        g.admit(7, 1.0, "materialize{z}");
-        g.admit(3, 1.0, "materialize{a}");
+        g.admit(7, 1.0, "rewrite{z}");
+        g.admit(3, 1.0, "rewrite{a}");
         assert_eq!(g.admit(9, 2.0, "c"), Admission::Preempt(3), "lowest session id loses the tie");
         // Refill and preempt again: now 7 (the remaining equal-priority
         // build) is the deterministic victim.

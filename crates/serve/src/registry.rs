@@ -394,7 +394,7 @@ mod tests {
     ) -> String {
         let key = Database::graph_key(g);
         assert!(registry.claim(&key, owner));
-        let manipulation = Manipulation::Materialize { graph: g.clone() };
+        let manipulation = Manipulation::Rewrite { graph: g.clone() };
         let applied = apply_manipulation(db, &manipulation, CancelToken::new()).unwrap();
         let table = applied.table.clone().unwrap();
         let bet = Bet {

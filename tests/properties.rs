@@ -338,3 +338,84 @@ proptest! {
         );
     }
 }
+
+// ---------- replay protocol ----------
+
+/// A tiny TPC-H database with every join of at most `max_subset`
+/// relations pre-materialized (none below 2).
+fn replay_base(max_subset: usize) -> Database {
+    use specdb::sim::{build_base_db, materialize_subset_joins_up_to, DatasetSpec};
+    let mut db = build_base_db(&DatasetSpec::tiny()).unwrap();
+    materialize_subset_joins_up_to(&mut db, max_subset).unwrap();
+    db
+}
+
+fn sorted<'a>(names: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut v: Vec<String> = names.map(str::to_string).collect();
+    v.sort();
+    v
+}
+
+fn view_names(db: &Database) -> Vec<String> {
+    sorted(db.views().iter().map(|v| v.name.as_str()))
+}
+
+// Speculation's bookkeeping settles on any cohort: every issued build
+// completes or is cancelled, every GO answers as normal processing does,
+// and neither replay drops a view it did not build.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn replay_bookkeeping_holds_on_random_cohorts(
+        seed in any::<u64>(),
+        queries in prop::collection::vec(2usize..5, 1..=3),
+        budget in 1usize..=2,
+        predict in any::<bool>(),
+        max_subset in 0usize..=2,
+    ) {
+        use specdb::serve::GovernorConfig;
+        use specdb::sim::{replay_multi_session, replay_trace, MultiSessionConfig, ReplayConfig};
+        use specdb::trace::{UserModel, UserModelConfig};
+        let base = replay_base(max_subset);
+        let (tables, views) = (sorted(base.catalog().table_names()), view_names(&base));
+        let traces: Vec<_> = queries
+            .iter()
+            .enumerate()
+            .map(|(s, &queries)| {
+                let cfg = UserModelConfig { queries, questions: 2, ..Default::default() };
+                UserModel::new(cfg, specdb::tpch::ExploreDomain::tpch())
+                    .generate("u", seed.wrapping_add(s as u64))
+            })
+            .collect();
+
+        let mut normal_rows = Vec::new();
+        for trace in &traces {
+            let mut db = base.clone();
+            let out = replay_trace(&mut db, trace, &ReplayConfig::normal()).unwrap();
+            prop_assert_eq!(sorted(db.catalog().table_names()), tables.clone());
+            prop_assert_eq!(view_names(&db), views.clone());
+            normal_rows.push(out.queries.iter().map(|q| q.rows).collect::<Vec<_>>());
+        }
+
+        let mut replay = ReplayConfig::speculative();
+        replay.speculator.predict = predict;
+        let cfg = MultiSessionConfig {
+            replay,
+            governor: GovernorConfig { max_outstanding: budget, ..Default::default() },
+        };
+        let mut db = base.clone();
+        let out = replay_multi_session(&mut db, &traces, &cfg).unwrap();
+        for (s, rows) in out.per_session.iter().zip(&normal_rows) {
+            prop_assert_eq!(s.issued, s.completed + s.cancelled);
+            prop_assert_eq!(s.manipulation_times.len() as u64, s.completed);
+            prop_assert!(s.used + s.wasted <= s.completed, "{s:?}");
+            prop_assert_eq!(&s.queries.iter().map(|q| q.rows).collect::<Vec<_>>(), rows);
+        }
+        prop_assert_eq!(out.per_session.iter().map(|s| s.issued).sum::<u64>(), out.admitted);
+        prop_assert!(out.shared_hits <= out.artifact_uses, "{out:?}");
+        let left = view_names(&db);
+        for name in &views {
+            prop_assert!(left.contains(name), "{name} was dropped");
+        }
+    }
+}
