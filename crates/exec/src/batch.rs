@@ -10,13 +10,15 @@
 //! * **filters** evaluate one predicate column at a time into a
 //!   selection vector — survivors are never copied,
 //! * **projection** is `Arc` pointer selection of the kept columns,
-//! * **hash joins** store the build side column-major and emit matches
-//!   late-materialized: output columns share the build and probe column
-//!   vectors through gather indexes, so the probe clones no value. Rows
-//!   materialize only where a consumer needs owned values: result
-//!   collection ([`ColumnBatch::to_tuples`]), a downstream join's build
-//!   side, and aggregate keys; `materialize` encodes rows straight into
-//!   heap pages ([`ColumnBatch::load_into`]),
+//! * **hash joins** keep the build input's batches as they arrive, copy
+//!   only the build key column, and emit matches late-materialized:
+//!   output columns read the build batches through chunked gather
+//!   indexes and the probe's column vectors through gather indexes, so
+//!   neither side's values are cloned, at any depth of joins over joins.
+//!   Rows materialize only where a consumer needs owned values: result
+//!   collection ([`ColumnBatch::to_tuples`]) and aggregate keys;
+//!   `materialize` encodes rows straight into heap pages
+//!   ([`ColumnBatch::load_into`]),
 //! * **index-nested-loop joins** probe each outer batch through a
 //!   [`specdb_catalog::BatchProber`], decoding every touched index leaf
 //!   at most once per batch instead of once per outer tuple.
@@ -55,8 +57,8 @@ use specdb_obs::SpanKind;
 use specdb_query::{AggFunc, CompareOp};
 use specdb_storage::heap::BulkLoader;
 use specdb_storage::{
-    AccessKind, ColumnSegment, ColumnVec, Page, PageId, SegCache, StorageResult, Tuple, Value,
-    ValueMap, ZoneMap,
+    value_hash, AccessKind, ColumnSegment, ColumnVec, Page, PageId, SegCache, StorageResult, Tuple,
+    Value, ZoneMap,
 };
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -66,36 +68,54 @@ use std::sync::Arc;
 /// Default maximum number of logical rows per [`ColumnBatch`].
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// One column of a [`ColumnBatch`]: `Arc`-shared values plus an optional
-/// gather index. Physical row `p` reads `data[idx[p]]`, or `data[p]`
-/// when there is no index (scan columns).
+/// One column of a [`ColumnBatch`]: `Arc`-shared values read directly,
+/// through a gather index, or through a chunked gather index over the
+/// columns of a hash join's build input.
 #[derive(Debug, Clone)]
-struct Col {
-    data: ColumnVec,
-    idx: Option<GatherIdx>,
+enum Col {
+    /// Physical row `p` reads `data[idx[p]]`, or `data[p]` when there is
+    /// no index (scan columns).
+    Flat { data: ColumnVec, idx: Option<GatherIdx> },
+    /// Physical row `p` reads physical row `r` of `parts[c]`, where
+    /// `(c, r) = idx[p]`: a hash join's build column, read from the
+    /// build input's own batches (which may be chunked in turn).
+    Chunked { parts: Arc<Vec<Col>>, idx: ChunkIdx },
 }
 
 /// A gather index: physical row → position in a column's values.
 type GatherIdx = Arc<Vec<u32>>;
 
+/// A chunked gather index: physical row → (part, physical row of that
+/// part).
+type ChunkIdx = Arc<Vec<(u32, u32)>>;
+
 impl Col {
     fn plain(data: ColumnVec) -> Self {
-        Col { data, idx: None }
+        Col::Flat { data, idx: None }
     }
 
     /// Value at physical row `p`.
     #[inline]
-    fn at(&self, p: usize) -> &Value {
-        match &self.idx {
-            Some(idx) => &self.data[idx[p] as usize],
-            None => &self.data[p],
+    fn at(&self, mut p: usize) -> &Value {
+        let mut col = self;
+        loop {
+            match col {
+                Col::Flat { data, idx: None } => return &data[p],
+                Col::Flat { data, idx: Some(idx) } => return &data[idx[p] as usize],
+                Col::Chunked { parts, idx } => {
+                    let (c, r) = idx[p];
+                    col = &parts[c as usize];
+                    p = r as usize;
+                }
+            }
         }
     }
 }
 
 /// A columnar chunk of rows exchanged between batch operators: `Arc`ed
-/// column vectors, each optionally read through a gather index, plus an
-/// optional selection vector of live row indexes (in output order).
+/// column vectors, each optionally read through a gather index or a
+/// chunked one, plus an optional selection vector of live row indexes
+/// (in output order).
 /// `sel == None` means every underlying row is live.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
@@ -152,6 +172,7 @@ impl ColumnBatch {
     }
 
     /// Physical row index of logical row `row`.
+    #[inline]
     fn phys(&self, row: usize) -> usize {
         match &self.sel {
             Some(sel) => sel[row] as usize,
@@ -160,6 +181,7 @@ impl ColumnBatch {
     }
 
     /// Value at logical `(row, col)`.
+    #[inline]
     pub fn value(&self, row: usize, col: usize) -> &Value {
         self.cols[col].at(self.phys(row))
     }
@@ -856,84 +878,190 @@ fn index_scan_batched(
     Ok(())
 }
 
-/// Hash-join build storage: the build rows column-major in arrival
-/// order (row id = arrival position) plus key → row-id buckets. Buckets
-/// hash with [`specdb_storage::tuple::ValueHasher`], whose fixed
-/// constants make the layout the same in every run, and every bucket
-/// lists its row ids in arrival order, so probe output order is the row
-/// path's. Probe output references the columns by gather index instead
-/// of copying them.
+/// End of a [`JoinTable`] chain, and the head of an empty slot.
+const NO_ROW: u32 = u32::MAX;
+
+/// Hash-join build side, zero-copy: the build input's batches stay as
+/// they arrived, and build row id `i` (the `i`-th row with a non-NULL
+/// key, in arrival order) is physical row `rows[i].1` of batch
+/// `rows[i].0`. Only the key column is copied, into `keys`, so that the
+/// probe compares keys without a chunk lookup.
+///
+/// Rows are found by the full `u64` key hash: an open-addressed slot
+/// table maps each distinct hash to the first row id with it, and
+/// `next` chains the rows of one hash in ascending id order. A chain
+/// holds rows with equal hashes only, but not necessarily equal keys,
+/// so the probe still compares every key. Keys that compare equal hash
+/// equal, so each match list is the row path's bucket in its order
+/// (except where `Int`/`Float` equality stops being transitive, past
+/// 2^53; see DESIGN.md), and the fixed
+/// [`ValueHasher`](specdb_storage::tuple::ValueHasher) constants make
+/// the layout the same in every run. Probe output reads the build
+/// columns through chunked gather indexes instead of copying them.
 struct JoinTable {
-    cols: Vec<ColumnVec>,
-    buckets: ValueMap<Vec<u32>>,
+    /// Each build column as the list of the build batches' columns.
+    parts: Vec<Arc<Vec<Col>>>,
+    /// Build row id → (batch, physical row).
+    rows: Vec<(u32, u32)>,
+    /// Build row id → key.
+    keys: Vec<Value>,
+    /// Open-addressed by hash, power-of-two length, never full:
+    /// (hash, first row id with that hash) or (_, [`NO_ROW`]).
+    slots: Vec<(u64, u32)>,
+    /// Build row id → the next row id with the same hash.
+    next: Vec<u32>,
+    /// Encoded bytes of the rows with ids, as the row path charges them.
+    bytes: u64,
 }
 
 impl JoinTable {
+    /// Index `batches`, `width` columns each, on column `lkey` hashed by
+    /// `hash`. Rows with a NULL key get no id and never join.
+    fn new(
+        batches: Vec<ColumnBatch>,
+        width: usize,
+        lkey: usize,
+        hash: impl Fn(&Value) -> u64,
+    ) -> JoinTable {
+        let (mut rows, mut keys, mut hashes, mut bytes) = (Vec::new(), Vec::new(), Vec::new(), 0);
+        for (c, b) in batches.iter().enumerate() {
+            for row in 0..b.len() {
+                let key = b.value(row, lkey);
+                if key.is_null() {
+                    continue;
+                }
+                let p = b.phys(row);
+                debug_assert!(p < b.rows, "build row outside its batch");
+                rows.push((c as u32, p as u32));
+                hashes.push(hash(key));
+                keys.push(key.clone());
+                bytes += b.row_encoded_len(row) as u64;
+            }
+        }
+        // At most half full. Inserting in descending id order at the
+        // chain heads leaves every chain ascending.
+        let mut slots = vec![(0, NO_ROW); (2 * rows.len()).next_power_of_two()];
+        let mut next = vec![NO_ROW; rows.len()];
+        for (id, &h) in hashes.iter().enumerate().rev() {
+            let s = find_slot(&slots, h);
+            next[id] = slots[s].1;
+            slots[s] = (h, id as u32);
+        }
+        let parts = (0..width)
+            .map(|col| Arc::new(batches.iter().map(|b| b.cols[col].clone()).collect()))
+            .collect();
+        JoinTable { parts, rows, keys, slots, next, bytes }
+    }
+
     fn row_count(&self) -> u64 {
-        self.cols.first().map_or(0, |c| c.len() as u64)
+        self.rows.len() as u64
+    }
+
+    /// Ids of the build rows whose key equals `key`, ascending; `h` is
+    /// `key`'s hash.
+    #[inline]
+    fn matches<'t>(&'t self, key: &'t Value, h: u64) -> impl Iterator<Item = u32> + 't {
+        let mut id = self.slots[find_slot(&self.slots, h)].1;
+        std::iter::from_fn(move || {
+            while id != NO_ROW {
+                let cur = id;
+                id = self.next[cur as usize];
+                if self.keys[cur as usize] == *key {
+                    return Some(cur);
+                }
+            }
+            None
+        })
+    }
+
+    /// Value of build row `id` in column `col`.
+    #[inline]
+    fn value(&self, id: u32, col: usize) -> &Value {
+        let (c, r) = self.rows[id as usize];
+        self.parts[col][c as usize].at(r as usize)
     }
 
     /// One output batch of the join: build row `ids[i]` beside probe
-    /// physical row `prows[i]`. Build columns gather by `ids`; probe
-    /// columns gather by `prows` composed with their own gather index,
-    /// once per distinct index (every column of a scan batch shares the
-    /// absent one). No value is cloned.
+    /// physical row `prows[i]`. Build columns read the build batches
+    /// through one chunked index; probe columns gather by `prows`
+    /// composed with their own gather index, once per distinct index
+    /// (every column of a scan batch shares the absent one). No value is
+    /// cloned.
     fn gather(&self, probe: &ColumnBatch, ids: &[u32], prows: &[u32]) -> ColumnBatch {
-        let ids = Arc::new(ids.to_vec());
+        debug_assert!(ids.iter().all(|&id| (id as usize) < self.rows.len()), "unknown build row");
+        debug_assert!(prows.iter().all(|&p| (p as usize) < probe.rows), "probe row out of range");
+        let idx: ChunkIdx = Arc::new(ids.iter().map(|&id| self.rows[id as usize]).collect());
         let mut cols: Vec<Col> = self
-            .cols
+            .parts
             .iter()
-            .map(|c| Col { data: Arc::clone(c), idx: Some(Arc::clone(&ids)) })
+            .map(|parts| Col::Chunked { parts: Arc::clone(parts), idx: Arc::clone(&idx) })
             .collect();
-        let mut composed: Vec<(Option<*const Vec<u32>>, GatherIdx)> = Vec::new();
+        let mut flat: Vec<(Option<*const Vec<u32>>, GatherIdx)> = Vec::new();
+        let mut chunked: Vec<(*const Vec<(u32, u32)>, ChunkIdx)> = Vec::new();
         for col in &probe.cols {
-            let key = col.idx.as_ref().map(Arc::as_ptr);
-            let idx = match composed.iter().find(|(k, _)| *k == key) {
-                Some((_, idx)) => Arc::clone(idx),
-                None => {
-                    let idx = Arc::new(match &col.idx {
+            cols.push(match col {
+                Col::Flat { data, idx } => {
+                    let idx = composed(&mut flat, idx.as_ref().map(Arc::as_ptr), || match idx {
                         Some(inner) => prows.iter().map(|&p| inner[p as usize]).collect(),
                         None => prows.to_vec(),
                     });
-                    composed.push((key, Arc::clone(&idx)));
-                    idx
+                    Col::Flat { data: Arc::clone(data), idx: Some(idx) }
                 }
-            };
-            cols.push(Col { data: Arc::clone(&col.data), idx: Some(idx) });
+                Col::Chunked { parts, idx } => {
+                    let idx = composed(&mut chunked, Arc::as_ptr(idx), || {
+                        prows.iter().map(|&p| idx[p as usize]).collect()
+                    });
+                    Col::Chunked { parts: Arc::clone(parts), idx }
+                }
+            });
         }
         ColumnBatch { cols, sel: None, rows: ids.len() }
     }
 }
 
-/// Consume the join's left input into a [`JoinTable`], returning it with
-/// the total encoded bytes of the stored rows. Rows arrive through
-/// [`run_batched`] in the same order at any thread count, and the buckets
-/// fill as they arrive.
+/// The slot of hash `h` in a [`JoinTable`]'s slots: the one holding `h`,
+/// or the empty one where linear probing for it stops.
+#[inline]
+fn find_slot(slots: &[(u64, u32)], h: u64) -> usize {
+    let mask = slots.len() - 1;
+    let mut s = h as usize & mask;
+    while slots[s].1 != NO_ROW && slots[s].0 != h {
+        s = (s + 1) & mask;
+    }
+    s
+}
+
+/// The index composed for the gather index identified by `key`, made by
+/// `make` on first use so that columns sharing an index share its
+/// composition too.
+fn composed<K: PartialEq, T>(
+    memo: &mut Vec<(K, Arc<T>)>,
+    key: K,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    if let Some((_, idx)) = memo.iter().find(|(k, _)| *k == key) {
+        return Arc::clone(idx);
+    }
+    let idx = Arc::new(make());
+    memo.push((key, Arc::clone(&idx)));
+    idx
+}
+
+/// Consume the join's left input into a [`JoinTable`]. Batches arrive
+/// through [`run_batched`] in the same order at any thread count, so row
+/// ids and chains do too.
 fn build_join_table(
     left: &Plan,
     lkey: usize,
     catalog: &Catalog,
     ctx: &mut ExecCtx<'_>,
-) -> ExecResult<(JoinTable, u64)> {
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); left.cols.len()];
-    let mut buckets = ValueMap::<Vec<u32>>::default();
-    let mut bytes = 0u64;
+) -> ExecResult<JoinTable> {
+    let mut batches = Vec::new();
     run_batched(left, catalog, ctx, &mut |b: ColumnBatch| {
-        for row in 0..b.len() {
-            let key = b.value(row, lkey);
-            if key.is_null() {
-                continue;
-            }
-            bytes += b.row_encoded_len(row) as u64;
-            buckets.entry(key.clone()).or_default().push(cols[0].len() as u32);
-            for (c, col) in cols.iter_mut().enumerate() {
-                col.push(b.value(row, c).clone());
-            }
-        }
+        batches.push(b);
         Ok(())
     })?;
-    let cols = cols.into_iter().map(Arc::new).collect();
-    Ok((JoinTable { cols, buckets }, bytes))
+    Ok(JoinTable::new(batches, left.cols.len(), lkey, value_hash))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -947,9 +1075,9 @@ fn hash_join_batched(
     ctx: &mut ExecCtx<'_>,
     out: &mut dyn FnMut(ColumnBatch) -> ExecResult<()>,
 ) -> ExecResult<()> {
-    // Build phase: consume the left input batch-wise into column-major
-    // build storage indexed by the hash table's buckets.
-    let (table, build_bytes) = build_join_table(left, lkey, catalog, ctx)?;
+    // Build phase: keep the left input's batches and index their keys.
+    let table = build_join_table(left, lkey, catalog, ctx)?;
+    let build_bytes = table.bytes;
     ctx.pool.charge_cpu(table.row_count());
     ctx.pool.charge_mem(build_bytes);
     // Same hybrid-hash spill model as the row path. Probe bytes only
@@ -959,8 +1087,9 @@ fn hash_join_batched(
     let probe_bytes = (spill > 0.0).then(|| Arc::new(AtomicU64::new(0)));
     let (table, residual, cap) = (Arc::new(table), residual.to_vec(), ctx.batch_size);
     let counter = probe_bytes.clone();
-    // Probe phase: probe rows arrive in scan order, so match output
-    // order is identical to the row path (bucket insertion order), and
+    // Probe phase: probe rows arrive in scan order and each key's
+    // matches come in build arrival order, so match output order is
+    // identical to the row path (bucket insertion order), and
     // every probe batch's matches are emitted as its own run of batches.
     // A sequential-scan probe side fuses into the scan loop: keys and
     // residual columns are read straight from the segment's columns.
@@ -987,7 +1116,7 @@ fn hash_join_batched(
 }
 
 /// Probe one batch against the build side and emit its matches, in
-/// probe-row then bucket order, as gather-indexed batches of at most
+/// probe-row then build-row order, as gather-indexed batches of at most
 /// `cap` rows; returns how many batches were emitted. Adds the probe
 /// rows' encoded bytes to `probe_bytes` when given.
 #[allow(clippy::too_many_arguments)]
@@ -1011,11 +1140,10 @@ fn probe_columnar(
         if key.is_null() {
             continue;
         }
-        let Some(matches) = table.buckets.get(key) else { continue };
         let p = b.phys(row) as u32;
-        for &id in matches {
+        for id in table.matches(key, value_hash(key)) {
             let pass = residual.iter().all(|&(lc, rc)| {
-                let l = &table.cols[lc][id as usize];
+                let l = table.value(id, lc);
                 l == b.value(row, rc) && !l.is_null()
             });
             if pass {
@@ -1275,20 +1403,35 @@ mod tests {
     /// Run a plan on both paths from identical cold pools and assert
     /// identical tuples, order, and resource demand.
     fn assert_paths_agree(plan: &Plan) {
+        assert_paths_agree_at(plan, DEFAULT_BATCH_SIZE, 1);
+    }
+
+    /// [`assert_paths_agree`] with the columnar path at `batch_size` rows
+    /// per batch and `threads` morsel workers; also compares the
+    /// `mem.build.bytes` metric.
+    fn assert_paths_agree_at(plan: &Plan, batch_size: usize, threads: usize) {
         let (mut pool_a, cat_a) = fixture();
         let (mut pool_b, cat_b) = fixture();
-        pool_a.clear();
-        pool_b.clear();
+        for pool in [&mut pool_a, &mut pool_b] {
+            pool.clear();
+            pool.set_observer(specdb_obs::Observer::enabled());
+        }
         let snap_a = pool_a.snapshot();
         let snap_b = pool_b.snapshot();
         let mut ctx = ExecCtx::new(&mut pool_a);
         let rows_row = run::run_collect(plan, &cat_a, &mut ctx).unwrap();
         let mut ctx = ExecCtx::new(&mut pool_b);
+        ctx.batch_size = batch_size;
+        ctx.threads = threads;
         let rows_batch = run_collect_batched(plan, &cat_b, &mut ctx).unwrap();
-        assert_eq!(rows_row, rows_batch, "tuples and order must be identical");
+        let at = format!("batch size {batch_size}, {threads} threads");
+        assert_eq!(rows_row, rows_batch, "tuples and order must be identical ({at})");
         let d_row = pool_a.demand_since(snap_a);
         let d_batch = pool_b.demand_since(snap_b);
-        assert_eq!(d_row, d_batch, "resource demand must be identical");
+        assert_eq!(d_row, d_batch, "resource demand must be identical ({at})");
+        let build_bytes =
+            |pool: &BufferPool| pool.observer().metrics().snapshot().counter("mem.build.bytes");
+        assert_eq!(build_bytes(&pool_a), build_bytes(&pool_b), "mem.build.bytes ({at})");
     }
 
     /// Run a plan serially and with four morsel workers from identical
@@ -1413,6 +1556,121 @@ mod tests {
         })
         .unwrap();
         assert_eq!(sizes, vec![1024, 1024, 952]);
+    }
+
+    /// How many chunked gather indexes a read of `col` passes through.
+    fn chunk_depth(col: &Col) -> usize {
+        match col {
+            Col::Flat { .. } => 0,
+            Col::Chunked { parts, .. } => 1 + parts.iter().map(chunk_depth).max().unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn chunk_over_chunk_builds_match_row_path() {
+        // j1 builds on a scan, j2 on j1's output, j3 on j2's output: j3's
+        // build columns read chunks of chunks of the dept scan's batches.
+        let j1 = dept_emp();
+        let j2 = hash_join(j1, scan("dept", &["d2.id", "d2.name"], vec![]), 3, 0, vec![]);
+        let proj = scan("proj", &["proj.id", "proj.lead", "proj.dept"], vec![]);
+        let j3 = hash_join(j2.clone(), proj, 2, 1, vec![]);
+        // And a residual read through the nested chunks: dept.id = d2.id.
+        let d3 = scan("dept", &["d3.id", "d3.name"], vec![]);
+        let j3_residual = hash_join(j2, d3.clone(), 5, 0, vec![(0, 0)]);
+        // j2 and j3 above chain each key's rows from one probe row of the
+        // join below, so a reversed chain order cancels out between
+        // levels. Here proj ids 1 and 11 both have dept 1, so j3's chain
+        // for emp.dept = 1 holds two probe rows' runs of j2's output.
+        let few = BoundPred { idx: 0, op: CompareOp::Lt, value: Value::Int(12) };
+        let proj = scan("proj", &["proj.id", "proj.lead", "proj.dept"], vec![few]);
+        let j3_runs = hash_join(hash_join(dept_emp(), proj, 3, 2, vec![]), d3, 3, 0, vec![]);
+        for plan in [&j3, &j3_residual, &j3_runs] {
+            for batch_size in [1, 7, 1024] {
+                for threads in [1, 4] {
+                    assert_paths_agree_at(plan, batch_size, threads);
+                }
+            }
+            assert_parallel_agrees(plan);
+        }
+        let (mut pool, cat) = fixture();
+        let mut ctx = ExecCtx::new(&mut pool);
+        let mut depths = Vec::new();
+        run_batched(&j3, &cat, &mut ctx, &mut |b: ColumnBatch| {
+            depths.push(chunk_depth(&b.cols[0]));
+            Ok(())
+        })
+        .unwrap();
+        assert!(!depths.is_empty() && depths.iter().all(|&d| d == 3), "{depths:?}");
+    }
+
+    #[test]
+    fn colliding_hashes_never_join() {
+        let keys = vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Str("1".into()),
+            Value::Float(1.5),
+            Value::Int(3),
+            Value::Null,
+            Value::Int(1),
+        ];
+        let batch = ColumnBatch::new(vec![Arc::new(keys)]);
+        // Every key hashes alike, so every build row sits on one chain.
+        let table = JoinTable::new(vec![batch], 1, 0, |_| 7);
+        assert_eq!(table.row_count(), 6, "the NULL key gets no row id");
+        for (probe, want) in [
+            (Value::Int(1), vec![0, 5]),
+            (Value::Int(2), vec![1]),
+            (Value::Str("1".into()), vec![2]),
+            (Value::Float(1.5), vec![3]),
+            (Value::Int(3), vec![4]),
+            (Value::Float(3.0), vec![4]),
+            (Value::Float(1.0), vec![0, 5]),
+            (Value::Str("2".into()), vec![]),
+        ] {
+            let got: Vec<u32> = table.matches(&probe, 7).collect();
+            assert_eq!(got, want, "probe {probe:?}");
+            for id in got {
+                assert_eq!(*table.value(id, 0), probe);
+            }
+        }
+        // A probe hash that no build row has matches nothing.
+        assert_eq!(table.matches(&Value::Int(1), 8).count(), 0);
+    }
+
+    #[test]
+    fn hash_join_build_does_not_copy_columns() {
+        let (mut pool, cat) = fixture();
+        let plan = dept_emp();
+        // Warm the segment cache, then check that the build side's output
+        // columns are the cached segments' columns.
+        let mut ctx = ExecCtx::new(&mut pool);
+        run_collect_batched(&plan, &cat, &mut ctx).unwrap();
+        let mut batches = Vec::new();
+        let mut ctx = ExecCtx::new(&mut pool);
+        run_batched(&plan, &cat, &mut ctx, &mut |b: ColumnBatch| {
+            batches.push(b);
+            Ok(())
+        })
+        .unwrap();
+        let heap = cat.table("dept").unwrap().heap;
+        let mut cached: Vec<ColumnVec> = Vec::new();
+        for page_no in 0..heap.pages(&pool) {
+            let pid = PageId::new(heap.file, page_no);
+            assert!(pool.seg_cache().contains(pid), "dept page {page_no} must be cached");
+            let page = pool.read_page(pid, AccessKind::Sequential).unwrap();
+            cached.extend(pool.seg_cache().get_or_decode(pid, &page).unwrap().cols());
+        }
+        assert!(!batches.is_empty());
+        for b in &batches {
+            for col in &b.cols[..2] {
+                let Col::Chunked { parts, .. } = col else { panic!("build column not chunked") };
+                for part in parts.iter() {
+                    let Col::Flat { data, idx: None } = part else { panic!("copied: {part:?}") };
+                    assert!(cached.iter().any(|c| Arc::ptr_eq(c, data)), "build column copied");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1769,7 +2027,7 @@ mod tests {
 
     /// The materialization sink writes each row exactly as
     /// [`Tuple::encode`] would, for every value kind, through selection
-    /// vectors and gather indexes alike.
+    /// vectors, gather indexes and chunked gather indexes alike.
     #[test]
     fn load_into_writes_tuple_encode_bytes() {
         let plain = ColumnBatch::new(vec![
@@ -1783,12 +2041,34 @@ mod tests {
             ]),
         ]);
         let selected = plain.clone().with_sel(vec![3, 1, 2]);
-        let mut gathered = plain.clone();
-        for col in &mut gathered.cols {
-            col.idx = Some(Arc::new(vec![2, 0, 0, 3, 1]));
-        }
-        gathered.rows = 5;
-        for batch in [plain, selected, gathered.with_sel(vec![4, 0, 3])] {
+        let idx = Arc::new(vec![2, 0, 0, 3, 1]);
+        let gathered = ColumnBatch {
+            cols: (0..3)
+                .map(|c| match &plain.cols[c] {
+                    Col::Flat { data, .. } => {
+                        Col::Flat { data: Arc::clone(data), idx: Some(Arc::clone(&idx)) }
+                    }
+                    Col::Chunked { .. } => unreachable!("a plain batch has flat columns"),
+                })
+                .collect(),
+            sel: None,
+            rows: 5,
+        };
+        // Rows of `plain` and `gathered`, read as a join's build columns.
+        let idx = Arc::new(vec![(1, 4), (0, 0), (1, 0), (0, 3)]);
+        let chunked = ColumnBatch {
+            cols: (0..3)
+                .map(|c| Col::Chunked {
+                    parts: Arc::new(vec![plain.cols[c].clone(), gathered.cols[c].clone()]),
+                    idx: Arc::clone(&idx),
+                })
+                .collect(),
+            sel: None,
+            rows: 4,
+        };
+        for batch in
+            [plain, selected, gathered.with_sel(vec![4, 0, 3]), chunked.with_sel(vec![3, 1, 2])]
+        {
             let mut loader = BulkLoader::new();
             batch.load_into(&mut loader).unwrap();
             let mut pool = BufferPool::new(4);

@@ -26,6 +26,7 @@ pub enum Value {
 
 impl Value {
     /// Stable type tag used for encoding and cross-type ordering.
+    #[inline]
     fn tag(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -72,6 +73,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
@@ -86,6 +88,7 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
@@ -99,6 +102,7 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    #[inline]
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
@@ -120,7 +124,7 @@ impl std::hash::Hash for Value {
     }
 }
 
-/// A deterministic fast hasher for [`Value`] keys (hash-join buckets,
+/// A deterministic fast hasher for [`Value`] keys (hash-join tables,
 /// aggregate groups, index probe memos).
 ///
 /// Each written word is folded in FxHash style (rotate, xor, multiply),
@@ -200,6 +204,7 @@ pub type ValueMap<V> = std::collections::HashMap<Value, V, ValueBuildHasher>;
 
 /// [`ValueHasher`]'s hash of `v`: equal values (including `Int(3)` and
 /// `Float(3.0)`) hash equal, in every process.
+#[inline]
 pub fn value_hash(v: &Value) -> u64 {
     use std::hash::BuildHasher;
     ValueBuildHasher::default().hash_one(v)
